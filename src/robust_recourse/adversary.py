@@ -7,7 +7,8 @@ the intercept (its multiplier is the constant +1). ``corner_oracle`` checks
 the same thing by brute force over all sign patterns and is used to certify
 the closed form. ``worst_case_shared_model`` finds a single model that
 degrades a whole batch of recourses at once, via projected gradient ascent,
-for validity experiments.
+for validity experiments; it also takes a stack of equal-size batches, each
+with its own ball, and ascends them all in one loop.
 
 A Neighborhood may be built with ``perturb_intercept=False`` for problems
 posed without an attackable intercept term; the intercept then stays fixed.
@@ -35,8 +36,8 @@ class Neighborhood:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", float(self.alpha))
-        if self.alpha < 0.0:
-            raise ValueError("alpha must be nonnegative")
+        if not 0.0 <= self.alpha < np.inf:
+            raise ValueError("alpha must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -45,7 +46,6 @@ class AscentConfig:
     steps: int = 1000
     moment_decay: tuple = (0.9, 0.999)
     epsilon: float = 1e-8
-    seed: int = 0
 
 
 def best_response(neighborhood: Neighborhood, x) -> ModelParams:
@@ -98,35 +98,41 @@ def corner_oracle(neighborhood: Neighborhood, x) -> ModelParams:
     return best
 
 
-def worst_case_shared_model(
-    neighborhood: Neighborhood, recourses, cfg: AscentConfig = AscentConfig()
-) -> ModelParams:
+def worst_case_shared_model(neighborhood, recourses, cfg: AscentConfig = AscentConfig()):
     """One model in the ball that hurts a whole recourse set.
 
     Maximizes the mean BCE loss of the set toward the desirable label with
     adaptive-moment gradient ascent, projecting every coordinate back into
     the ball after each step. The iterate with the best objective seen is
     returned, so the result is never worse than the ball's base model.
+
+    Stacked form: given P balls and a (P, n, d) array of P equal-size sets,
+    one loop ascends each set in its own ball with its own moments and
+    best-so-far, and returns a list of P models, bitwise equal to P calls.
     """
-    points = np.atleast_2d(np.asarray(recourses, dtype=float))
+    stacked = not isinstance(neighborhood, Neighborhood)
+    balls = list(neighborhood) if stacked else [neighborhood]
+    points = np.asarray(recourses, dtype=float)
+    points = points if stacked else np.atleast_2d(points)[None]
     if points.size == 0:
         raise ValueError("recourse list is empty")
-    base = neighborhood.base
-    if points.shape[1] != base.dim:
+    theta0 = np.array([np.append(ball.base.weights, ball.base.intercept) for ball in balls])
+    if points.ndim != 3 or len(points) != len(balls) or points.shape[2] + 1 != theta0.shape[1]:
         raise DimensionMismatchError(
-            f"model has {base.dim} weights, recourses have {points.shape[1]} features"
+            f"{len(balls)} balls of {theta0.shape[1] - 1} weights, recourse sets {points.shape}"
         )
+    radius = np.array([[ball.alpha] for ball in balls])
+    lo, hi = theta0 - radius, theta0 + radius
+    fixed = np.array([not ball.perturb_intercept for ball in balls])
+    lo[fixed, -1] = hi[fixed, -1] = theta0[fixed, -1]
+    design = np.concatenate([points, np.ones(points.shape[:2] + (1,))], axis=2)
+    design_t = design.transpose(0, 2, 1)
 
-    theta0 = np.append(base.weights, base.intercept)
-    lo = theta0 - neighborhood.alpha
-    hi = theta0 + neighborhood.alpha
-    if not neighborhood.perturb_intercept:
-        lo[-1] = hi[-1] = theta0[-1]
-
-    design = np.hstack([points, np.ones((points.shape[0], 1))])
+    def scores(theta):
+        return (design @ theta[:, :, None])[:, :, 0]
 
     def objective(theta):
-        return float(np.mean(eval_loss(LossKind.BCE, design @ theta)))
+        return np.mean(eval_loss(LossKind.BCE, scores(theta)), axis=1)
 
     beta1, beta2 = cfg.moment_decay
     theta = theta0.copy()
@@ -136,9 +142,8 @@ def worst_case_shared_model(
     best_value = objective(theta)
 
     for step in range(1, cfg.steps + 1):
-        scores = design @ theta
         # ascent direction: d/dtheta mean log(1 + exp(-s)) = -mean sigmoid(-s) x
-        grad = -(design.T @ sigmoid(-scores)) / points.shape[0]
+        grad = -(design_t @ sigmoid(-scores(theta))[:, :, None])[:, :, 0] / points.shape[1]
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1**step)
@@ -146,8 +151,9 @@ def worst_case_shared_model(
         theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         theta = np.clip(theta, lo, hi)
         value = objective(theta)
-        if value > best_value:
-            best_value = value
-            best_theta = theta.copy()
+        improved = value > best_value
+        best_value = np.where(improved, value, best_value)
+        best_theta[improved] = theta[improved]
 
-    return ModelParams(best_theta[:-1], best_theta[-1])
+    models = [ModelParams(row[:-1], row[-1]) for row in best_theta]
+    return models if stacked else models[0]

@@ -69,7 +69,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_recourse(args) -> int:
-    base = ModelParams(weights=args.theta, intercept=args.intercept)
     mask = None
     if args.immutable:
         mask = np.zeros(len(args.theta), dtype=bool)
@@ -77,13 +76,15 @@ def _cmd_recourse(args) -> int:
             if not 0 <= idx < len(args.theta):
                 raise ConfigError(f"immutable index {idx} out of range")
             mask[idx] = True
-    query = RecourseQuery(
-        x0=args.x0,
-        lam=args.lam,
-        loss=LossKind.SQUARED if args.loss == "squared" else LossKind.BCE,
-        immutable_mask=mask,
-    )
-    nbhd = Neighborhood(base, args.alpha, perturb_intercept=not args.fixed_intercept)
+    try:
+        base = ModelParams(weights=args.theta, intercept=args.intercept)
+        loss = LossKind.SQUARED if args.loss == "squared" else LossKind.BCE
+        query = RecourseQuery(x0=args.x0, lam=args.lam, loss=loss, immutable_mask=mask)
+        nbhd = Neighborhood(base, args.alpha, perturb_intercept=not args.fixed_intercept)
+        if query.dim != base.dim:
+            raise ValueError(f"--theta has {base.dim} weights, --x0 has {query.dim} features")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     plan = optimal_robust_recourse(query, nbhd)
     _emit(plan.to_json(), args.out)
     return 0

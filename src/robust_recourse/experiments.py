@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import AscentConfig, Neighborhood, worst_case_shared_model
+from .adversary import Neighborhood, worst_case_shared_model
 from .data import (
     Dataset,
     SyntheticSpec,
@@ -44,7 +44,7 @@ from .models import (
     predict_label,
     train_logistic,
 )
-from .roar import RoarConfig, roar_recourse, roar_recourse_batch
+from .roar import RoarConfig, roar_recourse_batch
 from .solver import (
     GridSpec,
     SolverConfig,
@@ -124,15 +124,19 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.model_kind not in ("glm", "mlp"):
             raise ConfigError(f"model_kind must be 'glm' or 'mlp', got {self.model_kind!r}")
-        if self.alpha < 0.0 or self.smoothness_alpha < 0.0:
-            raise ConfigError("alpha must be nonnegative")
+        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.smoothness_alpha < np.inf):
+            raise ConfigError("alpha must be finite and nonnegative")
         for name in ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas"):
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
+            if any(not 0.0 <= v < np.inf for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must be finite and nonnegative")
         if any(not 0.0 <= b <= 1.0 for b in self.beta_grid):
             raise ConfigError("beta_grid values must lie in [0, 1]")
         if self.k_folds < 1:
             raise ConfigError("k_folds must be at least 1")
+        if self.n_points < 2:
+            raise ConfigError("n_points must be at least 2")
         if self.model_kind == "mlp" and not self.mlp_weights:
             raise ConfigError("model_kind 'mlp' requires mlp_weights")
 
@@ -416,23 +420,13 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
 
-        if cfg.model_kind == "glm":
-            shared_n = Neighborhood(tasks[0].base, cfg.alpha)
-            x0s = np.array([t.x0 for t in tasks])
-            roar_points = roar_recourse_batch(x0s, lam, shared_n, cfg.roar)
-        else:
-            roar_points = np.array(
-                [
-                    roar_recourse(
-                        RecourseQuery(x0=t.x0, lam=lam), Neighborhood(t.base, cfg.alpha), cfg.roar
-                    ).x_prime
-                    for t in tasks
-                ]
-            )
+        balls = [Neighborhood(t.base, cfg.alpha) for t in tasks]
+        shared = balls[0] if cfg.model_kind == "glm" else balls  # glm tasks share one model
+        roar_points = roar_recourse_batch(np.array([t.x0 for t in tasks]), lam, shared, cfg.roar)
 
         for t_idx, task in enumerate(tasks):
             q = RecourseQuery(x0=task.x0, lam=lam)
-            nbhd = Neighborhood(task.base, cfg.alpha)
+            nbhd = balls[t_idx]
             robust_plan = optimal_robust_recourse(q, nbhd, solver_cfg)
             preds = generate_predictions(cfg.prediction, task.base, cfg.alpha)
             if not pred_names:
@@ -647,31 +641,32 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
     sums: dict = {}
+    cells = [(float(a), float(lam)) for a in cfg.validity_alphas for lam in cfg.validity_lambdas]
 
     for fold in range(plan.k):
         scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
         if not tasks:
             print(f"warning: fold {fold} has no undesirable instances; skipped", file=sys.stderr)
             continue
-        theta0 = tasks[0].base
+        # every (alpha, lam) cell of the fold in one ROAR call and one ascent
         x0s = np.array([t.x0 for t in tasks])
-        for a_idx, alpha in enumerate(cfg.validity_alphas):
-            nbhd = Neighborhood(theta0, float(alpha))
-            for l_idx, lam in enumerate(cfg.validity_lambdas):
-                recs_alg = [
-                    optimal_robust_recourse(RecourseQuery(x0=t.x0, lam=float(lam)), nbhd).x_prime
-                    for t in tasks
-                ]
-                recs_roar = list(roar_recourse_batch(x0s, float(lam), nbhd, cfg.roar))
-                for method, recs in (("alg", recs_alg), ("roar", recs_roar)):
-                    ascent = AscentConfig(seed=_derived_seed(cfg.seed, fold, a_idx, l_idx))
-                    wc_model = worst_case_shared_model(nbhd, recs, ascent)
-                    val = validity(wc_model, recs)
-                    cost = float(np.mean([np.abs(r - t.x0).sum() for r, t in zip(recs, tasks)]))
-                    acc = sums.setdefault((method, float(alpha), float(lam)), [0.0, 0.0, 0])
-                    acc[0] += val
-                    acc[1] += cost
-                    acc[2] += 1
+        balls = [Neighborhood(tasks[0].base, alpha) for alpha, _ in cells]
+        recs_alg = [
+            [optimal_robust_recourse(RecourseQuery(x0=x, lam=lam), nbhd).x_prime for x in x0s]
+            for nbhd, (_, lam) in zip(balls, cells)
+        ]
+        lams = np.repeat([lam for _, lam in cells], len(tasks))
+        row_balls = [nbhd for nbhd in balls for _ in tasks]
+        recs_roar = roar_recourse_batch(np.tile(x0s, (len(cells), 1)), lams, row_balls, cfg.roar)
+        # set 2c is cell c's exact recourses, set 2c + 1 its ROAR ones
+        recs = np.stack([recs_alg, recs_roar.reshape(len(cells), *x0s.shape)], axis=1)
+        recs = recs.reshape(-1, *x0s.shape)
+        models = worst_case_shared_model([nbhd for nbhd in balls for _ in range(2)], recs)
+        for i, (pts, model) in enumerate(zip(recs, models)):
+            acc = sums.setdefault((("alg", "roar")[i % 2], *cells[i // 2]), [0.0, 0.0, 0])
+            acc[0] += validity(model, pts)
+            acc[1] += float(np.mean(np.abs(pts - x0s).sum(axis=1)))
+            acc[2] += 1
 
     if not sums:
         raise ConfigError("no fold produced undesirable instances")

@@ -155,8 +155,8 @@ class RecourseQuery:
         object.__setattr__(self, "lam", float(self.lam))
         if not np.all(np.isfinite(x0)):
             raise ValueError("x0 must be finite")
-        if self.lam < 0.0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative")
         if self.cost is None:
             object.__setattr__(self, "cost", CostSpec.unit(x0.size))
         if self.cost.weights.size != x0.size:

@@ -9,6 +9,10 @@ comparison studies measure.
 The cost term's subgradient uses ``numpy.sign`` (0 at the kink), so from an
 exact tie the step ignores the cost; the best iterate seen, judged by
 worst-case total cost, is returned rather than the last one.
+
+One loop, ``roar_recourse_batch``, runs many rows at once, each with its own
+``lam``, model ball and immutable mask. Every operation stays within a row, so
+no row's result depends on the others; ``roar_recourse`` is the one-row case.
 """
 
 from __future__ import annotations
@@ -20,12 +24,12 @@ import numpy as np
 from .adversary import Neighborhood, best_response
 from .glm import (
     CostSpec,
+    DimensionMismatchError,
     LossKind,
     RecourseQuery,
     eval_loss,
     eval_total_cost,
     loss_derivative,
-    score,
     weighted_l1,
 )
 from .solver import RecoursePlan
@@ -38,7 +42,6 @@ class RoarConfig:
     learning_rate: float = 0.01
     max_iters: int = 2000
     tolerance: float = 1e-7
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0.0:
@@ -53,80 +56,75 @@ def roar_recourse(
     cfg: RoarConfig | None = None,
 ) -> RecoursePlan:
     """Alternating maximization / subgradient descent on the worst-case cost."""
-    cfg = cfg or RoarConfig()
-    x = query.x0.copy()
-    free = ~query.immutable_mask
-
-    best_x = x.copy()
-    best_val = eval_total_cost(query, x, best_response(neighborhood, x))
-    for _ in range(cfg.max_iters):
-        worst = best_response(neighborhood, x)
-        s = score(worst, x)
-        grad = loss_derivative(query.loss, s) * worst.weights
-        grad = grad + query.lam * query.cost.weights * np.sign(x - query.x0)
-        step = np.where(free, cfg.learning_rate * grad, 0.0)
-        x = x - step
-        val = eval_total_cost(query, x, best_response(neighborhood, x))
-        if val < best_val:
-            best_val = val
-            best_x = x.copy()
-        if np.max(np.abs(step)) <= cfg.tolerance:
-            break
-
+    x = roar_recourse_batch(
+        query.x0[None, :], query.lam, neighborhood, cfg, query.loss, query.cost,
+        query.immutable_mask,
+    )[0]
     return RecoursePlan(
-        x_prime=best_x,
-        l1_cost=weighted_l1(query, best_x),
-        worst_case_total=best_val,
+        x_prime=x,
+        l1_cost=weighted_l1(query, x),
+        worst_case_total=eval_total_cost(query, x, best_response(neighborhood, x)),
         trace=(),
     )
 
 
 def roar_recourse_batch(
     x0s: np.ndarray,
-    lam: float,
-    neighborhood: Neighborhood,
+    lam: float | np.ndarray,
+    neighborhood: Neighborhood | list,
     cfg: RoarConfig | None = None,
     loss: LossKind = LossKind.BCE,
     cost: CostSpec | None = None,
+    immutable_mask: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Vectorized baseline over many starting points sharing one query shape.
+    """The baseline from many starts; returns the best-seen iterate of each row.
 
-    Returns the matrix of best-seen iterates, one row per start. Rows whose
+    ``lam``, ``neighborhood`` (a ball) and ``immutable_mask`` are each either
+    shared or given per row; loss and cost weights are shared. Rows whose
     step drops below tolerance are frozen while the rest continue.
     """
     cfg = cfg or RoarConfig()
     x0s = np.asarray(x0s, dtype=float)
     m, d = x0s.shape
-    base = neighborhood.base
-    if base.dim != d:
-        raise ValueError(f"model has {base.dim} weights, starts have {d} columns")
+    balls = [neighborhood] if isinstance(neighborhood, Neighborhood) else list(neighborhood)
+    base_w = np.array([ball.base.weights for ball in balls])
+    if len(balls) not in (1, m) or base_w.shape[1] != d:
+        raise DimensionMismatchError(
+            f"{len(balls)} balls of {base_w.shape[1]} weights for starts of shape {(m, d)}"
+        )
+    alpha = np.array([[ball.alpha] for ball in balls])
+    b_eff = np.array([b.base.intercept - (b.alpha if b.perturb_intercept else 0.0) for b in balls])
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,)).copy()
+    if not np.all((0.0 <= lam) & (lam < np.inf)):
+        raise ValueError("lam must be finite and nonnegative")
+    mask = np.zeros(d, dtype=bool) if immutable_mask is None else immutable_mask
+    free = ~np.broadcast_to(np.asarray(mask, dtype=bool), (m, d))
     cost_w = (cost or CostSpec.unit(d)).weights
-    b_eff = base.intercept - (neighborhood.alpha if neighborhood.perturb_intercept else 0.0)
+    lam_cost = lam[:, None] * cost_w
 
-    def wc_scores(pts: np.ndarray) -> np.ndarray:
-        # sign convention +1 at zero, matching best_response
-        signs = np.where(pts >= 0.0, 1.0, -1.0)
-        weights = base.weights - neighborhood.alpha * signs
-        return (pts * weights).sum(axis=1) + b_eff
+    def scored(pts: np.ndarray) -> tuple:
+        # worst-case weights and scores; sign convention +1 at zero, matching best_response
+        weights = base_w - alpha * np.where(pts >= 0.0, 1.0, -1.0)
+        return weights, (pts * weights).sum(axis=1) + b_eff
 
-    def totals(pts: np.ndarray) -> np.ndarray:
-        return eval_loss(loss, wc_scores(pts)) + lam * (np.abs(pts - x0s) @ cost_w)
+    def totals(s: np.ndarray, diff: np.ndarray) -> np.ndarray:
+        return eval_loss(loss, s) + lam * (np.abs(diff) * cost_w).sum(axis=1)
 
-    x = x0s.copy()
+    # an iterate's weights, score and offset from x0 serve its total and the next step
+    x, diff = x0s.copy(), np.zeros_like(x0s)
+    weights, s = scored(x)
     best_x = x0s.copy()
-    best_val = totals(x0s)
+    best_val = totals(s, diff)
     alive = np.ones(m, dtype=bool)
     for _ in range(cfg.max_iters):
         if not alive.any():
             break
-        signs = np.where(x >= 0.0, 1.0, -1.0)
-        weights = base.weights - neighborhood.alpha * signs
-        s = (x * weights).sum(axis=1) + b_eff
-        grad = loss_derivative(loss, s)[:, None] * weights
-        grad = grad + lam * cost_w * np.sign(x - x0s)
-        step = np.where(alive[:, None], cfg.learning_rate * grad, 0.0)
+        grad = loss_derivative(loss, s)[:, None] * weights + lam_cost * np.sign(diff)
+        step = np.where(alive[:, None] & free, cfg.learning_rate * grad, 0.0)
         x = x - step
-        val = totals(x)
+        diff = x - x0s
+        weights, s = scored(x)
+        val = totals(s, diff)
         improved = val < best_val
         best_val = np.where(improved, val, best_val)
         best_x[improved] = x[improved]

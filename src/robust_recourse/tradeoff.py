@@ -237,7 +237,7 @@ def smoothness(
 
 def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
     """Fraction of recourse points receiving the desirable label."""
-    if not recourses:
+    if len(recourses) == 0:
         raise ValueError("validity needs at least one recourse point")
     scorer = GlmScorer(model) if isinstance(model, ModelParams) else model
     hits = sum(predict_label(scorer, np.asarray(x, dtype=float)) for x in recourses)

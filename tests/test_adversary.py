@@ -131,3 +131,32 @@ def test_shared_model_deterministic():
     b = worst_case_shared_model(Neighborhood(base, 0.2), pts)
     np.testing.assert_array_equal(a.weights, b.weights)
     assert a.intercept == b.intercept
+
+
+def test_stacked_ascent_equals_single_calls_bitwise():
+    rng = np.random.default_rng(14)
+    n_sets, n_points, d = 6, 5, 2
+    balls = [
+        _nbhd(
+            rng.uniform(-1, 1, d),
+            float(rng.choice([0.0, 0.05, 0.3])),
+            intercept=float(rng.uniform(-0.5, 0.5)),
+            perturb_intercept=bool(p % 2),
+        )
+        for p in range(n_sets)
+    ]
+    sets = rng.uniform(-2, 2, (n_sets, n_points, d))
+    cfg = AscentConfig(steps=300)
+    got = worst_case_shared_model(balls, sets, cfg)
+    assert len(got) == n_sets
+    for ball, pts, model in zip(balls, sets, got):
+        single = worst_case_shared_model(ball, list(pts), cfg)
+        np.testing.assert_array_equal(model.weights, single.weights)
+        assert model.intercept == single.intercept
+
+
+def test_stacked_ascent_needs_one_ball_per_set():
+    with pytest.raises(ValueError):
+        worst_case_shared_model([_nbhd([1.0], 0.1)], np.zeros((2, 3, 1)))
+    with pytest.raises(ValueError):
+        worst_case_shared_model([_nbhd([1.0, 1.0], 0.1)], np.zeros((1, 3, 1)))

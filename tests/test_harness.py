@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
+from robust_recourse.adversary import Neighborhood, worst_case_shared_model
 from robust_recourse.cli import main
+from robust_recourse.data import SyntheticSpec, generate_synthetic, kfold
 from robust_recourse.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -16,9 +18,12 @@ from robust_recourse.experiments import (
     run_tradeoff_study,
     run_validity_study,
 )
-from robust_recourse.glm import ModelParams
-from robust_recourse.models import MlpWeights
+from robust_recourse.glm import ModelParams, RecourseQuery
+from robust_recourse.models import GlmScorer, MlpWeights, predict_label, train_logistic
+from robust_recourse.roar import RoarConfig, roar_recourse_batch
+from robust_recourse.solver import optimal_robust_recourse
 from robust_recourse.surrogate import SurrogateConfig
+from robust_recourse.tradeoff import validity
 
 # ------------------------------------------------------------------ config
 
@@ -236,6 +241,49 @@ def test_validity_study_small(tmp_path):
     assert os.path.exists(res.svg_path)
 
 
+def test_validity_study_matches_per_cell_reference(tmp_path):
+    # the runner stacks every (alpha, lam) cell of a fold; this loop does one cell at a time
+    alphas, lams, roar_cfg = (0.05, 0.2), (0.05, 0.1), RoarConfig(max_iters=200)
+    cfg = ExperimentConfig(
+        n_points=40,
+        k_folds=2,
+        seed=3,
+        validity_alphas=alphas,
+        validity_lambdas=lams,
+        roar=roar_cfg,
+        out_dir=str(tmp_path / "val"),
+    )
+    res = run_validity_study(cfg)
+    ds = generate_synthetic(SyntheticSpec(n_points=40, seed=3))
+    folds = kfold(ds.n, 2, 3)
+    sums = {}
+    for fold in range(2):
+        tr = folds.train_indices(fold)
+        theta0 = train_logistic(ds.features[tr], ds.labels[tr])
+        test_x = ds.features[folds.test_indices(fold)]
+        x0s = np.array([x for x in test_x if predict_label(GlmScorer(theta0), x) == 0])
+        for alpha in alphas:
+            nbhd = Neighborhood(theta0, alpha)
+            for lam in lams:
+                recs = {
+                    "alg": [
+                        optimal_robust_recourse(RecourseQuery(x0=x, lam=lam), nbhd).x_prime
+                        for x in x0s
+                    ],
+                    "roar": list(roar_recourse_batch(x0s, lam, nbhd, roar_cfg)),
+                }
+                for method, pts in recs.items():
+                    acc = sums.setdefault((method, alpha, lam), [0.0, 0.0, 0])
+                    acc[0] += validity(worst_case_shared_model(nbhd, pts), pts)
+                    acc[1] += float(np.mean([np.abs(p - x).sum() for p, x in zip(pts, x0s)]))
+                    acc[2] += 1
+    assert len(res.rows) == len(sums) == 8
+    for row in res.rows:
+        v, c, n = sums[(row["method"], row["alpha"], row["lam"])]
+        assert n == 2
+        assert (row["validity"], row["mean_cost"]) == (v / n, c / n)
+
+
 def test_validity_study_rejects_mlp(tmp_path):
     cfg = ExperimentConfig(
         model_kind="mlp",
@@ -363,6 +411,34 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     code = main(["pareto", "--config", str(tmp_path / "missing.json")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["recourse", "--theta", "1,2", "--x0", "1"], None),
+        (["recourse", "--theta", "1", "--x0", "1", "--lam", "-0.5"], None),
+        (["recourse", "--theta", "1,nan", "--x0", "1,1"], None),
+        (["recourse", "--theta", "1", "--x0", "1", "--lam", "nan"], None),
+        (["recourse", "--theta", "1", "--x0", "1", "--alpha", "inf"], None),
+        (["validity"], {"n_points": 1}),
+        (["pareto"], {"lambda_grid": [0.1, -0.2]}),
+    ],
+    ids=[
+        "theta-x0-lengths", "negative-lam", "nan-theta", "nan-lam", "inf-alpha", "one-point",
+        "negative-lambda",
+    ],
+)
+def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
+    if config is not None:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("config error: ")
 
 
 def test_cli_gen_data_train_round_trip(tmp_path, capsys):

@@ -212,8 +212,11 @@ def test_validity_fractions():
     assert validity(model, [np.array([2.0])]) == 1.0
     assert validity(model, [np.array([-2.0])]) == 0.0
     assert validity(model, [np.array([2.0]), np.array([-2.0])]) == 0.5
+    assert validity(model, np.array([[2.0], [-2.0], [3.0]])) == 2 / 3  # a stacked array
     with pytest.raises(ValueError):
         validity(model, [])
+    with pytest.raises(ValueError):
+        validity(model, np.zeros((0, 1)))
 
 
 # -------------------------------------------------------------- validation
