@@ -32,7 +32,6 @@ from .experiments import (
 from .glm import (
     CostSpec,
     DimensionMismatchError,
-    LinkKind,
     LossKind,
     ModelParams,
     RecourseQuery,
@@ -60,7 +59,6 @@ from .roar import RoarConfig, roar_recourse, roar_recourse_batch
 from .solver import (
     GridSpec,
     RecoursePlan,
-    SolverConfig,
     TraceStep,
     consistent_recourse,
     minimax_oracle,

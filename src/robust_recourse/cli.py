@@ -25,7 +25,7 @@ from .experiments import (
     run_validity_study,
 )
 from .glm import LossKind, ModelParams, RecourseQuery
-from .models import TrainConfig, train_logistic
+from .models import TrainConfig, TrainingDataError, train_logistic
 from .solver import optimal_robust_recourse
 
 __all__ = ["main"]
@@ -54,7 +54,10 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_gen_data(args) -> int:
-    spec = SyntheticSpec(n_points=args.n, seed=args.seed)
+    try:
+        spec = SyntheticSpec(n_points=args.n, seed=args.seed)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     ds = shifted_synthetic(spec, args.shift)
     _emit(ds.to_json(), args.out)
     return 0
@@ -186,7 +189,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except DataError as exc:
+    except (DataError, TrainingDataError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 3
     except OSError as exc:

@@ -54,6 +54,8 @@ class SyntheticSpec:
             raise ValueError("class means must have equal dimension")
         if self.sigma <= 0.0:
             raise ValueError("sigma must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -124,7 +126,12 @@ class Dataset:
 
     @classmethod
     def from_json(cls, text: str) -> "Dataset":
-        d = json.loads(text)
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"dataset is not valid JSON: {exc}") from None
+        if not isinstance(d, dict) or not {"features", "labels"} <= d.keys():
+            raise DataError("dataset JSON needs 'features' and 'labels'")
         stats = NormStats.from_dict(d["norm_stats"]) if d.get("norm_stats") else None
         return cls(
             features=np.asarray(d["features"], dtype=float),

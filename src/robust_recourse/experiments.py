@@ -4,7 +4,11 @@ Each study trains per fold, computes recourse only for test instances that
 the base scorer labels undesirable, averages metrics across instances and
 folds, and writes a CSV (with a JSON schema alongside) plus an SVG chart
 under ``<out>/<study>/``. Everything is deterministic given the config:
-reruns produce byte-identical files.
+reruns produce byte-identical files. The three runners walk the folds
+through one loop, ``_study_folds``, which logs a skipped fold on the
+``robust_recourse`` logger; the pareto and smoothness runners average the
+per-instance values of ``tradeoff.pareto_frontier`` and
+``tradeoff.smoothness``.
 
 The ``glm`` model path trains a logistic model per fold and gives every
 instance the same base parameters. The ``mlp`` path loads fixed network
@@ -17,8 +21,8 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
+import logging
 import os
-import sys
 import time
 from dataclasses import dataclass
 
@@ -35,7 +39,7 @@ from .data import (
     kfold,
     shifted_synthetic,
 )
-from .glm import ModelParams, RecourseQuery, eval_total_cost, logit, weighted_l1
+from .glm import ModelParams, RecourseQuery, logit, weighted_l1
 from .models import (
     BlackBoxScorer,
     GlmScorer,
@@ -45,16 +49,17 @@ from .models import (
     train_logistic,
 )
 from .roar import RoarConfig, roar_recourse_batch
-from .solver import (
-    GridSpec,
-    SolverConfig,
-    consistent_recourse,
-    minimax_oracle,
-    optimal_robust_recourse,
-)
+from .solver import GridSpec, consistent_recourse, minimax_oracle, optimal_robust_recourse
 from .surrogate import SurrogateConfig, fit_local_linear
 from .svgplot import line_chart
-from .tradeoff import TradeoffQuery, blended_recourse, consistency, robustness, validity
+from .tradeoff import (
+    TradeoffQuery,
+    consistency,
+    pareto_frontier,
+    robustness,
+    smoothness,
+    validity,
+)
 
 __all__ = [
     "ConfigError",
@@ -69,6 +74,8 @@ __all__ = [
     "run_validity_study",
     "oracle_check",
 ]
+
+_log = logging.getLogger("robust_recourse")
 
 
 class ConfigError(ValueError):
@@ -137,6 +144,8 @@ class ExperimentConfig:
             raise ConfigError("k_folds must be at least 1")
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.model_kind == "mlp" and not self.mlp_weights:
             raise ConfigError("model_kind 'mlp' requires mlp_weights")
 
@@ -337,6 +346,24 @@ def _prepare_fold(cfg: ExperimentConfig, ds: Dataset, plan, fold: int):
     return scorer, tasks
 
 
+def _study_folds(cfg: ExperimentConfig, ds: Dataset, plan):
+    """Yields (fold, scorer, tasks) for every fold with undesirable test rows.
+
+    A fold without any is logged and skipped; when no fold has any, the
+    study has nothing to average and a ConfigError ends it.
+    """
+    produced = False
+    for fold in range(plan.k):
+        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
+        if not tasks:
+            _log.warning("fold %d has no undesirable instances; skipped", fold)
+            continue
+        produced = True
+        yield fold, scorer, tasks
+    if not produced:
+        raise ConfigError("no fold produced undesirable instances")
+
+
 def _load_mlp(path: str) -> MlpWeights:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -406,80 +433,51 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     """Robustness/consistency frontier per predicted model, plus the ROAR point."""
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
-    sums: dict = {}
-    roar_sums: dict = {}
+    sums: dict = {}  # (method, prediction, beta) -> [robustness, consistency, l1 cost, count]
     lambda_by_fold = []
     pred_names: list = []
-    solver_cfg = SolverConfig()
 
-    for fold in range(plan.k):
-        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
-        if not tasks:
-            print(f"warning: fold {fold} has no undesirable instances; skipped", file=sys.stderr)
-            continue
+    for _, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
-
         balls = [Neighborhood(t.base, cfg.alpha) for t in tasks]
-        shared = balls[0] if cfg.model_kind == "glm" else balls  # glm tasks share one model
-        roar_points = roar_recourse_batch(np.array([t.x0 for t in tasks]), lam, shared, cfg.roar)
+        roar_points = roar_recourse_batch(np.array([t.x0 for t in tasks]), lam, balls, cfg.roar)
 
-        for t_idx, task in enumerate(tasks):
+        for task, nbhd, x_roar in zip(tasks, balls, roar_points):
             q = RecourseQuery(x0=task.x0, lam=lam)
-            nbhd = balls[t_idx]
-            robust_plan = optimal_robust_recourse(q, nbhd, solver_cfg)
+            robust_plan = optimal_robust_recourse(q, nbhd)
             preds = generate_predictions(cfg.prediction, task.base, cfg.alpha)
             if not pred_names:
                 pred_names = [name for name, _ in preds]
             for pred_name, pred in preds:
-                consistent_plan = consistent_recourse(q, pred, solver_cfg)
-                for beta in cfg.beta_grid:
-                    tq = TradeoffQuery(q, nbhd, pred, float(beta))
-                    bp = blended_recourse(tq, cfg=solver_cfg)
-                    key = (pred_name, float(beta))
-                    acc = sums.setdefault(key, [0.0, 0.0, 0.0, 0])
-                    acc[0] += robustness(q, nbhd, bp.x_prime, robust_plan)
-                    acc[1] += consistency(q, pred, bp.x_prime, consistent_plan)
-                    acc[2] += bp.l1_cost
+                for pt in pareto_frontier(TradeoffQuery(q, nbhd, pred, 1.0), cfg.beta_grid):
+                    acc = sums.setdefault(("blend", pred_name, pt.beta), [0.0, 0.0, 0.0, 0])
+                    acc[0] += pt.robustness
+                    acc[1] += pt.consistency
+                    acc[2] += pt.l1_cost
                     acc[3] += 1
-                racc = roar_sums.setdefault(pred_name, [0.0, 0.0, 0.0, 0])
-                x_roar = roar_points[t_idx]
-                racc[0] += robustness(q, nbhd, x_roar, robust_plan)
-                racc[1] += consistency(q, pred, x_roar, consistent_plan)
-                racc[2] += weighted_l1(q, x_roar)
-                racc[3] += 1
-
-    if not sums:
-        raise ConfigError("no fold produced undesirable instances")
+                acc = sums.setdefault(("roar", pred_name, 1.0), [0.0, 0.0, 0.0, 0])
+                acc[0] += robustness(q, nbhd, x_roar, robust_plan)
+                acc[1] += consistency(q, pred, x_roar)
+                acc[2] += weighted_l1(q, x_roar)
+                acc[3] += 1
 
     rows = []
-    for pred_name in pred_names:
-        for beta in cfg.beta_grid:
-            r, c, cost, n = sums[(pred_name, float(beta))]
-            rows.append(
-                {
-                    "method": "blend",
-                    "prediction": pred_name,
-                    "beta": float(beta),
-                    "robustness": r / n,
-                    "consistency": c / n,
-                    "l1_cost": cost / n,
-                    "n_instances": n,
-                }
-            )
-    for pred_name in pred_names:
-        r, c, cost, n = roar_sums[pred_name]
-        rows.append(
-            {
-                "method": "roar",
-                "prediction": pred_name,
-                "beta": 1.0,
-                "robustness": r / n,
-                "consistency": c / n,
-                "l1_cost": cost / n,
-                "n_instances": n,
-            }
-        )
+    for method, betas in (("blend", cfg.beta_grid), ("roar", (1.0,))):
+        for pred_name in pred_names:
+            for beta in betas:
+                r, c, cost, n = sums[(method, pred_name, float(beta))]
+                rows.append(
+                    {
+                        "method": method,
+                        "prediction": pred_name,
+                        "beta": float(beta),
+                        "robustness": r / n,
+                        "consistency": c / n,
+                        "l1_cost": cost / n,
+                        "n_instances": n,
+                    }
+                )
 
     csv_path, svg_path, schema_path = _study_paths(cfg, "pareto")
     fields = ["method", "prediction", "beta", "robustness", "consistency", "l1_cost", "n_instances"]
@@ -507,9 +505,8 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     line_chart(svg_path, series, title="Robustness vs consistency", x_label="robustness",
                y_label="consistency")
 
-    roar_mean_rob = (
-        sum(v[0] for v in roar_sums.values()) / sum(v[3] for v in roar_sums.values())
-    )
+    roar_sums = [sums[("roar", name, 1.0)] for name in pred_names]
+    roar_mean_rob = sum(v[0] for v in roar_sums) / sum(v[3] for v in roar_sums)
     extras = {
         "lambda_by_fold": lambda_by_fold,
         "predictions": pred_names,
@@ -547,13 +544,8 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     pred_names: list = []
     lambda_by_fold = []
     eps_by_fold = []
-    solver_cfg = SolverConfig()
 
-    for fold in range(plan.k):
-        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
-        if not tasks:
-            print(f"warning: fold {fold} has no undesirable instances; skipped", file=sys.stderr)
-            continue
+    for fold, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
         correct_src = _correct_prediction_models(cfg, ds, plan, fold)
@@ -581,19 +573,12 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
 
             q = RecourseQuery(x0=task.x0, lam=lam)
             nbhd = Neighborhood(base, alpha)
-            best_under_correct = consistent_recourse(q, correct, solver_cfg)
             for pred_name, pred in preds:
-                for beta in cfg.beta_grid:
-                    tq = TradeoffQuery(q, nbhd, pred, float(beta))
-                    bp = blended_recourse(tq, cfg=solver_cfg)
-                    realized = eval_total_cost(q, bp.x_prime, correct)
-                    key = (pred_name, float(beta))
-                    acc = sums.setdefault(key, [0.0, 0])
-                    acc[0] += realized - best_under_correct.worst_case_total
+                regrets = smoothness(q, nbhd, pred, correct, cfg.beta_grid)
+                for beta, regret in zip(cfg.beta_grid, regrets):
+                    acc = sums.setdefault((pred_name, float(beta)), [0.0, 0])
+                    acc[0] += regret
                     acc[1] += 1
-
-    if not sums:
-        raise ConfigError("no fold produced undesirable instances")
 
     rows = []
     for pred_name in pred_names:
@@ -643,11 +628,7 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
     sums: dict = {}
     cells = [(float(a), float(lam)) for a in cfg.validity_alphas for lam in cfg.validity_lambdas]
 
-    for fold in range(plan.k):
-        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
-        if not tasks:
-            print(f"warning: fold {fold} has no undesirable instances; skipped", file=sys.stderr)
-            continue
+    for _, _, tasks in _study_folds(cfg, ds, plan):
         # every (alpha, lam) cell of the fold in one ROAR call and one ascent
         x0s = np.array([t.x0 for t in tasks])
         balls = [Neighborhood(tasks[0].base, alpha) for alpha, _ in cells]
@@ -667,9 +648,6 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
             acc[0] += validity(model, pts)
             acc[1] += float(np.mean(np.abs(pts - x0s).sum(axis=1)))
             acc[2] += 1
-
-    if not sums:
-        raise ConfigError("no fold produced undesirable instances")
 
     rows = []
     for method in ("alg", "roar"):
@@ -757,6 +735,10 @@ def oracle_check(
     grid; the bound caps how far any optimum can sit from the start point,
     so the rejection never hides a disagreement.
     """
+    if n_instances < 1:
+        raise ConfigError(f"n_instances must be at least 1, got {n_instances}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     start = time.perf_counter()
     n_pass = 0

@@ -23,7 +23,6 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatchError",
-    "LinkKind",
     "LossKind",
     "ModelParams",
     "CostSpec",
@@ -42,13 +41,6 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """A vector's length does not match the model or query dimension."""
-
-
-class LinkKind(Enum):
-    """Map from score to probability: logistic sigmoid or identity clamped to [0, 1]."""
-
-    SIGMOID = "sigmoid"
-    IDENTITY = "identity"
 
 
 class LossKind(Enum):

@@ -15,7 +15,7 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-from .glm import LinkKind, ModelParams, sigmoid
+from .glm import ModelParams, score, sigmoid
 
 __all__ = [
     "BlackBoxScorer",
@@ -44,18 +44,12 @@ class BlackBoxScorer(Protocol):
 
 @dataclass(frozen=True)
 class GlmScorer:
-    """Probability via a link applied to the linear score."""
+    """Probability as the logistic sigmoid of the linear score."""
 
     params: ModelParams
-    link: LinkKind = LinkKind.SIGMOID
 
     def probability(self, x) -> float:
-        from .glm import score
-
-        s = score(self.params, x)
-        if self.link is LinkKind.SIGMOID:
-            return sigmoid(s)
-        return float(np.clip(s, 0.0, 1.0))
+        return sigmoid(score(self.params, x))
 
 
 @dataclass(frozen=True)

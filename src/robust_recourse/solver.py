@@ -4,9 +4,11 @@
 L-infinity ball of models by greedy coordinate moves: it keeps the running
 worst-case model in closed form, always moves the coordinate with the
 largest cost-adjusted weight magnitude, and solves each one-dimensional
-subproblem exactly. A per-coordinate region flag tracks which orthant the
-coordinate currently occupies so that a move through zero hands off cleanly
-to the flipped worst-case weight instead of oscillating at the boundary;
+subproblem exactly (``solve_coordinate_step``: a closed-form logit for BCE,
+a comparison of the piece candidates for the squared loss). A
+per-coordinate region flag tracks which orthant the coordinate currently
+occupies so that a move through zero hands off cleanly to the flipped
+worst-case weight instead of oscillating at the boundary;
 coordinates whose flipped weight cannot keep helping are retired. Every
 applied move is recorded in the returned plan's trace.
 
@@ -45,7 +47,6 @@ from .glm import (
 )
 
 __all__ = [
-    "SolverConfig",
     "GridSpec",
     "TraceStep",
     "RecoursePlan",
@@ -59,25 +60,8 @@ __all__ = [
 # improvement direction unbounded; BCE loss there is below 1e-13.
 SCORE_CAP = 30.0
 
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Knobs for the exact solvers.
-
-    ``max_passes`` bounds the coordinate loop and defaults to 2 d + 2 when
-    unset: at most one boundary crossing plus one interior move per
-    coordinate, a final zero-length check, and one spare.
-    """
-
-    step_tolerance: float = 1e-10
-    max_passes: int | None = None
-    use_closed_form_logistic: bool = True
-
-    def __post_init__(self) -> None:
-        if self.step_tolerance <= 0.0:
-            raise ValueError("step_tolerance must be positive")
-        if self.max_passes is not None and self.max_passes < 1:
-            raise ValueError("max_passes must be at least 1")
+# Coordinate steps at or below this length are rounding noise and end the loop.
+STEP_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -142,7 +126,6 @@ def solve_coordinate_step(
     s0: float,
     slope: float,
     loss: LossKind = LossKind.BCE,
-    cfg: SolverConfig | None = None,
 ) -> tuple[float, bool]:
     """Best nonnegative move along one coordinate, in unit-cost steps.
 
@@ -150,9 +133,10 @@ def solve_coordinate_step(
     ``slope`` is the coordinate's weight magnitude divided by its cost
     weight, so one unit of t costs exactly lam. Returns (t, saturated);
     saturated means the loss had no finite minimizer (lam too small for BCE)
-    and t was chosen to push the score to SCORE_CAP.
+    and t was chosen to push the score to SCORE_CAP. For BCE the interior
+    optimum is closed form: the stationarity condition
+    slope * sigmoid(-(s0 + slope * t)) = lam solves to a logit.
     """
-    cfg = cfg or SolverConfig()
     if slope <= 0.0:
         return 0.0, False
 
@@ -165,10 +149,8 @@ def solve_coordinate_step(
             return 0.0, False
         if lam <= 0.0 or lam / slope < sigmoid(-SCORE_CAP):
             return (SCORE_CAP - s0) / slope, True
-        if cfg.use_closed_form_logistic:
-            target = logit(1.0 - lam / slope)
-            return max(0.0, (target - s0) / slope), False
-        return _bisect_bce(lam, s0, slope, cfg.step_tolerance)
+        target = logit(1.0 - lam / slope)
+        return max(0.0, (target - s0) / slope), False
 
     if loss is LossKind.SQUARED:
         # Piecewise: flat loss 1 below score 0, parabola on (0, 1), flat 0
@@ -195,35 +177,9 @@ def solve_coordinate_step(
     raise ValueError(f"unknown loss {loss!r}")  # pragma: no cover
 
 
-def _bisect_bce(lam: float, s0: float, slope: float, tol: float) -> tuple[float, bool]:
-    """Root of the step derivative lam - slope * sigmoid(-(s0 + slope t))."""
-
-    def deriv(t: float) -> float:
-        return lam - slope * sigmoid(-(s0 + slope * t))
-
-    hi = 1.0
-    t_cap = (SCORE_CAP - s0) / slope
-    while deriv(hi) < 0.0:
-        hi *= 2.0
-        if hi >= t_cap:
-            if deriv(t_cap) < 0.0:
-                return t_cap, True
-            hi = t_cap
-            break
-    lo = 0.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi), False
-
-
 def optimal_robust_recourse(
     query: RecourseQuery,
     neighborhood: Neighborhood,
-    cfg: SolverConfig | None = None,
 ) -> RecoursePlan:
     """Recourse minimizing the worst-case total cost over the model ball.
 
@@ -233,9 +189,10 @@ def optimal_robust_recourse(
     one-dimensional optimum. A move that would push a coordinate through
     zero is clamped there; the coordinate stays active, with its region flag
     flipped, only when the worst-case weight of the far orthant keeps
-    pointing in the travel direction.
+    pointing in the travel direction. The loop runs at most 2 d + 2 passes:
+    one boundary crossing plus one interior move per coordinate, a final
+    zero-length check, and one spare.
     """
-    cfg = cfg or SolverConfig()
     base = neighborhood.base
     alpha = neighborhood.alpha
     d = query.dim
@@ -260,11 +217,10 @@ def optimal_robust_recourse(
             else:
                 active[i] = False  # adversary can cancel any move outright
 
-    max_passes = cfg.max_passes if cfg.max_passes is not None else 2 * d + 2
     trace: list[TraceStep] = []
     saturated = False
 
-    for _ in range(max_passes):
+    for _ in range(2 * d + 2):
         if not active.any():
             break
         slopes = np.where(active, np.abs(adv) / cost_w, -np.inf)
@@ -273,8 +229,8 @@ def optimal_robust_recourse(
         if slope <= 0.0:
             break
         s_cur = float(x @ adv + intercept)
-        t, sat = solve_coordinate_step(query.lam, s_cur, slope, query.loss, cfg)
-        if t <= cfg.step_tolerance:
+        t, sat = solve_coordinate_step(query.lam, s_cur, slope, query.loss)
+        if t <= STEP_TOLERANCE:
             # All other active slopes are no larger, so their steps from this
             # score are zero too; sub-tolerance steps are rounding noise.
             break
@@ -311,14 +267,13 @@ def optimal_robust_recourse(
 def consistent_recourse(
     query: RecourseQuery,
     prediction: ModelParams,
-    cfg: SolverConfig | None = None,
 ) -> RecoursePlan:
     """Minimize the total cost under one predicted model exactly.
 
     This is the robust solver with a zero-radius ball: crossings keep the
     same model weight, so a coordinate simply continues through zero.
     """
-    return optimal_robust_recourse(query, Neighborhood(prediction, 0.0), cfg)
+    return optimal_robust_recourse(query, Neighborhood(prediction, 0.0))
 
 
 def minimax_oracle(

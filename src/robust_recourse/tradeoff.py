@@ -2,9 +2,14 @@
 
 The blended solver trades off two objectives: total cost under the worst
 model in the ball (weight ``beta``) and total cost under a single predicted
-model (weight ``1 - beta``). The endpoints delegate to the exact solvers;
-interior values use a coordinate grid search, since mixing the two
-adversaries breaks the exact solver's selection rule.
+model (weight ``1 - beta``). Its endpoints are the exact robust plan
+(beta = 1) and the exact consistent plan (beta = 0); interior values use a
+coordinate grid search, since mixing the two adversaries breaks the exact
+solver's selection rule, and restart from an endpoint plan that does better.
+
+One private function, ``_blend``, computes the blend from the two endpoint
+plans. ``blended_recourse`` solves them for one beta; ``pareto_frontier``
+and ``smoothness`` solve them once per query and blend for every beta.
 
 Metrics:
 
@@ -33,12 +38,11 @@ from .glm import (
     weighted_l1,
 )
 from .models import BlackBoxScorer, GlmScorer, predict_label
-from .solver import RecoursePlan, SolverConfig, consistent_recourse, optimal_robust_recourse
+from .solver import RecoursePlan, consistent_recourse, optimal_robust_recourse
 
 __all__ = [
     "TradeoffQuery",
     "TradeoffPoint",
-    "default_step_grid",
     "blended_recourse",
     "robustness",
     "consistency",
@@ -80,10 +84,8 @@ class TradeoffPoint:
     valid: bool | None = None
 
 
-def default_step_grid() -> np.ndarray:
-    """Signed candidate moves for the blended coordinate search."""
-    mags = 0.01 * 2.0 ** np.arange(13)
-    return np.concatenate([-mags[::-1], mags])
+# Signed candidate moves for the blended coordinate search: +/-0.01 * 2^k.
+_STEP_GRID = np.concatenate([-0.01 * 2.0 ** np.arange(12, -1, -1), 0.01 * 2.0 ** np.arange(13)])
 
 
 def _blended_value(tq: TradeoffQuery, x: np.ndarray) -> float:
@@ -99,27 +101,23 @@ def _blended_value(tq: TradeoffQuery, x: np.ndarray) -> float:
     return float(blend + q.lam * weighted_l1(q, x))
 
 
-def blended_recourse(
-    tq: TradeoffQuery,
-    steps: np.ndarray | None = None,
-    cfg: SolverConfig | None = None,
-) -> RecoursePlan:
-    """Minimize beta-weighted worst-case plus prediction total cost.
+def _blend(tq: TradeoffQuery, robust: RecoursePlan, consistent: RecoursePlan) -> RecoursePlan:
+    """The blended plan for ``tq``, given the exact plans of its two endpoints.
 
-    beta = 1 and beta = 0 reduce to the robust and consistent objectives and
-    are solved exactly. Otherwise: starting from x0, each round scans every
-    mutable coordinate against the step grid and applies the single best
-    move; stops when no move improves by more than 1e-9, or after 4 d rounds.
+    beta = 1 returns ``robust``; beta = 0 returns ``consistent`` with its
+    worst-case total taken against the ball. Otherwise: starting from x0,
+    each round scans every mutable coordinate against the step grid and
+    applies the single best move; stops when no move improves by more than
+    1e-9, or after 4 d rounds. The search then restarts from either endpoint
+    that already does better than it.
     """
     q, n = tq.query, tq.neighborhood
     if tq.beta == 1.0:
-        return optimal_robust_recourse(q, n, cfg)
+        return robust
     if tq.beta == 0.0:
-        plan = consistent_recourse(q, tq.prediction, cfg)
-        worst = eval_total_cost(q, plan.x_prime, best_response(n, plan.x_prime))
-        return dataclasses.replace(plan, worst_case_total=worst)
+        worst = eval_total_cost(q, consistent.x_prime, best_response(n, consistent.x_prime))
+        return dataclasses.replace(consistent, worst_case_total=worst)
 
-    steps = default_step_grid() if steps is None else np.asarray(steps, dtype=float)
     d = q.dim
     b_eff = n.base.intercept - (n.alpha if n.perturb_intercept else 0.0)
 
@@ -136,7 +134,7 @@ def blended_recourse(
             for j in range(d):
                 if q.immutable_mask[j]:
                     continue
-                xj_new = x[j] + steps
+                xj_new = x[j] + _STEP_GRID
                 ws = (
                     dot0
                     + n.base.weights[j] * (xj_new - x[j])
@@ -154,7 +152,7 @@ def blended_recourse(
                 k = int(np.argmin(vals))
                 gain = current - float(vals[k])
                 if gain > best_gain:
-                    best_gain, best_j, best_delta = gain, j, float(steps[k])
+                    best_gain, best_j, best_delta = gain, j, float(_STEP_GRID[k])
             if best_j < 0 or best_gain <= 1e-9:
                 break
             x[best_j] += best_delta
@@ -165,10 +163,7 @@ def blended_recourse(
     x, current, trace = descend(q.x0)
     # The step grid can stall short of a valley an exact endpoint solution
     # sits in; restart from either endpoint that already does better.
-    for endpoint in (
-        optimal_robust_recourse(q, n, cfg),
-        consistent_recourse(q, tq.prediction, cfg),
-    ):
+    for endpoint in (robust, consistent):
         if _blended_value(tq, endpoint.x_prime) < current - 1e-12:
             x2, val2, moves2 = descend(endpoint.x_prime)
             if val2 < current - 1e-12:
@@ -184,19 +179,31 @@ def blended_recourse(
     )
 
 
+def blended_recourse(tq: TradeoffQuery) -> RecoursePlan:
+    """Minimize beta-weighted worst-case plus prediction total cost.
+
+    Solves both endpoint plans exactly, then blends; see ``_blend``. To sweep
+    beta for one query, ``pareto_frontier`` and ``smoothness`` solve the
+    endpoints once instead of once per beta.
+    """
+    q = tq.query
+    return _blend(
+        tq, optimal_robust_recourse(q, tq.neighborhood), consistent_recourse(q, tq.prediction)
+    )
+
+
 def robustness(
     query: RecourseQuery,
     neighborhood: Neighborhood,
     x_prime: np.ndarray,
     baseline: RecoursePlan | None = None,
-    cfg: SolverConfig | None = None,
 ) -> float:
     """Worst-case total cost of x_prime minus that of the optimal robust plan.
 
     Pass ``baseline`` to reuse a precomputed robust plan across many points.
     """
     if baseline is None:
-        baseline = optimal_robust_recourse(query, neighborhood, cfg)
+        baseline = optimal_robust_recourse(query, neighborhood)
     worst = eval_total_cost(query, np.asarray(x_prime, dtype=float), best_response(neighborhood, x_prime))
     return worst - baseline.worst_case_total
 
@@ -206,11 +213,10 @@ def consistency(
     prediction: ModelParams,
     x_prime: np.ndarray,
     baseline: RecoursePlan | None = None,
-    cfg: SolverConfig | None = None,
 ) -> float:
     """Total cost of x_prime under the prediction minus the optimal value."""
     if baseline is None:
-        baseline = consistent_recourse(query, prediction, cfg)
+        baseline = consistent_recourse(query, prediction)
     return eval_total_cost(query, np.asarray(x_prime, dtype=float), prediction) - baseline.worst_case_total
 
 
@@ -219,20 +225,22 @@ def smoothness(
     neighborhood: Neighborhood,
     prediction_used: ModelParams,
     correct_prediction: ModelParams,
-    beta: float,
-    steps: np.ndarray | None = None,
-    cfg: SolverConfig | None = None,
-) -> float:
-    """Regret under the model that materialized, given the prediction used.
+    betas: list,
+) -> list[float]:
+    """Regret per beta under the model that materialized, given the prediction used.
 
     Zero when the prediction was correct and fully trusted (beta = 0);
     independent of the prediction at beta = 1.
     """
-    tq = TradeoffQuery(query, neighborhood, prediction_used, beta)
-    plan = blended_recourse(tq, steps, cfg)
-    realized = eval_total_cost(query, plan.x_prime, correct_prediction)
-    best = consistent_recourse(query, correct_prediction, cfg)
-    return realized - best.worst_case_total
+    robust = optimal_robust_recourse(query, neighborhood)
+    consistent = consistent_recourse(query, prediction_used)
+    best = consistent_recourse(query, correct_prediction).worst_case_total
+    regrets = []
+    for beta in betas:
+        tq = TradeoffQuery(query, neighborhood, prediction_used, float(beta))
+        plan = _blend(tq, robust, consistent)
+        regrets.append(eval_total_cost(query, plan.x_prime, correct_prediction) - best)
+    return regrets
 
 
 def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
@@ -247,24 +255,26 @@ def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
 def pareto_frontier(
     tq: TradeoffQuery,
     betas: list,
-    steps: np.ndarray | None = None,
-    cfg: SolverConfig | None = None,
     label_model: ModelParams | None = None,
 ) -> list[TradeoffPoint]:
-    """One TradeoffPoint per beta, with shared baselines for the two metrics."""
-    robust_plan = optimal_robust_recourse(tq.query, tq.neighborhood, cfg)
-    consistent_plan = consistent_recourse(tq.query, tq.prediction, cfg)
+    """One TradeoffPoint per beta; ``tq.beta`` is ignored.
+
+    The robust and consistent plans are solved once and serve both as the
+    blend's endpoints and as the two metrics' baselines.
+    """
+    robust = optimal_robust_recourse(tq.query, tq.neighborhood)
+    consistent = consistent_recourse(tq.query, tq.prediction)
     points = []
     for beta in betas:
-        plan = blended_recourse(dataclasses.replace(tq, beta=float(beta)), steps, cfg)
+        plan = _blend(dataclasses.replace(tq, beta=float(beta)), robust, consistent)
         valid = None
         if label_model is not None:
             valid = predict_label(GlmScorer(label_model), plan.x_prime) == 1
         points.append(
             TradeoffPoint(
                 beta=float(beta),
-                robustness=robustness(tq.query, tq.neighborhood, plan.x_prime, robust_plan),
-                consistency=consistency(tq.query, tq.prediction, plan.x_prime, consistent_plan),
+                robustness=robustness(tq.query, tq.neighborhood, plan.x_prime, robust),
+                consistency=consistency(tq.query, tq.prediction, plan.x_prime, consistent),
                 l1_cost=plan.l1_cost,
                 valid=valid,
             )

@@ -1,4 +1,5 @@
 import json
+import logging
 import os
 
 import numpy as np
@@ -12,18 +13,28 @@ from robust_recourse.experiments import (
     ExperimentConfig,
     PredictionMode,
     PredictionSetSpec,
+    _clamp_into_ball,
+    _correct_prediction_models,
+    _prepare_fold,
+    _select_lambda,
     generate_predictions,
     oracle_check,
     run_smoothness_study,
     run_tradeoff_study,
     run_validity_study,
 )
-from robust_recourse.glm import ModelParams, RecourseQuery
+from robust_recourse.glm import ModelParams, RecourseQuery, eval_total_cost, weighted_l1
 from robust_recourse.models import GlmScorer, MlpWeights, predict_label, train_logistic
-from robust_recourse.roar import RoarConfig, roar_recourse_batch
-from robust_recourse.solver import optimal_robust_recourse
+from robust_recourse.roar import RoarConfig, roar_recourse, roar_recourse_batch
+from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
 from robust_recourse.surrogate import SurrogateConfig
-from robust_recourse.tradeoff import validity
+from robust_recourse.tradeoff import (
+    TradeoffQuery,
+    blended_recourse,
+    consistency,
+    robustness,
+    validity,
+)
 
 # ------------------------------------------------------------------ config
 
@@ -284,6 +295,141 @@ def test_validity_study_matches_per_cell_reference(tmp_path):
         assert (row["validity"], row["mean_cost"]) == (v / n, c / n)
 
 
+def _reference_folds(cfg):
+    """Each fold's (fold, dataset, plan, lam, tasks), as the runners prepare them."""
+    ds = generate_synthetic(SyntheticSpec(n_points=cfg.n_points, seed=cfg.seed))
+    plan = kfold(ds.n, cfg.k_folds, cfg.seed)
+    for fold in range(plan.k):
+        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
+        yield fold, ds, plan, _select_lambda(scorer, tasks, cfg.lambda_grid), tasks
+
+
+def _add(sums, key, *values):
+    acc = sums.setdefault(key, [0.0] * len(values) + [0])
+    for i, v in enumerate(values):
+        acc[i] += v
+    acc[-1] += 1
+
+
+def _check_tradeoff_rows_against_per_beta_reference(cfg):
+    # one blended_recourse call per beta, with the metrics solving their own baselines
+    res = run_tradeoff_study(cfg)
+    sums = {}
+    for _, _, _, lam, tasks in _reference_folds(cfg):
+        for task in tasks:
+            q = RecourseQuery(x0=task.x0, lam=lam)
+            nbhd = Neighborhood(task.base, cfg.alpha)
+            x_roar = roar_recourse(q, nbhd, cfg.roar).x_prime
+            for name, pred in generate_predictions(cfg.prediction, task.base, cfg.alpha):
+                for beta in cfg.beta_grid:
+                    bp = blended_recourse(TradeoffQuery(q, nbhd, pred, beta))
+                    _add(sums, ("blend", name, beta), robustness(q, nbhd, bp.x_prime),
+                         consistency(q, pred, bp.x_prime), bp.l1_cost)
+                _add(sums, ("roar", name, 1.0), robustness(q, nbhd, x_roar),
+                     consistency(q, pred, x_roar), weighted_l1(q, x_roar))
+    assert len(res.rows) == len(sums) == 5 * (len(cfg.beta_grid) + 1)
+    for row in res.rows:
+        r, c, cost, n = sums[(row["method"], row["prediction"], row["beta"])]
+        assert (row["robustness"], row["consistency"], row["l1_cost"], row["n_instances"]) == (
+            r / n, c / n, cost / n, n
+        )
+
+
+def test_tradeoff_study_matches_per_beta_reference(tmp_path):
+    _check_tradeoff_rows_against_per_beta_reference(
+        ExperimentConfig(
+            n_points=60,
+            k_folds=2,
+            seed=4,
+            lambda_grid=(0.05, 0.1),
+            beta_grid=(0.0, 0.3, 0.7, 1.0),
+            roar=RoarConfig(max_iters=200),
+            out_dir=str(tmp_path / "pareto"),
+        )
+    )
+
+
+def test_tradeoff_study_mlp_matches_per_beta_reference(tmp_path):
+    _check_tradeoff_rows_against_per_beta_reference(
+        ExperimentConfig(
+            model_kind="mlp",
+            mlp_weights=_write_mlp(tmp_path / "net.json"),
+            n_points=40,
+            k_folds=2,
+            lambda_grid=(0.05, 0.1),
+            beta_grid=(0.0, 0.5, 1.0),
+            surrogate=SurrogateConfig(n_samples=80),
+            roar=RoarConfig(max_iters=200),
+            out_dir=str(tmp_path / "pareto"),
+        )
+    )
+
+
+def test_smoothness_study_matches_per_beta_reference(tmp_path):
+    cfg = ExperimentConfig(
+        n_points=60,
+        k_folds=2,
+        seed=5,
+        lambda_grid=(0.05, 0.1),
+        beta_grid=(0.0, 0.4, 1.0),
+        out_dir=str(tmp_path / "sm"),
+    )
+    res = run_smoothness_study(cfg)
+    alpha = cfg.smoothness_alpha
+    spec = PredictionSetSpec(mode=PredictionMode.EPSILON)
+    sums = {}
+    for fold, ds, plan, lam, tasks in _reference_folds(cfg):
+        correct_raw = _correct_prediction_models(cfg, ds, plan, fold)
+        for task in tasks:
+            q = RecourseQuery(x0=task.x0, lam=lam)
+            nbhd = Neighborhood(task.base, alpha)
+            correct = _clamp_into_ball(correct_raw, task.base, alpha)
+            best = consistent_recourse(q, correct).worst_case_total
+            for name, pred in generate_predictions(spec, task.base, alpha, correct=correct):
+                for beta in cfg.beta_grid:
+                    bp = blended_recourse(TradeoffQuery(q, nbhd, pred, beta))
+                    _add(sums, (name, beta), eval_total_cost(q, bp.x_prime, correct) - best)
+    assert len(res.rows) == len(sums) == 5 * 3
+    for row in res.rows:
+        total, n = sums[(row["prediction"], row["beta"])]
+        assert (row["smoothness"], row["n_instances"]) == (total / n, n)
+
+
+def test_skipped_fold_is_logged(tmp_path, caplog):
+    # fold 0 holds only far-positive rows, so no test row is labeled undesirable there
+    n, k = 18, 3
+    folds = kfold(n, k, 0)
+    rng = np.random.default_rng(8)
+    lines = ["a,b,label"]
+    for i in range(n):
+        label = 1 if folds.assignment[i] == 0 or i % 2 else 0
+        centre = 2.0 if label else -2.0
+        a, b = centre + rng.normal(0.0, 0.3, 2)
+        lines.append(f"{a:.6f},{b:.6f},{label}")
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = ExperimentConfig(
+        dataset=str(data),
+        shifted_dataset=str(data),
+        k_folds=k,
+        lambda_grid=(0.1,),
+        beta_grid=(0.0, 1.0),
+        validity_alphas=(0.1,),
+        validity_lambdas=(0.1,),
+        roar=RoarConfig(max_iters=50),
+        out_dir=str(tmp_path / "out"),
+    )
+    for runner in (run_tradeoff_study, run_smoothness_study, run_validity_study):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="robust_recourse"):
+            res = runner(cfg)
+        skipped = [r.getMessage() for r in caplog.records if r.name == "robust_recourse"]
+        assert skipped == ["fold 0 has no undesirable instances; skipped"]
+        assert res.rows
+    lambdas = run_tradeoff_study(cfg).extras["lambda_by_fold"]
+    assert len(lambdas) == k - 1
+
+
 def test_validity_study_rejects_mlp(tmp_path):
     cfg = ExperimentConfig(
         model_kind="mlp",
@@ -423,10 +569,16 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         (["recourse", "--theta", "1", "--x0", "1", "--alpha", "inf"], None),
         (["validity"], {"n_points": 1}),
         (["pareto"], {"lambda_grid": [0.1, -0.2]}),
+        (["gen-data", "--n", "1"], None),
+        (["gen-data", "--seed", "-1"], None),
+        (["oracle-check", "--n", "-1"], None),
+        (["oracle-check", "--n", "0"], None),
+        (["oracle-check", "--seed", "-1"], None),
     ],
     ids=[
         "theta-x0-lengths", "negative-lam", "nan-theta", "nan-lam", "inf-alpha", "one-point",
-        "negative-lambda",
+        "negative-lambda", "gen-data-one-point", "gen-data-negative-seed", "oracle-negative-n",
+        "oracle-zero-n", "oracle-negative-seed",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
@@ -439,6 +591,25 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("config error: ")
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        "not json\n",
+        "[1, 2]\n",
+        json.dumps({"features": [[0.0, 1.0], [1.0, 0.0]], "labels": [1, 1]}),
+    ],
+    ids=["train-not-json", "train-not-a-dataset", "train-single-class"],
+)
+def test_cli_bad_data_exits_3_with_one_line(tmp_path, capsys, data):
+    path = tmp_path / "data.json"
+    path.write_text(data, encoding="utf-8")
+    assert main(["train", "--data", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("data error: ")
 
 
 def test_cli_gen_data_train_round_trip(tmp_path, capsys):

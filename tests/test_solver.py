@@ -10,6 +10,7 @@ from robust_recourse.glm import (
     RecourseQuery,
     eval_loss,
     eval_total_cost,
+    sigmoid,
     sign,
     weighted_l1,
 )
@@ -17,7 +18,6 @@ from robust_recourse.solver import (
     SCORE_CAP,
     GridSpec,
     RecoursePlan,
-    SolverConfig,
     consistent_recourse,
     minimax_oracle,
     optimal_robust_recourse,
@@ -60,17 +60,22 @@ def test_step_already_past_cap():
     assert solve_coordinate_step(0.1, SCORE_CAP + 1.0, 0.5) == (0.0, False)
 
 
-def test_step_bisection_matches_closed_form():
-    cfg = SolverConfig(use_closed_form_logistic=False)
+def test_step_bce_stationarity():
+    # an interior step zeroes the derivative: slope * sigmoid(-(s0 + slope t)) = lam;
+    # t = 0 exactly when the marginal gain at the start, slope * sigmoid(-s0), is at most lam
     rng = np.random.default_rng(0)
-    for _ in range(50):
+    interior = 0
+    for _ in range(200):
         lam = float(rng.uniform(0.01, 0.6))
         s0 = float(rng.uniform(-3.0, 3.0))
         slope = float(rng.uniform(0.05, 2.0))
-        t_exact, sat_e = solve_coordinate_step(lam, s0, slope)
-        t_bis, sat_b = solve_coordinate_step(lam, s0, slope, cfg=cfg)
-        assert sat_e == sat_b
-        assert t_bis == pytest.approx(t_exact, abs=1e-6)
+        t, sat = solve_coordinate_step(lam, s0, slope)
+        assert not sat
+        assert (t == 0.0) == (slope * sigmoid(-s0) <= lam)
+        if t > 0.0:
+            interior += 1
+            assert slope * sigmoid(-(s0 + slope * t)) == pytest.approx(lam, rel=1e-9)
+    assert 50 < interior < 200
 
 
 def test_step_saturates_at_zero_lam():
@@ -317,10 +322,6 @@ def test_plan_serialization_round_trip():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(step_tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_passes=0)
     with pytest.raises(ValueError):
         GridSpec(half_range=-1.0)
     with pytest.raises(ValueError):

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from robust_recourse.adversary import Neighborhood, best_response
-from robust_recourse.glm import LossKind, ModelParams, RecourseQuery, eval_total_cost
+from robust_recourse.glm import CostSpec, LossKind, ModelParams, RecourseQuery, eval_total_cost
 from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
 from robust_recourse.tradeoff import (
+    _STEP_GRID,
     TradeoffQuery,
     blended_recourse,
     consistency,
-    default_step_grid,
     pareto_frontier,
     robustness,
     smoothness,
@@ -140,7 +140,7 @@ def test_blended_never_worse_than_start_or_endpoints():
 
 
 def test_step_grid_is_signed_and_sorted():
-    grid = default_step_grid()
+    grid = _STEP_GRID
     assert grid.size == 26
     assert (np.sort(grid) == grid).all()
     np.testing.assert_allclose(grid[-1], 0.01 * 2**12)
@@ -166,6 +166,60 @@ def test_pareto_frontier_endpoints_and_monotonicity():
     assert pts[0].valid  # consistent plan crosses the boundary under its model
 
 
+def _random_problem(rng):
+    """A TradeoffQuery over either loss, with random costs, mask and intercept mode."""
+    d = int(rng.integers(1, 4))
+    mask = rng.random(d) < 0.3
+    mask[int(rng.integers(d))] = False
+    q = _query(
+        rng.uniform(-2, 2, d),
+        float(rng.uniform(0.05, 0.8)),
+        loss=LossKind.SQUARED if rng.random() < 0.5 else LossKind.BCE,
+        cost=CostSpec(rng.uniform(0.5, 2.0, d)),
+        immutable_mask=mask,
+    )
+    fixed = bool(rng.random() < 0.5)
+    n = _nbhd(
+        rng.uniform(-2, 2, d),
+        float(rng.uniform(0.05, 0.6)),
+        intercept=float(rng.uniform(-1, 1)),
+        perturb_intercept=not fixed,
+    )
+    shift = 0.0 if fixed else float(rng.uniform(-n.alpha, n.alpha))
+    pred = ModelParams(
+        weights=n.base.weights + rng.uniform(-n.alpha, n.alpha, d), intercept=n.base.intercept + shift
+    )
+    return TradeoffQuery(q, n, pred, 1.0)
+
+
+def test_beta_sweeps_equal_per_beta_blends_exactly():
+    # pareto_frontier and smoothness solve the endpoints once per query and blend
+    # for every beta; each value must be the one a per-beta blended_recourse gives
+    rng = np.random.default_rng(27)
+    losses = set()
+    for _ in range(30):
+        tq = _random_problem(rng)
+        q, n = tq.query, tq.neighborhood
+        losses.add(q.loss)
+        betas = [0.0, float(rng.uniform(0.05, 0.95)), 1.0]
+        correct = ModelParams(
+            weights=n.base.weights + rng.uniform(-n.alpha, n.alpha, q.dim),
+            intercept=n.base.intercept,
+        )
+        points = pareto_frontier(tq, betas, label_model=tq.prediction)
+        regrets = smoothness(q, n, tq.prediction, correct, betas)
+        best = consistent_recourse(q, correct).worst_case_total
+        for beta, pt, regret in zip(betas, points, regrets):
+            plan = blended_recourse(TradeoffQuery(q, n, tq.prediction, beta))
+            assert pt.beta == beta
+            assert pt.robustness == robustness(q, n, plan.x_prime)
+            assert pt.consistency == consistency(q, tq.prediction, plan.x_prime)
+            assert pt.l1_cost == plan.l1_cost
+            assert pt.valid == (validity(tq.prediction, [plan.x_prime]) == 1.0)
+            assert regret == eval_total_cost(q, plan.x_prime, correct) - best
+    assert losses == {LossKind.BCE, LossKind.SQUARED}
+
+
 # -------------------------------------------------------------- smoothness
 
 
@@ -173,7 +227,7 @@ def test_smoothness_zero_when_prediction_correct_and_trusted():
     rng = np.random.default_rng(24)
     for _ in range(20):
         tq = _random_tq(rng, beta=0.0)
-        got = smoothness(tq.query, tq.neighborhood, tq.prediction, tq.prediction, 0.0)
+        (got,) = smoothness(tq.query, tq.neighborhood, tq.prediction, tq.prediction, [0.0])
         assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -185,8 +239,8 @@ def test_smoothness_prediction_independent_at_full_caution():
         intercept=tq.neighborhood.base.intercept,
     )
     correct = tq.prediction
-    a = smoothness(tq.query, tq.neighborhood, tq.prediction, correct, 1.0)
-    b = smoothness(tq.query, tq.neighborhood, other, correct, 1.0)
+    a = smoothness(tq.query, tq.neighborhood, tq.prediction, correct, [1.0])
+    b = smoothness(tq.query, tq.neighborhood, other, correct, [1.0])
     assert a == b
 
 
@@ -200,8 +254,8 @@ def test_smoothness_nonnegative_random():
             intercept=tq.neighborhood.base.intercept
             + float(rng.uniform(-tq.neighborhood.alpha, tq.neighborhood.alpha)),
         )
-        got = smoothness(tq.query, tq.neighborhood, tq.prediction, correct, tq.beta)
-        assert got >= -1e-9
+        got = smoothness(tq.query, tq.neighborhood, tq.prediction, correct, [0.0, tq.beta, 1.0])
+        assert min(got) >= -1e-9
 
 
 # ---------------------------------------------------------------- validity
