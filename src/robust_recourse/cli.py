@@ -121,6 +121,7 @@ def _cmd_oracle_check(args) -> int:
                 "max_over": report.max_over,
                 "max_under": report.max_under,
                 "elapsed_s": round(report.elapsed_s, 3),
+                "worst_instance": report.worst_instance,
             }
         )
     )

@@ -210,11 +210,14 @@ class StudyResult:
 
 @dataclass(frozen=True)
 class OracleReport:
+    """Certification summary; ``worst_instance`` is the instance behind ``max_over``."""
+
     n_instances: int
     n_pass: int
     max_over: float
     max_under: float
     elapsed_s: float
+    worst_instance: dict
 
     @property
     def all_pass(self) -> bool:
@@ -769,7 +772,16 @@ def oracle_check(
 
         over = plan.worst_case_total - oracle_val
         under = oracle_val - plan.worst_case_total
-        max_over = max(max_over, over)
+        if over > max_over:
+            max_over = over
+            worst_instance = {
+                "d": d,
+                "alpha": alpha,
+                "lam": lam,
+                "weights": weights.tolist(),
+                "intercept": intercept,
+                "x0": x0.tolist(),
+            }
         max_under = max(max_under, under)
         if over <= upper_tol and under <= lower_tol:
             n_pass += 1
@@ -779,4 +791,5 @@ def oracle_check(
         max_over=float(max_over),
         max_under=float(max_under),
         elapsed_s=time.perf_counter() - start,
+        worst_instance=worst_instance,
     )

@@ -17,10 +17,15 @@ minimizes the total cost under a single predicted model exactly.
 
 ``minimax_oracle`` certifies the solver on small instances by exhaustive
 grid search over inputs, with the inner maximum taken over every corner of
-the model ball. Optional refinement passes re-grid around the incumbent with
-a ten times finer step; they assume the worst-case objective is convex in
-the input, which holds for the BCE loss (it is a maximum of convex
-functions) but not for the clamped squared loss.
+the model ball. It enumerates the corners itself, independent of the
+solver's closed-form adversary. Both losses are non-increasing in the
+score, so the scan keeps the minimum corner score per grid point and
+evaluates the loss once there, which is exact; scores and costs are
+separable in the features, so it broadcasts one 1-D array per free axis
+instead of building the point mesh. Optional refinement passes re-grid
+around the incumbent with a ten times finer step; they assume the
+worst-case objective is convex in the input, which holds for the BCE loss
+(it is a maximum of convex functions) but not for the clamped squared loss.
 """
 
 from __future__ import annotations
@@ -79,10 +84,10 @@ class GridSpec:
     refine_levels: int = 0
 
     def __post_init__(self) -> None:
-        if self.half_range <= 0.0:
-            raise ValueError("half_range must be positive")
-        if self.step is not None and self.step <= 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.half_range < math.inf:
+            raise ValueError("half_range must be finite and positive")
+        if self.step is not None and not 0.0 < self.step < math.inf:
+            raise ValueError("step must be finite and positive")
         if self.refine_levels < 0:
             raise ValueError("refine_levels must be nonnegative")
 
@@ -283,21 +288,25 @@ def minimax_oracle(
 ) -> tuple[np.ndarray, float]:
     """Exhaustive-search reference value for the robust objective.
 
-    Scans an axis-aligned grid of candidate inputs; the inner maximum is
-    taken over all corner models of the ball, which is exact because both
-    losses are non-increasing in the score and the score is linear in the
-    model. Only for low-dimensional certification runs.
+    Scans an axis-aligned grid over the mutable features (at most three;
+    immutable ones stay at x0). The inner maximum over the ball is exact
+    because the score is linear in the model, so it is attained at a corner,
+    and both losses are non-increasing in the score, so the maximum loss
+    over the corners is the loss at their minimum score. The scan takes that
+    minimum over an explicit enumeration of the corners, then evaluates the
+    loss once per grid point; scores and costs are broadcast sums of one
+    1-D array per free axis, so no point matrix is built. Only for
+    low-dimensional certification runs.
     """
     grid = grid or GridSpec()
     d = query.dim
-    if d > 3:
-        raise ValueError("oracle supports at most 3 mutable dimensions")
     if neighborhood.base.dim != d:
         raise DimensionMismatchError(
             f"model has {neighborhood.base.dim} weights, query has {d} features"
         )
-
     free = [i for i in range(d) if not query.immutable_mask[i]]
+    if len(free) > 3:
+        raise ValueError("oracle supports at most 3 mutable dimensions")
     step = grid.resolved_step(len(free) or 1)
 
     corner_w, corner_b = _corner_models(neighborhood)
@@ -342,23 +351,33 @@ def _corner_models(neighborhood: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _grid_scan(query, corner_w, corner_b, free, axes) -> tuple[np.ndarray, float]:
-    mesh = np.meshgrid(*axes, indexing="ij") if axes else []
-    n_pts = mesh[0].size if mesh else 1
-    pts = np.tile(query.x0, (n_pts, 1))
-    for col, m in zip(free, mesh):
-        pts[:, col] = m.ravel()
+    """Best grid point and its worst-case total, scanned without a point matrix.
 
-    best_val = math.inf
-    best_x = query.x0.copy()
-    chunk = 200_000
-    for start in range(0, n_pts, chunk):
-        block = pts[start : start + chunk]
-        scores = block @ corner_w.T + corner_b
-        worst_loss = eval_loss(query.loss, scores).max(axis=1)
-        costs = query.lam * (np.abs(block - query.x0) @ query.cost.weights)
-        totals = worst_loss + costs
-        k = int(np.argmin(totals))
-        if totals[k] < best_val:
-            best_val = float(totals[k])
-            best_x = block[k].copy()
-    return best_x, best_val
+    The k-th free axis broadcasts along the k-th grid dimension and an
+    immutable feature is the constant x0[i]; per-feature terms are added in
+    index order. The argmin over the C-order totals keeps the first minimum
+    in the raveled ``meshgrid(..., indexing="ij")`` order.
+    """
+    x0 = query.x0
+    coords = list(x0)
+    for k, (i, a) in enumerate(zip(free, axes)):
+        coords[i] = a.reshape([-1 if j == k else 1 for j in range(len(free))])
+
+    low = np.full([a.size for a in axes], math.inf)
+    for w, b in zip(corner_w, corner_b):
+        s = coords[0] * w[0]
+        for c, w_i in zip(coords[1:], w[1:]):
+            s = s + c * w_i
+        s += b  # in place: a full-size temporary per corner tripled the scan time
+        np.minimum(low, s, out=low)
+
+    cost = 0.0
+    for i in free:
+        cost = cost + query.cost.weights[i] * np.abs(coords[i] - x0[i])
+    totals = np.asarray(eval_loss(query.loss, low) + query.lam * cost)
+
+    k = int(np.argmin(totals))
+    best_x = x0.copy()
+    for i, a, j in zip(free, axes, np.unravel_index(k, totals.shape)):
+        best_x[i] = a[j]
+    return best_x, float(totals.flat[k])

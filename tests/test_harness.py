@@ -26,7 +26,12 @@ from robust_recourse.experiments import (
 from robust_recourse.glm import ModelParams, RecourseQuery, eval_total_cost, weighted_l1
 from robust_recourse.models import GlmScorer, MlpWeights, predict_label, train_logistic
 from robust_recourse.roar import RoarConfig, roar_recourse, roar_recourse_batch
-from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
+from robust_recourse.solver import (
+    GridSpec,
+    consistent_recourse,
+    minimax_oracle,
+    optimal_robust_recourse,
+)
 from robust_recourse.surrogate import SurrogateConfig
 from robust_recourse.tradeoff import (
     TradeoffQuery,
@@ -627,6 +632,15 @@ def test_cli_oracle_check_small(capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] == 5
+    worst = payload["worst_instance"]
+    assert set(worst) == {"d", "alpha", "lam", "weights", "intercept", "x0"}
+    assert len(worst["weights"]) == len(worst["x0"]) == worst["d"]
+    # the printed parameters rebuild an instance the solver and oracle agree on
+    q = RecourseQuery(x0=np.array(worst["x0"]), lam=worst["lam"])
+    theta = ModelParams(weights=np.array(worst["weights"]), intercept=worst["intercept"])
+    nbhd = Neighborhood(theta, worst["alpha"])
+    _, val = minimax_oracle(q, nbhd, GridSpec(refine_levels=4))
+    assert abs(optimal_robust_recourse(q, nbhd).worst_case_total - val) <= 1e-6
 
 
 def test_cli_usage_errors():
