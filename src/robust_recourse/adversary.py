@@ -4,19 +4,22 @@ Three views of the adversary live here. ``best_response`` is the closed form:
 against a fixed input the score-minimizing model shifts every weight by the
 full budget, in the direction opposite the input's sign, and always lowers
 the intercept (its multiplier is the constant +1). ``corner_oracle`` checks
-the same thing by brute force over all sign patterns and is used to certify
-the closed form. ``worst_case_shared_model`` finds a single model that
-degrades a whole batch of recourses at once, via projected gradient ascent,
+the same thing by brute force over the corners ``Neighborhood.corners``
+enumerates and is used to certify the closed form.
+``worst_case_shared_model`` finds a single model that degrades a whole
+batch of recourses at once, via projected gradient ascent,
 for validity experiments; it also takes a stack of equal-size batches, each
 with its own ball, and ascends them all in one loop.
 
 A Neighborhood may be built with ``perturb_intercept=False`` for problems
 posed without an attackable intercept term; the intercept then stays fixed.
+The ball owns its rules: the lowest intercept it allows
+(``worst_intercept``), membership with a 1e-9 slack (``contains``), the
+coordinatewise clamp onto it (``clamp``) and its corner enumeration.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,48 @@ class Neighborhood:
         object.__setattr__(self, "alpha", float(self.alpha))
         if not 0.0 <= self.alpha < np.inf:
             raise ValueError("alpha must be finite and nonnegative")
+
+    @property
+    def _reach(self) -> float:
+        """How far the intercept may move: alpha when it is attackable, else 0."""
+        return self.alpha if self.perturb_intercept else 0.0
+
+    @property
+    def worst_intercept(self) -> float:
+        """The lowest intercept in the ball: alpha below the base when attackable."""
+        return self.base.intercept - self._reach
+
+    def contains(self, params: ModelParams) -> bool:
+        """Whether ``params`` lies in the ball, up to 1e-9 in every coordinate."""
+        return (
+            params.dim == self.base.dim
+            and float(np.max(np.abs(params.weights - self.base.weights))) <= self.alpha + 1e-9
+            and abs(params.intercept - self.base.intercept) <= self._reach + 1e-9
+        )
+
+    def clamp(self, params: ModelParams) -> ModelParams:
+        """The model in the ball nearest ``params``, clamped coordinatewise."""
+        w, b, reach = self.base.weights, self.base.intercept, self._reach
+        return ModelParams(
+            np.clip(params.weights, w - self.alpha, w + self.alpha),
+            float(np.clip(params.intercept, b - reach, b + reach)),
+        )
+
+    def corners(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every +/-alpha corner, as a weight matrix and an intercept vector.
+
+        Rows run in lexicographic order of the sign patterns, -1 before +1:
+        the weights first, then the intercept when it is attackable. All
+        2^n rows are built at once, so callers bound n.
+        """
+        d = self.base.dim
+        n_dims = d + int(self.perturb_intercept)
+        bits = (np.arange(2**n_dims)[:, None] >> np.arange(n_dims - 1, -1, -1)) & 1
+        signs = 2.0 * bits - 1.0
+        intercepts = np.full(len(signs), self.base.intercept)
+        if self.perturb_intercept:
+            intercepts += self.alpha * signs[:, d]
+        return self.base.weights + self.alpha * signs[:, :d], intercepts
 
 
 @dataclass(frozen=True)
@@ -61,15 +106,11 @@ def best_response(neighborhood: Neighborhood, x) -> ModelParams:
         raise DimensionMismatchError(
             f"model has {base.dim} weights, input has {x.size} features"
         )
-    weights = base.weights - neighborhood.alpha * sign(x)
-    intercept = base.intercept
-    if neighborhood.perturb_intercept:
-        intercept -= neighborhood.alpha
-    return ModelParams(weights, intercept)
+    return ModelParams(base.weights - neighborhood.alpha * sign(x), neighborhood.worst_intercept)
 
 
 def corner_oracle(neighborhood: Neighborhood, x) -> ModelParams:
-    """Enumerate every +/-alpha corner of the ball, return a score minimizer.
+    """Score every +/-alpha corner of the ball, return a score minimizer.
 
     Ties are broken in favor of the lexicographically smallest sign pattern
     (weights first, then the intercept when it participates).
@@ -83,19 +124,9 @@ def corner_oracle(neighborhood: Neighborhood, x) -> ModelParams:
     n_dims = base.dim + (1 if neighborhood.perturb_intercept else 0)
     if n_dims > 20:
         raise ValueError(f"corner enumeration needs 2^{n_dims} models; dimension too large")
-
-    best = None
-    best_value = np.inf
-    for pattern in itertools.product((-1.0, 1.0), repeat=n_dims):
-        weights = base.weights + neighborhood.alpha * np.asarray(pattern[: base.dim])
-        intercept = base.intercept
-        if neighborhood.perturb_intercept:
-            intercept += neighborhood.alpha * pattern[-1]
-        value = float(weights @ x + intercept)
-        if value < best_value:  # first hit wins ties: patterns iterate in lex order
-            best_value = value
-            best = ModelParams(weights, intercept)
-    return best
+    weights, intercepts = neighborhood.corners()
+    k = int(np.argmin(weights @ x + intercepts))  # first minimum: rows run in lex order
+    return ModelParams(weights[k], intercepts[k])
 
 
 def worst_case_shared_model(neighborhood, recourses, cfg: AscentConfig = AscentConfig()):

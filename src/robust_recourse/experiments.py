@@ -224,10 +224,9 @@ class OracleReport:
         return self.n_pass == self.n_instances
 
 
-def _clamp_into_ball(params: ModelParams, base: ModelParams, alpha: float) -> ModelParams:
-    w = np.clip(params.weights, base.weights - alpha, base.weights + alpha)
-    b = float(np.clip(params.intercept, base.intercept - alpha, base.intercept + alpha))
-    return ModelParams(weights=w, intercept=b)
+def _half_gap(a: ModelParams, b: ModelParams) -> float:
+    """Half the largest coordinate gap between two models: the default epsilon."""
+    return max(float(np.max(np.abs(a.weights - b.weights))), abs(a.intercept - b.intercept)) / 2.0
 
 
 def _corner_patterns(d: int) -> list:
@@ -244,19 +243,17 @@ def generate_predictions(
     correct: ModelParams | None = None,
 ) -> list:
     """Named predicted models, each clamped into the ball around ``base``."""
+    ball = Neighborhood(base, alpha)
     if spec.mode is PredictionMode.CORNER:
         preds = [("base", base)]
         for i, pat in enumerate(_corner_patterns(base.dim)):
             cand = ModelParams(weights=base.weights + alpha * pat, intercept=base.intercept)
-            preds.append((f"corner{i}", _clamp_into_ball(cand, base, alpha)))
+            preds.append((f"corner{i}", ball.clamp(cand)))
         return preds
     if spec.mode is PredictionMode.EPSILON:
         if correct is None:
             raise ConfigError("epsilon predictions need a correct-prediction model")
-        eps = spec.epsilon
-        if eps is None:
-            diff = np.abs(correct.weights - base.weights)
-            eps = max(float(diff.max()), abs(correct.intercept - base.intercept)) / 2.0
+        eps = _half_gap(correct, base) if spec.epsilon is None else spec.epsilon
         out = []
         for name, delta in (
             ("correct", 0.0),
@@ -268,14 +265,12 @@ def generate_predictions(
             cand = ModelParams(
                 weights=correct.weights + delta, intercept=correct.intercept + delta
             )
-            out.append((name, _clamp_into_ball(cand, base, alpha)))
+            out.append((name, ball.clamp(cand)))
         return out
     preds = []
     for i, (weights, intercept) in enumerate(spec.explicit):
         cand = ModelParams(weights=np.asarray(weights, dtype=float), intercept=intercept)
-        if (np.abs(cand.weights - base.weights) > alpha + 1e-9).any() or abs(
-            cand.intercept - base.intercept
-        ) > alpha + 1e-9:
+        if not ball.contains(cand):
             raise ConfigError(f"explicit prediction {i} lies outside the model ball")
         preds.append((f"pred{i}", cand))
     if not preds:
@@ -402,30 +397,26 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, fieldnames: list, rows: list) -> None:
-    lines = [",".join(fieldnames)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[name]) for name in fieldnames))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_study(cfg: ExperimentConfig, study: str, columns: list, rows: list, series: list,
+                 **chart) -> tuple:
+    """Writes ``<out>/<study>/<dataset>_<model>``: CSV, JSON schema and SVG chart.
 
-
-def _write_schema(path: str, columns: list) -> None:
-    payload = {
-        "columns": [
-            {"name": name, "type": typ, "description": desc} for name, typ, desc in columns
-        ]
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _study_paths(cfg: ExperimentConfig, study: str) -> tuple:
+    ``columns`` holds (name, type, description) triples; the CSV has one
+    field per column, in that order. Returns the CSV and SVG paths.
+    """
     base = os.path.join(cfg.out_dir, study)
     os.makedirs(base, exist_ok=True)
     stem = os.path.join(base, f"{_dataset_name(cfg)}_{cfg.model_kind}")
-    return f"{stem}.csv", f"{stem}.svg", f"{stem}.schema.json"
+    fields = [name for name, _, _ in columns]
+    lines = [",".join(fields)] + [",".join(_fmt_cell(row[f]) for f in fields) for row in rows]
+    with open(f"{stem}.csv", "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+    schema = {"columns": [{"name": n, "type": t, "description": d} for n, t, d in columns]}
+    with open(f"{stem}.schema.json", "w", encoding="utf-8") as fh:
+        json.dump(schema, fh, indent=2)
+        fh.write("\n")
+    line_chart(f"{stem}.svg", series, **chart)
+    return f"{stem}.csv", f"{stem}.svg"
 
 
 # ---------------------------------------------------------------------------
@@ -482,21 +473,6 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
                     }
                 )
 
-    csv_path, svg_path, schema_path = _study_paths(cfg, "pareto")
-    fields = ["method", "prediction", "beta", "robustness", "consistency", "l1_cost", "n_instances"]
-    _write_csv(csv_path, fields, rows)
-    _write_schema(
-        schema_path,
-        [
-            ("method", "str", "blend (beta-weighted solver) or roar (gradient baseline)"),
-            ("prediction", "str", "predicted-model identifier"),
-            ("beta", "float", "trust parameter; 1.0 on roar rows (not applicable)"),
-            ("robustness", "float", "mean excess worst-case total cost vs the robust optimum"),
-            ("consistency", "float", "mean excess total cost under the prediction vs its optimum"),
-            ("l1_cost", "float", "mean weighted L1 modification cost"),
-            ("n_instances", "int", "instance count behind the averages"),
-        ],
-    )
     series = []
     for pred_name in pred_names:
         pts = [
@@ -505,8 +481,18 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
             if row["method"] == "blend" and row["prediction"] == pred_name
         ]
         series.append((pred_name, [p[0] for p in pts], [p[1] for p in pts]))
-    line_chart(svg_path, series, title="Robustness vs consistency", x_label="robustness",
-               y_label="consistency")
+    columns = [
+        ("method", "str", "blend (beta-weighted solver) or roar (gradient baseline)"),
+        ("prediction", "str", "predicted-model identifier"),
+        ("beta", "float", "trust parameter; 1.0 on roar rows (not applicable)"),
+        ("robustness", "float", "mean excess worst-case total cost vs the robust optimum"),
+        ("consistency", "float", "mean excess total cost under the prediction vs its optimum"),
+        ("l1_cost", "float", "mean weighted L1 modification cost"),
+        ("n_instances", "int", "instance count behind the averages"),
+    ]
+    csv_path, svg_path = _write_study(cfg, "pareto", columns, rows, series,
+                                      title="Robustness vs consistency", x_label="robustness",
+                                      y_label="consistency")
 
     roar_sums = [sums[("roar", name, 1.0)] for name in pred_names]
     roar_mean_rob = sum(v[0] for v in roar_sums) / sum(v[3] for v in roar_sums)
@@ -562,20 +548,17 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
                     cfg.surrogate, seed=_derived_seed(cfg.seed, fold, t_idx, 7)
                 )
                 correct_raw = fit_local_linear(correct_src, task.x0, sur_cfg)
-            correct = _clamp_into_ball(correct_raw, base, alpha)
+            nbhd = Neighborhood(base, alpha)
+            correct = nbhd.clamp(correct_raw)
             spec = dataclasses.replace(cfg.prediction, mode=PredictionMode.EPSILON,
                                        epsilon=cfg.epsilon)
             preds = generate_predictions(spec, base, alpha, correct=correct)
             if not pred_names:
                 pred_names = [name for name, _ in preds]
             if t_idx == 0:
-                diff = np.abs(correct.weights - base.weights)
-                eps_by_fold.append(
-                    max(float(diff.max()), abs(correct.intercept - base.intercept)) / 2.0
-                )
+                eps_by_fold.append(_half_gap(correct, base))
 
             q = RecourseQuery(x0=task.x0, lam=lam)
-            nbhd = Neighborhood(base, alpha)
             for pred_name, pred in preds:
                 regrets = smoothness(q, nbhd, pred, correct, cfg.beta_grid)
                 for beta, regret in zip(cfg.beta_grid, regrets):
@@ -596,23 +579,19 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
                 }
             )
 
-    csv_path, svg_path, schema_path = _study_paths(cfg, "smoothness")
-    fields = ["prediction", "beta", "smoothness", "n_instances"]
-    _write_csv(csv_path, fields, rows)
-    _write_schema(
-        schema_path,
-        [
-            ("prediction", "str", "correct model or its +/- epsilon perturbations"),
-            ("beta", "float", "trust parameter"),
-            ("smoothness", "float", "mean regret under the materialized model"),
-            ("n_instances", "int", "instance count behind the averages"),
-        ],
-    )
     series = []
     for pred_name in pred_names:
         pts = [(row["beta"], row["smoothness"]) for row in rows if row["prediction"] == pred_name]
         series.append((pred_name, [p[0] for p in pts], [p[1] for p in pts]))
-    line_chart(svg_path, series, title="Smoothness vs trust", x_label="beta", y_label="smoothness")
+    columns = [
+        ("prediction", "str", "correct model or its +/- epsilon perturbations"),
+        ("beta", "float", "trust parameter"),
+        ("smoothness", "float", "mean regret under the materialized model"),
+        ("n_instances", "int", "instance count behind the averages"),
+    ]
+    csv_path, svg_path = _write_study(cfg, "smoothness", columns, rows, series,
+                                      title="Smoothness vs trust", x_label="beta",
+                                      y_label="smoothness")
 
     extras = {
         "lambda_by_fold": lambda_by_fold,
@@ -678,20 +657,6 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
             )
         rows.extend(pts)
 
-    csv_path, svg_path, schema_path = _study_paths(cfg, "validity")
-    fields = ["method", "alpha", "lam", "validity", "mean_cost", "pareto"]
-    _write_csv(csv_path, fields, rows)
-    _write_schema(
-        schema_path,
-        [
-            ("method", "str", "alg (exact solver) or roar (gradient baseline)"),
-            ("alpha", "float", "model-ball radius"),
-            ("lam", "float", "cost multiplier"),
-            ("validity", "float", "fraction labeled desirable under the shared worst-case model"),
-            ("mean_cost", "float", "mean L1 modification cost"),
-            ("pareto", "bool", "not dominated within its method"),
-        ],
-    )
     series = []
     for method in ("alg", "roar"):
         front = sorted(
@@ -699,8 +664,17 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
             key=lambda r: (r["mean_cost"], r["validity"]),
         )
         series.append((method, [r["mean_cost"] for r in front], [r["validity"] for r in front]))
-    line_chart(svg_path, series, title="Worst-case validity vs cost", x_label="mean cost",
-               y_label="validity")
+    columns = [
+        ("method", "str", "alg (exact solver) or roar (gradient baseline)"),
+        ("alpha", "float", "model-ball radius"),
+        ("lam", "float", "cost multiplier"),
+        ("validity", "float", "fraction labeled desirable under the shared worst-case model"),
+        ("mean_cost", "float", "mean L1 modification cost"),
+        ("pareto", "bool", "not dominated within its method"),
+    ]
+    csv_path, svg_path = _write_study(cfg, "validity", columns, rows, series,
+                                      title="Worst-case validity vs cost", x_label="mean cost",
+                                      y_label="validity")
     return StudyResult(rows=rows, csv_path=csv_path, svg_path=svg_path, extras={})
 
 
@@ -712,9 +686,10 @@ def _axis_points(d: int) -> int:
     return {1: 2001, 2: 201, 3: 41}[d]
 
 
-def _displacement_bound(weights, intercept, x0, alpha, lam) -> float:
+def _displacement_bound(nbhd: Neighborhood, x0, lam) -> float:
     """Safe per-coordinate movement bound for the certification grid."""
-    s0 = float(x0 @ weights - alpha * np.abs(x0).sum() + intercept - alpha)
+    weights, alpha = nbhd.base.weights, nbhd.alpha
+    s0 = float(x0 @ weights - alpha * np.abs(x0).sum() + nbhd.worst_intercept)
     worst = 0.0
     for j in range(len(weights)):
         bound = abs(x0[j])
@@ -755,13 +730,13 @@ def oracle_check(
         weights = rng.uniform(-3.0, 3.0, d)
         intercept = float(rng.uniform(-1.0, 1.0))
         x0 = rng.uniform(-3.0, 3.0, d)
-        bound = _displacement_bound(weights, intercept, x0, alpha, lam)
+        nbhd = Neighborhood(ModelParams(weights=weights, intercept=intercept), alpha)
+        bound = _displacement_bound(nbhd, x0, lam)
         if bound > 18.0:
             continue
         produced += 1
 
         q = RecourseQuery(x0=x0, lam=lam)
-        nbhd = Neighborhood(ModelParams(weights=weights, intercept=intercept), alpha)
         plan = optimal_robust_recourse(q, nbhd)
 
         half = max(5.0, 1.1 * bound + 1.0)

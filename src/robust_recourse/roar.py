@@ -93,7 +93,7 @@ def roar_recourse_batch(
             f"{len(balls)} balls of {base_w.shape[1]} weights for starts of shape {(m, d)}"
         )
     alpha = np.array([[ball.alpha] for ball in balls])
-    b_eff = np.array([b.base.intercept - (b.alpha if b.perturb_intercept else 0.0) for b in balls])
+    b_eff = np.array([ball.worst_intercept for ball in balls])
     lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,)).copy()
     if not np.all((0.0 <= lam) & (lam < np.inf)):
         raise ValueError("lam must be finite and nonnegative")

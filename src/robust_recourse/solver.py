@@ -17,9 +17,9 @@ minimizes the total cost under a single predicted model exactly.
 
 ``minimax_oracle`` certifies the solver on small instances by exhaustive
 grid search over inputs, with the inner maximum taken over every corner of
-the model ball. It enumerates the corners itself, independent of the
-solver's closed-form adversary. Both losses are non-increasing in the
-score, so the scan keeps the minimum corner score per grid point and
+the model ball. It scans the corners ``Neighborhood.corners`` enumerates,
+independent of the closed-form adversary. Both losses are non-increasing
+in the score, so the scan keeps the minimum corner score per grid point and
 evaluates the loss once there, which is exact; scores and costs are
 separable in the features, so it broadcasts one 1-D array per free axis
 instead of building the point mesh. Optional refinement passes re-grid
@@ -206,7 +206,7 @@ def optimal_robust_recourse(
 
     x = query.x0.copy()
     cost_w = query.cost.weights
-    intercept = base.intercept - (alpha if neighborhood.perturb_intercept else 0.0)
+    intercept = neighborhood.worst_intercept
 
     # Worst-case weights for the orthant each coordinate currently occupies.
     adv = base.weights - alpha * sign(x)
@@ -309,7 +309,7 @@ def minimax_oracle(
         raise ValueError("oracle supports at most 3 mutable dimensions")
     step = grid.resolved_step(len(free) or 1)
 
-    corner_w, corner_b = _corner_models(neighborhood)
+    corner_w, corner_b = neighborhood.corners()
 
     def axis(i: int, lo: float, hi: float, n_pts: int) -> np.ndarray:
         pts = np.linspace(lo, hi, n_pts)
@@ -332,22 +332,6 @@ def minimax_oracle(
             x_best, val_best = x_cand, val_cand
         h /= 10.0
     return x_best, val_best
-
-
-def _corner_models(neighborhood: Neighborhood) -> tuple[np.ndarray, np.ndarray]:
-    """All +/-alpha corners as a weight matrix and intercept vector."""
-    base = neighborhood.base
-    d = base.dim
-    n_dims = d + (1 if neighborhood.perturb_intercept else 0)
-    patterns = np.array(
-        [[1.0 if (k >> bit) & 1 else -1.0 for bit in range(n_dims)] for k in range(2**n_dims)]
-    )
-    weights = base.weights + neighborhood.alpha * patterns[:, :d]
-    if neighborhood.perturb_intercept:
-        intercepts = base.intercept + neighborhood.alpha * patterns[:, -1]
-    else:
-        intercepts = np.full(len(patterns), base.intercept)
-    return weights, intercepts
 
 
 def _grid_scan(query, corner_w, corner_b, free, axes) -> tuple[np.ndarray, float]:

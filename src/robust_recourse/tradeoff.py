@@ -7,6 +7,12 @@ model (weight ``1 - beta``). Its endpoints are the exact robust plan
 coordinate grid search, since mixing the two adversaries breaks the exact
 solver's selection rule, and restart from an endpoint plan that does better.
 
+The blended objective is written once. ``_coordinate_terms`` gives what
+coordinates add to its three sums (worst-case score, predicted score,
+weighted cost) and ``_mix`` turns the sums into the objective.
+``_blended_value`` mixes a point's summed terms; each search round mixes
+every candidate move's sums in one vectorised step.
+
 One private function, ``_blend``, computes the blend from the two endpoint
 plans. ``blended_recourse`` solves them for one beta; ``pareto_frontier``
 and ``smoothness`` solve them once per query and blend for every beta.
@@ -29,14 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import Neighborhood, best_response
-from .glm import (
-    ModelParams,
-    RecourseQuery,
-    eval_loss,
-    eval_total_cost,
-    score,
-    weighted_l1,
-)
+from .glm import ModelParams, RecourseQuery, eval_loss, eval_total_cost, weighted_l1
 from .models import BlackBoxScorer, GlmScorer, predict_label
 from .solver import RecoursePlan, consistent_recourse, optimal_robust_recourse
 
@@ -64,14 +63,9 @@ class TradeoffQuery:
     def __post_init__(self) -> None:
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
-        base = self.neighborhood.base
-        if self.prediction.dim != base.dim:
+        if self.prediction.dim != self.neighborhood.base.dim:
             raise ValueError("prediction and base model have different dimensions")
-        slack = self.neighborhood.alpha + 1e-9
-        dw = float(np.max(np.abs(self.prediction.weights - base.weights)))
-        db = abs(self.prediction.intercept - base.intercept)
-        db_slack = slack if self.neighborhood.perturb_intercept else 1e-9
-        if dw > slack or db > db_slack:
+        if not self.neighborhood.contains(self.prediction):
             raise ValueError("prediction lies outside the model ball")
 
 
@@ -81,24 +75,43 @@ class TradeoffPoint:
     robustness: float
     consistency: float
     l1_cost: float
-    valid: bool | None = None
 
 
 # Signed candidate moves for the blended coordinate search: +/-0.01 * 2^k.
 _STEP_GRID = np.concatenate([-0.01 * 2.0 ** np.arange(12, -1, -1), 0.01 * 2.0 ** np.arange(13)])
+# The same moves after a zero one, so a round's first column holds the current terms.
+_STAY_OR_STEP = np.append(0.0, _STEP_GRID)
 
 
-def _blended_value(tq: TradeoffQuery, x: np.ndarray) -> float:
+def _coordinate_terms(tq: TradeoffQuery, v, j=slice(None)) -> np.ndarray:
+    """What coordinates ``j`` at values ``v`` add to the blend's three sums.
+
+    The sums are the worst-case score (each weight shifted by alpha against
+    the sign of its input), the predicted score and the weighted L1 cost,
+    all without intercepts; ``v`` broadcasts against ``j``, and the three
+    terms stack along a new first axis.
+    """
     q, n = tq.query, tq.neighborhood
-    ws = float(
-        x @ n.base.weights
-        - n.alpha * np.abs(x).sum()
-        + n.base.intercept
-        - (n.alpha if n.perturb_intercept else 0.0)
+    return np.stack([
+        n.base.weights[j] * v - n.alpha * np.abs(v),
+        tq.prediction.weights[j] * v,
+        q.cost.weights[j] * np.abs(v - q.x0[j]),
+    ])
+
+
+def _mix(tq: TradeoffQuery, ws, ps, cost):
+    """The blended objective from the three sums: add the intercepts and weigh."""
+    q = tq.query
+    return (
+        tq.beta * eval_loss(q.loss, ws + tq.neighborhood.worst_intercept)
+        + (1.0 - tq.beta) * eval_loss(q.loss, ps + tq.prediction.intercept)
+        + q.lam * cost
     )
-    ps = score(tq.prediction, x)
-    blend = tq.beta * eval_loss(q.loss, ws) + (1.0 - tq.beta) * eval_loss(q.loss, ps)
-    return float(blend + q.lam * weighted_l1(q, x))
+
+
+def _blended_value(tq: TradeoffQuery, x):
+    """The blended objective at one point, or at every row of a stack of points."""
+    return _mix(tq, *_coordinate_terms(tq, np.asarray(x, dtype=float)).sum(axis=-1))
 
 
 def _blend(tq: TradeoffQuery, robust: RecoursePlan, consistent: RecoursePlan) -> RecoursePlan:
@@ -106,10 +119,12 @@ def _blend(tq: TradeoffQuery, robust: RecoursePlan, consistent: RecoursePlan) ->
 
     beta = 1 returns ``robust``; beta = 0 returns ``consistent`` with its
     worst-case total taken against the ball. Otherwise: starting from x0,
-    each round scans every mutable coordinate against the step grid and
-    applies the single best move; stops when no move improves by more than
-    1e-9, or after 4 d rounds. The search then restarts from either endpoint
-    that already does better than it.
+    each round scores every (mutable coordinate, step) move at once, as the
+    current point's sums minus the coordinate's old terms plus its new ones
+    (immutable coordinates score +inf), and applies the first best move,
+    lowest coordinate then lowest step; it stops when no move improves by more
+    than 1e-9, or after 4 d rounds. The search then restarts from either
+    endpoint that already does better than it.
     """
     q, n = tq.query, tq.neighborhood
     if tq.beta == 1.0:
@@ -118,46 +133,21 @@ def _blend(tq: TradeoffQuery, robust: RecoursePlan, consistent: RecoursePlan) ->
         worst = eval_total_cost(q, consistent.x_prime, best_response(n, consistent.x_prime))
         return dataclasses.replace(consistent, worst_case_total=worst)
 
-    d = q.dim
-    b_eff = n.base.intercept - (n.alpha if n.perturb_intercept else 0.0)
-
     def descend(x_start: np.ndarray) -> tuple[np.ndarray, float, list]:
         x = x_start.copy()
         current = _blended_value(tq, x)
         moves = []
-        for _ in range(4 * d):
-            best_gain, best_j, best_delta = 0.0, -1, 0.0
-            dot0 = float(x @ n.base.weights)
-            pdot = score(tq.prediction, x)
-            abs_sum = float(np.abs(x).sum())
-            cost_sum = weighted_l1(q, x)
-            for j in range(d):
-                if q.immutable_mask[j]:
-                    continue
-                xj_new = x[j] + _STEP_GRID
-                ws = (
-                    dot0
-                    + n.base.weights[j] * (xj_new - x[j])
-                    - n.alpha * (abs_sum - abs(x[j]) + np.abs(xj_new))
-                    + b_eff
-                )
-                ps = pdot + tq.prediction.weights[j] * (xj_new - x[j])
-                cost = cost_sum - q.cost.weights[j] * abs(x[j] - q.x0[j])
-                cost += q.cost.weights[j] * np.abs(xj_new - q.x0[j])
-                vals = (
-                    tq.beta * eval_loss(q.loss, ws)
-                    + (1.0 - tq.beta) * eval_loss(q.loss, ps)
-                    + q.lam * cost
-                )
-                k = int(np.argmin(vals))
-                gain = current - float(vals[k])
-                if gain > best_gain:
-                    best_gain, best_j, best_delta = gain, j, float(_STEP_GRID[k])
-            if best_j < 0 or best_gain <= 1e-9:
+        for _ in range(4 * q.dim):
+            terms = _coordinate_terms(tq, x[:, None] + _STAY_OR_STEP, np.s_[:, None])
+            here = terms[..., :1]
+            vals = _mix(tq, *(here.sum(axis=1, keepdims=True) - here + terms[..., 1:]))
+            vals[q.immutable_mask] = np.inf
+            j, k = np.unravel_index(np.argmin(vals), vals.shape)
+            if current - vals[j, k] <= 1e-9:
                 break
-            x[best_j] += best_delta
-            current -= best_gain
-            moves.append((best_j, best_delta, False))
+            x[j] += _STEP_GRID[k]
+            current = vals[j, k]
+            moves.append((int(j), float(_STEP_GRID[k]), False))
         return x, current, moves
 
     x, current, trace = descend(q.x0)
@@ -252,11 +242,7 @@ def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
     return hits / len(recourses)
 
 
-def pareto_frontier(
-    tq: TradeoffQuery,
-    betas: list,
-    label_model: ModelParams | None = None,
-) -> list[TradeoffPoint]:
+def pareto_frontier(tq: TradeoffQuery, betas: list) -> list[TradeoffPoint]:
     """One TradeoffPoint per beta; ``tq.beta`` is ignored.
 
     The robust and consistent plans are solved once and serve both as the
@@ -267,16 +253,12 @@ def pareto_frontier(
     points = []
     for beta in betas:
         plan = _blend(dataclasses.replace(tq, beta=float(beta)), robust, consistent)
-        valid = None
-        if label_model is not None:
-            valid = predict_label(GlmScorer(label_model), plan.x_prime) == 1
         points.append(
             TradeoffPoint(
                 beta=float(beta),
                 robustness=robustness(tq.query, tq.neighborhood, plan.x_prime, robust),
                 consistency=consistency(tq.query, tq.prediction, plan.x_prime, consistent),
                 l1_cost=plan.l1_cost,
-                valid=valid,
             )
         )
     return points

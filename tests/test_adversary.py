@@ -84,6 +84,15 @@ def test_corner_oracle_edges():
     np.testing.assert_allclose(got.weights, base.weights, atol=1e-15)
     zero = corner_oracle(Neighborhood(base, 0.5), np.zeros(2))
     assert score(zero, np.zeros(2)) == pytest.approx(0.3 - 0.5)
+    # every weight pattern ties at x = 0; the lexicographically first wins
+    np.testing.assert_array_equal(zero.weights, base.weights - 0.5)
+    # corners run in lexicographic order of the sign patterns, -1 first
+    weights, intercepts = _nbhd([1.0], 0.5, intercept=0.25).corners()
+    np.testing.assert_array_equal(weights[:, 0], [0.5, 0.5, 1.5, 1.5])
+    np.testing.assert_array_equal(intercepts, [-0.25, 0.75, -0.25, 0.75])
+    weights, intercepts = _nbhd([1.0, 2.0], 0.5, intercept=0.25, perturb_intercept=False).corners()
+    np.testing.assert_array_equal(weights, [[0.5, 1.5], [0.5, 2.5], [1.5, 1.5], [1.5, 2.5]])
+    np.testing.assert_array_equal(intercepts, [0.25] * 4)
     with pytest.raises(ValueError):
         corner_oracle(_nbhd(np.zeros(25), 0.1), np.zeros(25))
 
@@ -91,6 +100,19 @@ def test_corner_oracle_edges():
 def test_neighborhood_validation():
     with pytest.raises(ValueError):
         _nbhd([1.0], -0.1)
+    ball = _nbhd([1.0, -1.0], 0.5, intercept=0.25)
+    fixed = _nbhd([1.0, -1.0], 0.5, intercept=0.25, perturb_intercept=False)
+    assert (ball.worst_intercept, fixed.worst_intercept) == (-0.25, 0.25)
+    inside = ModelParams(weights=np.array([1.5, -1.2]), intercept=0.7)
+    assert ball.contains(inside) and not fixed.contains(inside)
+    assert fixed.contains(ModelParams(weights=np.array([0.5, -0.5]), intercept=0.25 + 1e-10))
+    assert not ball.contains(ModelParams(weights=np.array([1.6, -1.0]), intercept=0.25))
+    assert not ball.contains(ModelParams(weights=np.array([1.0]), intercept=0.25))
+    far = ModelParams(weights=np.array([3.0, -1.2]), intercept=-2.0)
+    clamped = ball.clamp(far)
+    np.testing.assert_array_equal(clamped.weights, [1.5, -1.2])
+    assert clamped.intercept == -0.25 and ball.contains(clamped)
+    assert fixed.clamp(far).intercept == 0.25 and fixed.contains(fixed.clamp(far))
 
 
 def _mean_bce(params, points):

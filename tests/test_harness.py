@@ -13,7 +13,6 @@ from robust_recourse.experiments import (
     ExperimentConfig,
     PredictionMode,
     PredictionSetSpec,
-    _clamp_into_ball,
     _correct_prediction_models,
     _prepare_fold,
     _select_lambda,
@@ -152,12 +151,11 @@ def test_explicit_predictions():
     spec = PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(((1.2,), 0.1),))
     preds = generate_predictions(spec, base, 0.3)
     assert preds[0][0] == "pred0"
-    with pytest.raises(ConfigError, match="outside the model ball"):
-        generate_predictions(
-            PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(((2.0,), 0.0),)),
-            base,
-            0.3,
-        )
+    for outside in (((2.0,), 0.0), ((1.2,), 0.31), ((1.0, 1.0), 0.0)):
+        with pytest.raises(ConfigError, match="outside the model ball"):
+            generate_predictions(
+                PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(outside,)), base, 0.3
+            )
     with pytest.raises(ConfigError, match="at least one model"):
         generate_predictions(PredictionSetSpec(mode=PredictionMode.EXPLICIT), base, 0.3)
 
@@ -388,7 +386,7 @@ def test_smoothness_study_matches_per_beta_reference(tmp_path):
         for task in tasks:
             q = RecourseQuery(x0=task.x0, lam=lam)
             nbhd = Neighborhood(task.base, alpha)
-            correct = _clamp_into_ball(correct_raw, task.base, alpha)
+            correct = nbhd.clamp(correct_raw)
             best = consistent_recourse(q, correct).worst_case_total
             for name, pred in generate_predictions(spec, task.base, alpha, correct=correct):
                 for beta in cfg.beta_grid:

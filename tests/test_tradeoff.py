@@ -4,11 +4,21 @@ import numpy as np
 import pytest
 
 from robust_recourse.adversary import Neighborhood, best_response
-from robust_recourse.glm import CostSpec, LossKind, ModelParams, RecourseQuery, eval_total_cost
+from robust_recourse.glm import (
+    CostSpec,
+    LossKind,
+    ModelParams,
+    RecourseQuery,
+    eval_loss,
+    eval_total_cost,
+    score,
+    weighted_l1,
+)
 from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
 from robust_recourse.tradeoff import (
     _STEP_GRID,
     TradeoffQuery,
+    _blend,
     blended_recourse,
     consistency,
     pareto_frontier,
@@ -109,7 +119,7 @@ def _dense_blend_min(tq, lo=-6.0, hi=6.0, n=240_001):
     from robust_recourse.tradeoff import _blended_value
 
     xs = np.linspace(lo, hi, n)
-    return min(_blended_value(tq, np.array([v])) for v in xs)
+    return float(_blended_value(tq, xs[:, None]).min())
 
 
 def test_blended_interior_close_to_dense_grid():
@@ -139,6 +149,109 @@ def test_blended_never_worse_than_start_or_endpoints():
         assert val <= _blended_value(tq, cons.x_prime) + 1e-2
 
 
+def _reference_value(tq, x):
+    """The blended objective as a dot product, the way the incremental search wrote it."""
+    q, n = tq.query, tq.neighborhood
+    ws = float(
+        x @ n.base.weights
+        - n.alpha * np.abs(x).sum()
+        + n.base.intercept
+        - (n.alpha if n.perturb_intercept else 0.0)
+    )
+    ps = score(tq.prediction, x)
+    blend = tq.beta * eval_loss(q.loss, ws) + (1.0 - tq.beta) * eval_loss(q.loss, ps)
+    return float(blend + q.lam * weighted_l1(q, x))
+
+
+def _reference_blend(tq, robust, consistent):
+    """Interior-beta blend with a per-coordinate loop and running dot products."""
+    q, n = tq.query, tq.neighborhood
+    d = q.dim
+    b_eff = n.base.intercept - (n.alpha if n.perturb_intercept else 0.0)
+
+    def descend(x_start):
+        x = x_start.copy()
+        current = _reference_value(tq, x)
+        moves = []
+        for _ in range(4 * d):
+            best_gain, best_j, best_delta = 0.0, -1, 0.0
+            dot0 = float(x @ n.base.weights)
+            pdot = score(tq.prediction, x)
+            abs_sum = float(np.abs(x).sum())
+            cost_sum = weighted_l1(q, x)
+            for j in range(d):
+                if q.immutable_mask[j]:
+                    continue
+                xj_new = x[j] + _STEP_GRID
+                ws = (
+                    dot0
+                    + n.base.weights[j] * (xj_new - x[j])
+                    - n.alpha * (abs_sum - abs(x[j]) + np.abs(xj_new))
+                    + b_eff
+                )
+                ps = pdot + tq.prediction.weights[j] * (xj_new - x[j])
+                cost = cost_sum - q.cost.weights[j] * abs(x[j] - q.x0[j])
+                cost += q.cost.weights[j] * np.abs(xj_new - q.x0[j])
+                vals = (
+                    tq.beta * eval_loss(q.loss, ws)
+                    + (1.0 - tq.beta) * eval_loss(q.loss, ps)
+                    + q.lam * cost
+                )
+                k = int(np.argmin(vals))
+                gain = current - float(vals[k])
+                if gain > best_gain:
+                    best_gain, best_j, best_delta = gain, j, float(_STEP_GRID[k])
+            if best_j < 0 or best_gain <= 1e-9:
+                break
+            x[best_j] += best_delta
+            current -= best_gain
+            moves.append((best_j, best_delta, False))
+        return x, current, moves
+
+    x, current, trace = descend(q.x0)
+    for endpoint in (robust, consistent):
+        if _reference_value(tq, endpoint.x_prime) < current - 1e-12:
+            x2, val2, moves2 = descend(endpoint.x_prime)
+            if val2 < current - 1e-12:
+                x, current = x2, val2
+                trace = list(endpoint.trace) + moves2
+    return x, tuple(trace), eval_total_cost(q, x, best_response(n, x))
+
+
+def test_blend_matches_per_coordinate_reference_exactly():
+    # the vectorised search must make the same moves as a per-coordinate loop
+    rng = np.random.default_rng(28)
+    seen = set()
+    for case in range(60):
+        d = int(rng.choice([1, 2, 3, 5, 20]))
+        mask = rng.random(d) < 0.3
+        if case == 0:
+            mask[:] = True  # nothing can move: the plan stays at x0
+        x0 = rng.uniform(-2, 2, d)
+        x0[rng.random(d) < 0.2] = 0.0
+        loss = LossKind.SQUARED if case % 2 else LossKind.BCE
+        q = _query(x0, float(rng.uniform(0.02, 0.4)), loss=loss, immutable_mask=mask,
+                   cost=CostSpec(rng.uniform(0.5, 2.0, d)) if rng.random() < 0.5 else None)
+        fixed = bool(rng.random() < 0.5)
+        n = _nbhd(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 0.6)),
+                  intercept=float(rng.uniform(-1, 1)), perturb_intercept=not fixed)
+        shift = 0.0 if fixed else float(rng.uniform(-n.alpha, n.alpha))
+        pred = ModelParams(n.base.weights + rng.uniform(-n.alpha, n.alpha, d), n.base.intercept + shift)
+        tq = TradeoffQuery(q, n, pred, float(rng.uniform(0.05, 0.95)))
+        robust = optimal_robust_recourse(q, n)
+        consistent = consistent_recourse(q, pred)
+        x_ref, trace_ref, worst_ref = _reference_blend(tq, robust, consistent)
+        plan = _blend(tq, robust, consistent)
+        np.testing.assert_array_equal(plan.x_prime, x_ref)
+        assert plan.trace == trace_ref
+        assert plan.worst_case_total == worst_ref
+        seen.add((d, loss, fixed, bool(mask.all())))
+        if case == 0:
+            np.testing.assert_array_equal(plan.x_prime, q.x0)
+    assert {d for d, *_ in seen} == {1, 2, 3, 5, 20}
+    assert {fixed for _, _, fixed, _ in seen} == {True, False}
+
+
 def test_step_grid_is_signed_and_sorted():
     grid = _STEP_GRID
     assert grid.size == 26
@@ -155,15 +268,13 @@ def test_pareto_frontier_endpoints_and_monotonicity():
     n = _nbhd([1.0], 0.5, perturb_intercept=False)
     pred = ModelParams(weights=np.array([1.4]), intercept=0.0)
     betas = [0.0, 0.25, 0.5, 0.75, 1.0]
-    pts = pareto_frontier(TradeoffQuery(q, n, pred, 1.0), betas, label_model=pred)
+    pts = pareto_frontier(TradeoffQuery(q, n, pred, 1.0), betas)
     assert [p.beta for p in pts] == betas
     assert pts[-1].robustness == pytest.approx(0.0, abs=1e-12)
     assert pts[0].consistency == pytest.approx(0.0, abs=1e-12)
     for a, b in zip(pts, pts[1:]):
         assert b.robustness <= a.robustness + 1e-3
         assert b.consistency >= a.consistency - 1e-3
-    assert all(p.valid in (True, False) for p in pts)
-    assert pts[0].valid  # consistent plan crosses the boundary under its model
 
 
 def _random_problem(rng):
@@ -206,7 +317,7 @@ def test_beta_sweeps_equal_per_beta_blends_exactly():
             weights=n.base.weights + rng.uniform(-n.alpha, n.alpha, q.dim),
             intercept=n.base.intercept,
         )
-        points = pareto_frontier(tq, betas, label_model=tq.prediction)
+        points = pareto_frontier(tq, betas)
         regrets = smoothness(q, n, tq.prediction, correct, betas)
         best = consistent_recourse(q, correct).worst_case_total
         for beta, pt, regret in zip(betas, points, regrets):
@@ -215,7 +326,6 @@ def test_beta_sweeps_equal_per_beta_blends_exactly():
             assert pt.robustness == robustness(q, n, plan.x_prime)
             assert pt.consistency == consistency(q, tq.prediction, plan.x_prime)
             assert pt.l1_cost == plan.l1_cost
-            assert pt.valid == (validity(tq.prediction, [plan.x_prime]) == 1.0)
             assert regret == eval_total_cost(q, plan.x_prime, correct) - best
     assert losses == {LossKind.BCE, LossKind.SQUARED}
 
@@ -288,8 +398,12 @@ def test_tradeoff_query_validation():
     with pytest.raises(ValueError):
         TradeoffQuery(q, n, ModelParams(weights=np.array([1.0]), intercept=0.5), 0.5)
     fixed = _nbhd([1.0], 0.2, perturb_intercept=False)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="outside the model ball"):
         TradeoffQuery(q, fixed, ModelParams(weights=np.array([1.0]), intercept=0.1), 0.5)
+    TradeoffQuery(q, fixed, ModelParams(weights=np.array([1.2]), intercept=1e-10), 0.5)
+    TradeoffQuery(q, n, ModelParams(weights=np.array([0.8]), intercept=-0.2), 0.5)  # on the surface
+    with pytest.raises(ValueError, match="different dimensions"):
+        TradeoffQuery(q, n, ModelParams(weights=np.array([1.0, 1.0]), intercept=0.0), 0.5)
 
 
 def test_blended_squared_loss_runs():
