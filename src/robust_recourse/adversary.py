@@ -162,26 +162,28 @@ def worst_case_shared_model(neighborhood, recourses, cfg: AscentConfig = AscentC
     def scores(theta):
         return (design @ theta[:, :, None])[:, :, 0]
 
-    def objective(theta):
-        return np.mean(eval_loss(LossKind.BCE, scores(theta)), axis=1)
+    def objective(s):
+        return np.mean(eval_loss(LossKind.BCE, s), axis=1)
 
     beta1, beta2 = cfg.moment_decay
     theta = theta0.copy()
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
     best_theta = theta.copy()
-    best_value = objective(theta)
+    s = scores(theta)  # the current iterate's scores serve its objective and the next gradient
+    best_value = objective(s)
 
     for step in range(1, cfg.steps + 1):
         # ascent direction: d/dtheta mean log(1 + exp(-s)) = -mean sigmoid(-s) x
-        grad = -(design_t @ sigmoid(-scores(theta))[:, :, None])[:, :, 0] / points.shape[1]
+        grad = -(design_t @ sigmoid(-s)[:, :, None])[:, :, 0] / points.shape[1]
         m = beta1 * m + (1.0 - beta1) * grad
         v = beta2 * v + (1.0 - beta2) * grad * grad
         m_hat = m / (1.0 - beta1**step)
         v_hat = v / (1.0 - beta2**step)
         theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
         theta = np.clip(theta, lo, hi)
-        value = objective(theta)
+        s = scores(theta)
+        value = objective(s)
         improved = value > best_value
         best_value = np.where(improved, value, best_value)
         best_theta[improved] = theta[improved]

@@ -57,8 +57,9 @@ class LossKind(Enum):
 
 def sign(v):
     """Two-valued sign: +1.0 for v >= 0, -1.0 otherwise. Elementwise on arrays."""
-    out = np.where(np.asarray(v, dtype=float) >= 0.0, 1.0, -1.0)
-    if np.ndim(v) == 0:
+    v_arr = np.asarray(v, dtype=float)
+    out = np.where(v_arr >= 0.0, 1.0, -1.0)
+    if v_arr.ndim == 0:
         return float(out)
     return out
 
@@ -67,7 +68,7 @@ def sigmoid(s):
     """Numerically stable logistic function, scalar or elementwise."""
     s_arr = np.asarray(s, dtype=float)
     out = np.exp(-np.logaddexp(0.0, -s_arr))
-    if np.ndim(s) == 0:
+    if s_arr.ndim == 0:
         return float(out)
     return out
 
@@ -189,7 +190,7 @@ def eval_loss(loss: LossKind, s):
         out = np.square(np.clip(s_arr, 0.0, 1.0) - 1.0)
     else:  # pragma: no cover - enum is closed
         raise ValueError(f"unknown loss {loss!r}")
-    if np.ndim(s) == 0:
+    if s_arr.ndim == 0:
         return float(out)
     return out
 
@@ -203,7 +204,7 @@ def loss_derivative(loss: LossKind, s):
         out = np.where((s_arr > 0.0) & (s_arr < 1.0), 2.0 * (s_arr - 1.0), 0.0)
     else:  # pragma: no cover
         raise ValueError(f"unknown loss {loss!r}")
-    if np.ndim(s) == 0:
+    if s_arr.ndim == 0:
         return float(out)
     return out
 

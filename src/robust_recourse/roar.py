@@ -13,6 +13,27 @@ worst-case total cost, is returned rather than the last one.
 One loop, ``roar_recourse_batch``, runs many rows at once, each with its own
 ``lam``, model ball and immutable mask. Every operation stays within a row, so
 no row's result depends on the others; ``roar_recourse`` is the one-row case.
+
+The loop runs in blocks of at most 64 iterations, fewer when the stack is
+large (a block buffers about 16k entries of x). Inside a block it does only
+the recurrence: gradient, masked step, x, offset from x0, worst-case weights
+and score, and each iterate's x, score and step go into buffers. Once per
+block, over all its iterates at once, it evaluates the totals, applies the
+``tolerance`` freeze and updates the best iterate. This is exact, bit for bit,
+against a loop that does all of it every iteration:
+
+- each buffered number comes from the same elementwise operations, in the
+  same order, as in the per-iteration loop; only the array holding it is
+  larger;
+- a row whose step falls to ``tolerance`` at iterate k would take no further
+  step, so its later iterates all equal iterate k and none can improve on
+  it. The block drops the row's iterates after k, and from the next block on
+  its steps are masked to zero. That gives the result of rewinding the row to
+  iterate k, although it runs on in the buffers to the end of the block;
+- the per-iteration loop keeps an iterate only if it is strictly lower than
+  the best so far, so it ends on the first minimum of all iterates. The block
+  takes its own first minimum and keeps it only if strictly lower than the
+  best of the earlier blocks.
 """
 
 from __future__ import annotations
@@ -35,6 +56,10 @@ from .glm import (
 from .solver import RecoursePlan
 
 __all__ = ["RoarConfig", "roar_recourse", "roar_recourse_batch"]
+
+# a block runs at most this many iterations and buffers about this many x entries
+_BLOCK_ITERS = 64
+_BLOCK_ELEMENTS = 16384
 
 
 @dataclass(frozen=True)
@@ -94,39 +119,65 @@ def roar_recourse_batch(
         )
     alpha = np.array([[ball.alpha] for ball in balls])
     b_eff = np.array([ball.worst_intercept for ball in balls])
-    lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,)).copy()
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape not in ((), (m,)):
+        raise DimensionMismatchError(f"lam of shape {lam.shape} for {m} rows")
+    lam = np.broadcast_to(lam, (m,))
     if not np.all((0.0 <= lam) & (lam < np.inf)):
         raise ValueError("lam must be finite and nonnegative")
     mask = np.zeros(d, dtype=bool) if immutable_mask is None else immutable_mask
-    free = ~np.broadcast_to(np.asarray(mask, dtype=bool), (m, d))
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape not in ((d,), (m, d)):
+        raise DimensionMismatchError(f"mask of shape {mask.shape} for starts of shape {(m, d)}")
+    free = ~np.broadcast_to(mask, (m, d))
     cost_w = (cost or CostSpec.unit(d)).weights
+    if cost_w.shape != (d,):
+        raise DimensionMismatchError(f"cost has {cost_w.size} weights, starts have {d} features")
     lam_cost = lam[:, None] * cost_w
+    # worst-case weights on each orthant side; sign convention +1 at zero, matching best_response
+    w_pos, w_neg = base_w - alpha, base_w + alpha
 
     def scored(pts: np.ndarray) -> tuple:
-        # worst-case weights and scores; sign convention +1 at zero, matching best_response
-        weights = base_w - alpha * np.where(pts >= 0.0, 1.0, -1.0)
+        weights = np.where(pts >= 0.0, w_pos, w_neg)
         return weights, (pts * weights).sum(axis=1) + b_eff
 
     def totals(s: np.ndarray, diff: np.ndarray) -> np.ndarray:
-        return eval_loss(loss, s) + lam * (np.abs(diff) * cost_w).sum(axis=1)
+        return eval_loss(loss, s) + lam * (np.abs(diff) * cost_w).sum(axis=-1)
 
-    # an iterate's weights, score and offset from x0 serve its total and the next step
+    # an iterate's weights, score and offset from x0 serve the next step; its
+    # x, score and step wait in the block buffers for the bookkeeping
+    block = max(1, min(_BLOCK_ITERS, cfg.max_iters, _BLOCK_ELEMENTS // max(1, m * d)))
+    xs, ss, steps = np.empty((block, m, d)), np.empty((block, m)), np.empty((block, m, d))
     x, diff = x0s.copy(), np.zeros_like(x0s)
     weights, s = scored(x)
     best_x = x0s.copy()
     best_val = totals(s, diff)
     alive = np.ones(m, dtype=bool)
-    for _ in range(cfg.max_iters):
+    rows = np.arange(m)
+    for start in range(0, cfg.max_iters, block):
         if not alive.any():
             break
-        grad = loss_derivative(loss, s)[:, None] * weights + lam_cost * np.sign(diff)
-        step = np.where(alive[:, None] & free, cfg.learning_rate * grad, 0.0)
-        x = x - step
-        diff = x - x0s
-        weights, s = scored(x)
-        val = totals(s, diff)
-        improved = val < best_val
-        best_val = np.where(improved, val, best_val)
-        best_x[improved] = x[improved]
-        alive &= np.abs(step).max(axis=1) > cfg.tolerance
+        n = min(block, cfg.max_iters - start)
+        moving = alive[:, None] & free
+        for i in range(n):
+            grad = loss_derivative(loss, s)[:, None] * weights + lam_cost * np.sign(diff)
+            step = steps[i] = np.where(moving, cfg.learning_rate * grad, 0.0)
+            x = np.subtract(x, step, out=xs[i])
+            diff = x - x0s
+            weights, s = scored(x)
+            ss[i] = s
+        # iterate i counts if its row was alive entering the block and every
+        # earlier step of the block cleared the tolerance; a NaN total never
+        # counts, as it is never strictly lower than the best
+        stepped = np.abs(steps[:n]).max(axis=2) > cfg.tolerance
+        counted = np.logical_and.accumulate(np.vstack([alive, stepped[:-1]]), axis=0)
+        vals = totals(ss[:n], xs[:n] - x0s)
+        vals = np.where(counted & ~np.isnan(vals), vals, np.inf)
+        # the first minimum of the block replaces the best only if strictly lower
+        first = vals.argmin(axis=0)
+        low = vals[first, rows]
+        improved = low < best_val
+        best_val = np.where(improved, low, best_val)
+        best_x[improved] = xs[first[improved], rows[improved]]
+        alive = counted[-1] & stepped[-1]
     return best_x

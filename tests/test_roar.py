@@ -2,8 +2,23 @@ import numpy as np
 import pytest
 
 from robust_recourse.adversary import Neighborhood, best_response
-from robust_recourse.glm import CostSpec, LossKind, ModelParams, RecourseQuery, eval_total_cost
-from robust_recourse.roar import RoarConfig, roar_recourse, roar_recourse_batch
+from robust_recourse.glm import (
+    CostSpec,
+    DimensionMismatchError,
+    LossKind,
+    ModelParams,
+    RecourseQuery,
+    eval_loss,
+    eval_total_cost,
+    loss_derivative,
+)
+from robust_recourse.roar import (
+    _BLOCK_ELEMENTS,
+    _BLOCK_ITERS,
+    RoarConfig,
+    roar_recourse,
+    roar_recourse_batch,
+)
 from robust_recourse.solver import optimal_robust_recourse
 from robust_recourse.tradeoff import robustness
 
@@ -120,3 +135,157 @@ def test_stacked_ball_count_must_match_rows():
         roar_recourse_batch(np.zeros((4, 2)), 0.1, balls)
     with pytest.raises(ValueError):
         roar_recourse_batch(np.zeros((3, 2)), [0.1, -0.1, 0.1], balls)
+
+
+def test_batch_inputs_must_match_the_stack_shape():
+    # nothing of length 1 is broadcast across features or rows
+    starts, ball = np.zeros((3, 2)), _nbhd([1.0, 1.0], 0.1)
+    bad = [
+        (0.1, dict(cost=CostSpec([1.0]))),
+        (0.1, dict(cost=CostSpec([1.0, 1.0, 1.0]))),
+        (0.1, dict(immutable_mask=[True])),
+        (0.1, dict(immutable_mask=np.zeros((2, 2), dtype=bool))),
+        (0.1, dict(immutable_mask=np.zeros((3, 1), dtype=bool))),
+        ([0.1], {}),
+        ([0.1, 0.1], {}),
+        (np.full((3, 1), 0.1), {}),
+    ]
+    for lam, kw in bad:
+        with pytest.raises(DimensionMismatchError):
+            roar_recourse_batch(starts, lam, ball, **kw)
+    cfg = RoarConfig(max_iters=5)
+    for lam, mask in ((0.1, [True, False]), ([0.1, 0.2, 0.3], [[True, False]] * 3)):
+        got = roar_recourse_batch(starts, lam, ball, cfg, immutable_mask=mask)
+        assert (got[:, 0] == 0.0).all() and (got[:, 1] != 0.0).all()
+
+
+def _reference_roar(x0s, lam, balls, cfg, loss, cost, mask):
+    """The per-iteration loop: totals, best iterate and freeze after every step.
+
+    Returns the best iterate of each row and the iteration each row froze at
+    (0 for a row that ran its whole budget).
+    """
+    m, d = x0s.shape
+    base_w = np.array([ball.base.weights for ball in balls])
+    alpha = np.array([[ball.alpha] for ball in balls])
+    b_eff = np.array([ball.worst_intercept for ball in balls])
+    lam = np.broadcast_to(np.asarray(lam, dtype=float), (m,))
+    free = ~np.broadcast_to(np.asarray(mask, dtype=bool), (m, d))
+    cost_w = cost.weights
+    lam_cost = lam[:, None] * cost_w
+
+    def scored(pts):
+        weights = base_w - alpha * np.where(pts >= 0.0, 1.0, -1.0)
+        return weights, (pts * weights).sum(axis=1) + b_eff
+
+    def totals(s, diff):
+        return eval_loss(loss, s) + lam * (np.abs(diff) * cost_w).sum(axis=1)
+
+    x, diff = x0s.copy(), np.zeros_like(x0s)
+    weights, s = scored(x)
+    best_x = x0s.copy()
+    best_val = totals(s, diff)
+    alive = np.ones(m, dtype=bool)
+    froze = np.zeros(m, dtype=int)
+    for it in range(1, cfg.max_iters + 1):
+        if not alive.any():
+            break
+        grad = loss_derivative(loss, s)[:, None] * weights + lam_cost * np.sign(diff)
+        step = np.where(alive[:, None] & free, cfg.learning_rate * grad, 0.0)
+        x = x - step
+        diff = x - x0s
+        weights, s = scored(x)
+        val = totals(s, diff)
+        improved = val < best_val
+        best_val = np.where(improved, val, best_val)
+        best_x[improved] = x[improved]
+        stopped = alive & (np.abs(step).max(axis=1) <= cfg.tolerance)
+        froze[stopped] = it
+        alive &= ~stopped
+    return best_x, froze
+
+
+def _random_batch(rng, m, d):
+    x0s = rng.uniform(-2, 2, (m, d))
+    x0s[rng.random((m, d)) < 0.2] = 0.0
+    balls = [
+        _nbhd(
+            rng.uniform(-1.5, 1.5, d),
+            float(rng.choice([0.0, 0.1, 0.4])),
+            intercept=float(rng.uniform(-1, 1)),
+            perturb_intercept=bool(rng.random() < 0.5),
+        )
+        for _ in range(m)
+    ]
+    lam = rng.choice([0.0, 0.05, 0.2], m)
+    mask = rng.random((m, d)) < 0.2
+    cost = CostSpec(rng.uniform(0.5, 2.0, d))
+    return x0s, lam, balls, cost, mask
+
+
+@pytest.mark.parametrize("offset", [-(_BLOCK_ITERS - 1), -1, 0, 1, 1000 - _BLOCK_ITERS])
+def test_blocks_match_the_per_iteration_loop_bitwise(offset):
+    # max_iters runs 1, block - 1, block, block + 1 and 1000; tolerances up to
+    # 3e-2 freeze rows at the first iteration, mid-block and never
+    rng = np.random.default_rng([34, offset + _BLOCK_ITERS])
+    froze_at, mid_block = [], []
+    for trial in range(12):
+        loss = (LossKind.BCE, LossKind.SQUARED)[trial % 2]
+        # small stacks take the full block; the last trials cap it by size
+        m, d = (int(rng.integers(1, 9)), int(rng.integers(1, 5))) if trial < 9 else (30, 20)
+        block = min(_BLOCK_ITERS, _BLOCK_ELEMENTS // (m * d))
+        cfg = RoarConfig(
+            learning_rate=float(rng.choice([0.01, 0.1])),
+            max_iters=max(1, block + offset),
+            tolerance=float(rng.choice([1e-7, 1e-3, 3e-2])),
+        )
+        x0s, lam, balls, cost, mask = _random_batch(rng, m, d)
+        got = roar_recourse_batch(x0s, lam, balls, cfg, loss, cost, mask)
+        want, froze = _reference_roar(x0s, lam, balls, cfg, loss, cost, mask)
+        assert got.tobytes() == want.tobytes()
+        froze_at.extend(froze)
+        mid_block.extend((froze > 1) & (froze % block != 0))
+    if offset > -(_BLOCK_ITERS - 1):
+        assert (np.array(froze_at) == 1).any() and any(mid_block)
+
+
+def test_freeze_and_ties_match_the_per_iteration_loop():
+    # row 0: squared loss with score >= 1 at x0, so the first step is exactly 0
+    # and the row freezes at iteration 1 while the others run on;
+    # row 1: the worst-case weight is 0 for x < 0 and lam is 0, so the first
+    # step lands on a total equal to x0's, which is no strict improvement
+    balls = [
+        _nbhd([1.0, 1.0], 0.1, intercept=1.5),
+        _nbhd([-0.5, 0.3], 0.5, perturb_intercept=False),
+        _nbhd([0.5, -1.0], 0.2, intercept=-0.5),
+    ]
+    x0s = np.array([[0.5, 0.5], [0.0, 0.0], [-0.3, 0.4]])
+    lam = np.array([0.1, 0.0, 0.05])
+    mask = np.array([[False, False], [False, True], [False, False]])
+    cost = CostSpec.unit(2)
+    for loss in (LossKind.SQUARED, LossKind.BCE):
+        cfg = RoarConfig(learning_rate=0.25, max_iters=200)
+        got = roar_recourse_batch(x0s, lam, balls, cfg, loss, cost, mask)
+        want, froze = _reference_roar(x0s, lam, balls, cfg, loss, cost, mask)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got[1], x0s[1])
+        if loss is LossKind.SQUARED:
+            assert froze[0] == 1
+            np.testing.assert_array_equal(got[0], x0s[0])
+
+
+def test_a_freeze_on_the_last_iteration_of_a_block_holds():
+    # one BCE row, lam = 0, whose steps shrink every iteration; the tolerance
+    # sits between its steps at iterations block - 1 and block, so it freezes
+    # on the block's last iteration though later iterates would still improve
+    lr, x, steps = 0.1, 0.5, []
+    for _ in range(_BLOCK_ITERS):
+        steps.append(-lr * loss_derivative(LossKind.BCE, x))  # weight 1, intercept 0
+        x += steps[-1]
+    cfg = RoarConfig(learning_rate=lr, max_iters=300, tolerance=(steps[-2] + steps[-1]) / 2)
+    x0s, ball = np.array([[0.5]]), _nbhd([1.0], 0.0, perturb_intercept=False)
+    got = roar_recourse_batch(x0s, 0.0, ball, cfg)
+    want, froze = _reference_roar(x0s, 0.0, [ball], cfg, LossKind.BCE, CostSpec.unit(1), [False])
+    assert froze[0] == _BLOCK_ITERS
+    assert got.tobytes() == want.tobytes()
+    assert roar_recourse_batch(x0s, 0.0, ball, RoarConfig(lr, 300))[0, 0] > got[0, 0]
