@@ -138,6 +138,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} must be non-empty")
             if any(not 0.0 <= v < np.inf for v in getattr(self, name)):
                 raise ConfigError(f"{name} values must be finite and nonnegative")
+            if len(set(getattr(self, name))) < len(getattr(self, name)):
+                raise ConfigError(f"{name} values must be distinct")
         if any(not 0.0 <= b <= 1.0 for b in self.beta_grid):
             raise ConfigError("beta_grid values must lie in [0, 1]")
         if self.k_folds < 1:

@@ -9,13 +9,20 @@ solver's selection rule, and restart from an endpoint plan that does better.
 
 The blended objective is written once. ``_coordinate_terms`` gives what
 coordinates add to its three sums (worst-case score, predicted score,
-weighted cost) and ``_mix`` turns the sums into the objective.
-``_blended_value`` mixes a point's summed terms; each search round mixes
-every candidate move's sums in one vectorised step.
+weighted cost) and ``_mix`` turns the sums into the objective at one trust
+level or at a column of them. ``_blended_value`` mixes a point's summed
+terms; each search round mixes every candidate move's sums in one
+vectorised step.
 
-One private function, ``_blend``, computes the blend from the two endpoint
-plans. ``blended_recourse`` solves them for one beta; ``pareto_frontier``
-and ``smoothness`` solve them once per query and blend for every beta.
+One private function, ``_blend``, blends a whole beta sweep from the two
+endpoint plans. Its interior betas share one search, ``_descend``, over a
+(B, d, 26) stack of moves, one row per beta; a row that stops improving is
+masked out for good, and two more stacked searches restart the rows an
+endpoint plan beats. No sum runs across rows, and each row's sums reduce
+over the coordinate axis as a lone row's would, so every plan is bitwise
+the one a one-beta sweep gives. ``blended_recourse`` is that one-beta case;
+``pareto_frontier`` and ``smoothness`` solve the endpoints once per query
+and blend their full ``betas``.
 
 Metrics:
 
@@ -51,6 +58,11 @@ __all__ = [
 ]
 
 
+def _check_beta(beta: float) -> None:
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"beta must lie in [0, 1], got {beta}")
+
+
 @dataclass(frozen=True)
 class TradeoffQuery:
     """A recourse query plus a model ball, a prediction inside it, and a trust level."""
@@ -61,8 +73,7 @@ class TradeoffQuery:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must lie in [0, 1], got {self.beta}")
+        _check_beta(self.beta)
         if self.prediction.dim != self.neighborhood.base.dim:
             raise ValueError("prediction and base model have different dimensions")
         if not self.neighborhood.contains(self.prediction):
@@ -99,74 +110,119 @@ def _coordinate_terms(tq: TradeoffQuery, v, j=slice(None)) -> np.ndarray:
     ])
 
 
-def _mix(tq: TradeoffQuery, ws, ps, cost):
-    """The blended objective from the three sums: add the intercepts and weigh."""
+def _mix(tq: TradeoffQuery, beta, ws, ps, cost):
+    """The blended objective from the three sums: add the intercepts and weigh.
+
+    ``beta`` is a scalar or a column that broadcasts against the sums, one
+    trust level per row.
+    """
     q = tq.query
     return (
-        tq.beta * eval_loss(q.loss, ws + tq.neighborhood.worst_intercept)
-        + (1.0 - tq.beta) * eval_loss(q.loss, ps + tq.prediction.intercept)
+        beta * eval_loss(q.loss, ws + tq.neighborhood.worst_intercept)
+        + (1.0 - beta) * eval_loss(q.loss, ps + tq.prediction.intercept)
         + q.lam * cost
     )
 
 
 def _blended_value(tq: TradeoffQuery, x):
     """The blended objective at one point, or at every row of a stack of points."""
-    return _mix(tq, *_coordinate_terms(tq, np.asarray(x, dtype=float)).sum(axis=-1))
+    return _mix(tq, tq.beta, *_coordinate_terms(tq, np.asarray(x, dtype=float)).sum(axis=-1))
 
 
-def _blend(tq: TradeoffQuery, robust: RecoursePlan, consistent: RecoursePlan) -> RecoursePlan:
-    """The blended plan for ``tq``, given the exact plans of its two endpoints.
+def _descend(tq: TradeoffQuery, betas: np.ndarray, start: np.ndarray):
+    """Coordinate search from ``start`` at every trust level in ``betas`` at once.
 
-    beta = 1 returns ``robust``; beta = 0 returns ``consistent`` with its
-    worst-case total taken against the ball. Otherwise: starting from x0,
-    each round scores every (mutable coordinate, step) move at once, as the
-    current point's sums minus the coordinate's old terms plus its new ones
-    (immutable coordinates score +inf), and applies the first best move,
-    lowest coordinate then lowest step; it stops when no move improves by more
-    than 1e-9, or after 4 d rounds. The search then restarts from either
-    endpoint that already does better than it.
+    Returns each row's final point, its blended value and its moves. A row
+    leaves the search for good once no move improves it by more than 1e-9:
+    its point and value are written back, and the rest of the search runs on
+    the remaining rows only.
+    """
+    q = tq.query
+    x = np.repeat(start[None], len(betas), axis=0)
+    current = _mix(tq, betas, *_coordinate_terms(tq, x).sum(axis=-1))
+    moves = [[] for _ in betas]
+    rows = np.arange(len(betas))  # the rows still searching, and their state
+    xs, bs, cur, at = x, betas[:, None, None], current, rows
+    for _ in range(4 * q.dim):
+        terms = _coordinate_terms(tq, xs[:, :, None] + _STAY_OR_STEP, np.s_[:, None])
+        here = terms[..., :1]
+        vals = _mix(tq, bs, *(here.sum(axis=2, keepdims=True) - here + terms[..., 1:]))
+        vals[:, q.immutable_mask] = np.inf
+        vals = vals.reshape(rows.size, q.dim * _STEP_GRID.size)
+        flat = np.argmin(vals, axis=1)
+        best = vals[at, flat]
+        stop = cur - best <= 1e-9
+        stopped = np.count_nonzero(stop)
+        if stopped == rows.size:
+            break
+        if stopped:
+            x[rows], current[rows] = xs, cur
+            rows, xs, bs, flat, best = (a[~stop] for a in (rows, xs, bs, flat, best))
+            at = np.arange(rows.size)
+        j, k = np.divmod(flat, _STEP_GRID.size)
+        xs[at, j] += _STEP_GRID[k]
+        cur = best
+        for r, jr, kr in zip(rows.tolist(), j.tolist(), k.tolist()):
+            moves[r].append((jr, float(_STEP_GRID[kr]), False))
+    x[rows], current[rows] = xs, cur
+    return x, current, moves
+
+
+def _blend(tq: TradeoffQuery, betas, robust: RecoursePlan, consistent: RecoursePlan) -> list:
+    """The blended plan for every beta in ``betas``, given the exact endpoint plans.
+
+    ``tq.beta`` is ignored. beta = 1 gives ``robust``; beta = 0 gives
+    ``consistent`` with its worst-case total taken against the ball. The
+    interior betas share one search over a (B, d, 26) stack of moves: from
+    x0, each round scores every (mutable coordinate, step) move of every row
+    at once, as the current point's sums minus the coordinate's old terms
+    plus its new ones (immutable coordinates score +inf), and each row takes
+    its first best move, lowest coordinate then lowest step. A row stops for
+    good when no move improves it by more than 1e-9, or after 4 d rounds.
+    Two more stacked searches then restart, first from the robust plan and
+    then from the consistent one, every row that endpoint already beats; a
+    restart is kept if it ends strictly better than the row's current value.
+
+    Each row's arithmetic is that of a search run for its beta alone: no sum
+    runs across rows, each row's sums reduce over its own coordinate axis
+    in the order a lone row's do, and a stopped row neither moves nor
+    records a move. So every plan is bit for bit the one a one-beta call,
+    and the per-beta loop this search replaced, gives.
     """
     q, n = tq.query, tq.neighborhood
-    if tq.beta == 1.0:
-        return robust
-    if tq.beta == 0.0:
-        worst = eval_total_cost(q, consistent.x_prime, best_response(n, consistent.x_prime))
-        return dataclasses.replace(consistent, worst_case_total=worst)
-
-    def descend(x_start: np.ndarray) -> tuple[np.ndarray, float, list]:
-        x = x_start.copy()
-        current = _blended_value(tq, x)
-        moves = []
-        for _ in range(4 * q.dim):
-            terms = _coordinate_terms(tq, x[:, None] + _STAY_OR_STEP, np.s_[:, None])
-            here = terms[..., :1]
-            vals = _mix(tq, *(here.sum(axis=1, keepdims=True) - here + terms[..., 1:]))
-            vals[q.immutable_mask] = np.inf
-            j, k = np.unravel_index(np.argmin(vals), vals.shape)
-            if current - vals[j, k] <= 1e-9:
-                break
-            x[j] += _STEP_GRID[k]
-            current = vals[j, k]
-            moves.append((int(j), float(_STEP_GRID[k]), False))
-        return x, current, moves
-
-    x, current, trace = descend(q.x0)
+    betas = np.array(betas, dtype=float)
+    for beta in betas:
+        _check_beta(beta)
+    inner = betas[(betas > 0.0) & (betas < 1.0)]
+    x, current, traces = _descend(tq, inner, q.x0)
     # The step grid can stall short of a valley an exact endpoint solution
-    # sits in; restart from either endpoint that already does better.
+    # sits in; restart every row that endpoint already beats, robust first.
     for endpoint in (robust, consistent):
-        if _blended_value(tq, endpoint.x_prime) < current - 1e-12:
-            x2, val2, moves2 = descend(endpoint.x_prime)
-            if val2 < current - 1e-12:
-                x, current = x2, val2
-                trace = list(endpoint.trace) + moves2
+        sums = _coordinate_terms(tq, endpoint.x_prime).sum(axis=-1)
+        rows = np.flatnonzero(_mix(tq, inner, *sums) < current - 1e-12)
+        if rows.size == 0:
+            continue
+        x2, val2, moves2 = _descend(tq, inner[rows], endpoint.x_prime)
+        for r, xr, vr, mr in zip(rows.tolist(), x2, val2, moves2):
+            if vr < current[r] - 1e-12:
+                x[r], current[r] = xr, vr
+                traces[r] = list(endpoint.trace) + mr
 
-    worst = eval_total_cost(q, x, best_response(n, x))
-    return RecoursePlan(
-        x_prime=x,
-        l1_cost=weighted_l1(q, x),
-        worst_case_total=worst,
-        trace=tuple(trace),
+    if 0.0 in betas:
+        worst = eval_total_cost(q, consistent.x_prime, best_response(n, consistent.x_prime))
+        trusting = dataclasses.replace(consistent, worst_case_total=worst)
+    blended = (
+        RecoursePlan(
+            x_prime=xr,
+            l1_cost=weighted_l1(q, xr),
+            worst_case_total=eval_total_cost(q, xr, best_response(n, xr)),
+            trace=tuple(tr),
+        )
+        for xr, tr in zip(x, traces)
     )
+    return [
+        robust if beta == 1.0 else trusting if beta == 0.0 else next(blended) for beta in betas
+    ]
 
 
 def blended_recourse(tq: TradeoffQuery) -> RecoursePlan:
@@ -174,12 +230,11 @@ def blended_recourse(tq: TradeoffQuery) -> RecoursePlan:
 
     Solves both endpoint plans exactly, then blends; see ``_blend``. To sweep
     beta for one query, ``pareto_frontier`` and ``smoothness`` solve the
-    endpoints once instead of once per beta.
+    endpoints once and blend every beta in one search.
     """
     q = tq.query
-    return _blend(
-        tq, optimal_robust_recourse(q, tq.neighborhood), consistent_recourse(q, tq.prediction)
-    )
+    robust = optimal_robust_recourse(q, tq.neighborhood)
+    return _blend(tq, [tq.beta], robust, consistent_recourse(q, tq.prediction))[0]
 
 
 def robustness(
@@ -222,15 +277,14 @@ def smoothness(
     Zero when the prediction was correct and fully trusted (beta = 0);
     independent of the prediction at beta = 1.
     """
+    tq = TradeoffQuery(query, neighborhood, prediction_used, 1.0)
     robust = optimal_robust_recourse(query, neighborhood)
     consistent = consistent_recourse(query, prediction_used)
     best = consistent_recourse(query, correct_prediction).worst_case_total
-    regrets = []
-    for beta in betas:
-        tq = TradeoffQuery(query, neighborhood, prediction_used, float(beta))
-        plan = _blend(tq, robust, consistent)
-        regrets.append(eval_total_cost(query, plan.x_prime, correct_prediction) - best)
-    return regrets
+    return [
+        eval_total_cost(query, plan.x_prime, correct_prediction) - best
+        for plan in _blend(tq, betas, robust, consistent)
+    ]
 
 
 def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
@@ -246,19 +300,17 @@ def pareto_frontier(tq: TradeoffQuery, betas: list) -> list[TradeoffPoint]:
     """One TradeoffPoint per beta; ``tq.beta`` is ignored.
 
     The robust and consistent plans are solved once and serve both as the
-    blend's endpoints and as the two metrics' baselines.
+    blend's endpoints and as the two metrics' baselines; the interior betas
+    blend in one stacked search.
     """
     robust = optimal_robust_recourse(tq.query, tq.neighborhood)
     consistent = consistent_recourse(tq.query, tq.prediction)
-    points = []
-    for beta in betas:
-        plan = _blend(dataclasses.replace(tq, beta=float(beta)), robust, consistent)
-        points.append(
-            TradeoffPoint(
-                beta=float(beta),
-                robustness=robustness(tq.query, tq.neighborhood, plan.x_prime, robust),
-                consistency=consistency(tq.query, tq.prediction, plan.x_prime, consistent),
-                l1_cost=plan.l1_cost,
-            )
+    return [
+        TradeoffPoint(
+            beta=float(beta),
+            robustness=robustness(tq.query, tq.neighborhood, plan.x_prime, robust),
+            consistency=consistency(tq.query, tq.prediction, plan.x_prime, consistent),
+            l1_cost=plan.l1_cost,
         )
-    return points
+        for beta, plan in zip(betas, _blend(tq, betas, robust, consistent))
+    ]

@@ -61,6 +61,11 @@ def test_config_value_validation():
         ExperimentConfig(lambda_grid=())
     with pytest.raises(ConfigError):
         ExperimentConfig(beta_grid=(0.5, 1.2))
+    # a repeated value would write its rows twice and count each instance twice
+    for name, grid in (("beta_grid", (0.0, 0.5, 0.5, 1.0)), ("validity_alphas", (0.1, 0.1)),
+                       ("validity_lambdas", (0.05, 0.2, 0.05)), ("lambda_grid", (0.1, 0.1))):
+        with pytest.raises(ConfigError, match=f"{name} values must be distinct"):
+            ExperimentConfig(**{name: grid})
     with pytest.raises(ConfigError):
         ExperimentConfig(k_folds=0)
     with pytest.raises(ConfigError):
@@ -572,6 +577,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         (["recourse", "--theta", "1", "--x0", "1", "--alpha", "inf"], None),
         (["validity"], {"n_points": 1}),
         (["pareto"], {"lambda_grid": [0.1, -0.2]}),
+        (["pareto"], {"beta_grid": [0.0, 0.5, 0.5, 1.0]}),
         (["gen-data", "--n", "1"], None),
         (["gen-data", "--seed", "-1"], None),
         (["oracle-check", "--n", "-1"], None),
@@ -580,8 +586,8 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     ],
     ids=[
         "theta-x0-lengths", "negative-lam", "nan-theta", "nan-lam", "inf-alpha", "one-point",
-        "negative-lambda", "gen-data-one-point", "gen-data-negative-seed", "oracle-negative-n",
-        "oracle-zero-n", "oracle-negative-seed",
+        "negative-lambda", "duplicate-beta", "gen-data-one-point", "gen-data-negative-seed",
+        "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):

@@ -15,6 +15,7 @@ from robust_recourse.glm import (
     weighted_l1,
 )
 from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
+from robust_recourse import tradeoff
 from robust_recourse.tradeoff import (
     _STEP_GRID,
     TradeoffQuery,
@@ -241,7 +242,7 @@ def test_blend_matches_per_coordinate_reference_exactly():
         robust = optimal_robust_recourse(q, n)
         consistent = consistent_recourse(q, pred)
         x_ref, trace_ref, worst_ref = _reference_blend(tq, robust, consistent)
-        plan = _blend(tq, robust, consistent)
+        (plan,) = _blend(tq, [tq.beta], robust, consistent)
         np.testing.assert_array_equal(plan.x_prime, x_ref)
         assert plan.trace == trace_ref
         assert plan.worst_case_total == worst_ref
@@ -279,7 +280,7 @@ def test_pareto_frontier_endpoints_and_monotonicity():
 
 def _random_problem(rng):
     """A TradeoffQuery over either loss, with random costs, mask and intercept mode."""
-    d = int(rng.integers(1, 4))
+    d = int(rng.choice([1, 2, 3, 5, 20]))
     mask = rng.random(d) < 0.3
     mask[int(rng.integers(d))] = False
     q = _query(
@@ -303,31 +304,81 @@ def _random_problem(rng):
     return TradeoffQuery(q, n, pred, 1.0)
 
 
-def test_beta_sweeps_equal_per_beta_blends_exactly():
-    # pareto_frontier and smoothness solve the endpoints once per query and blend
-    # for every beta; each value must be the one a per-beta blended_recourse gives
+def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
+    # pareto_frontier and smoothness blend every beta of a sweep in one stacked
+    # search; each value must be the one a one-beta blended_recourse gives
+    descend, searches = tradeoff._descend, []
+
+    def spy(tq, betas, start):  # records each stacked search's start and move counts
+        out = descend(tq, betas, start)
+        searches.append((start, [len(m) for m in out[2]]))
+        return out
+
+    pinned = [
+        # At beta = 0.5 the robust restart ends below the consistent plan's
+        # value, so the consistent plan, which beats the search from x0, must
+        # not restart.
+        TradeoffQuery(
+            _query([1.6], 0.4, loss=LossKind.SQUARED),
+            _nbhd([-1.4], 0.3, intercept=0.5, perturb_intercept=False),
+            ModelParams(weights=np.array([-1.7]), intercept=0.5),
+            1.0,
+        ),
+        # Both coordinates alike: every move ties across them, and the lower
+        # coordinate must win.
+        TradeoffQuery(
+            _query([-1.0, -1.0], 0.1),
+            _nbhd([1.0, 1.0], 0.2),
+            ModelParams(weights=np.array([1.1, 1.1]), intercept=0.1),
+            1.0,
+        ),
+    ]
     rng = np.random.default_rng(27)
-    losses = set()
-    for _ in range(30):
-        tq = _random_problem(rng)
+    losses, dims, staggered, restarts = set(), set(), 0, {"robust": 0, "consistent": 0}
+    for i in range(62):
+        tq = pinned[i] if i < len(pinned) else _random_problem(rng)
         q, n = tq.query, tq.neighborhood
         losses.add(q.loss)
-        betas = [0.0, float(rng.uniform(0.05, 0.95)), 1.0]
+        dims.add(q.dim)
+        inner = [0.5, *rng.uniform(0.01, 0.99, 7)]
+        betas = [inner[0]] + inner + [0.0, 1.0]  # 9 interior rows, one beta twice
+        rng.shuffle(betas)
         correct = ModelParams(
             weights=n.base.weights + rng.uniform(-n.alpha, n.alpha, q.dim),
             intercept=n.base.intercept,
         )
+        searches.clear()
+        monkeypatch.setattr(tradeoff, "_descend", spy)
         points = pareto_frontier(tq, betas)
+        monkeypatch.undo()
+        # from x0, then the restarts that have rows: the robust plan's first
+        (start, counts), *ends = searches
+        assert len(counts) == 9 and (start == q.x0).all()
+        staggered += len({k for k in counts if k < 4 * q.dim}) > 1  # rows stop in different rounds
+        robust = optimal_robust_recourse(q, n)
+        consistent = consistent_recourse(q, tq.prediction)
+        for i_end, (start, counts) in enumerate(ends):
+            name = "robust" if i_end == 0 and (start == robust.x_prime).all() else "consistent"
+            assert name == "robust" or (start == consistent.x_prime).all()
+            restarts[name] += len(counts)
         regrets = smoothness(q, n, tq.prediction, correct, betas)
         best = consistent_recourse(q, correct).worst_case_total
         for beta, pt, regret in zip(betas, points, regrets):
             plan = blended_recourse(TradeoffQuery(q, n, tq.prediction, beta))
+            if 0.0 < beta < 1.0:  # and the one a per-coordinate loop gives
+                x_ref, trace_ref, _ = _reference_blend(
+                    TradeoffQuery(q, n, tq.prediction, beta), robust, consistent)
+                np.testing.assert_array_equal(plan.x_prime, x_ref)
+                assert plan.trace == trace_ref
             assert pt.beta == beta
             assert pt.robustness == robustness(q, n, plan.x_prime)
             assert pt.consistency == consistency(q, tq.prediction, plan.x_prime)
             assert pt.l1_cost == plan.l1_cost
             assert regret == eval_total_cost(q, plan.x_prime, correct) - best
     assert losses == {LossKind.BCE, LossKind.SQUARED}
+    assert dims == {1, 2, 3, 5, 20}
+    assert staggered > 0
+    assert min(restarts.values()) > 0
 
 
 # -------------------------------------------------------------- smoothness
@@ -404,6 +455,20 @@ def test_tradeoff_query_validation():
     TradeoffQuery(q, n, ModelParams(weights=np.array([0.8]), intercept=-0.2), 0.5)  # on the surface
     with pytest.raises(ValueError, match="different dimensions"):
         TradeoffQuery(q, n, ModelParams(weights=np.array([1.0, 1.0]), intercept=0.0), 0.5)
+    # the sweeps check every beta and the prediction as a TradeoffQuery does
+    tq = TradeoffQuery(q, n, inside, 1.0)
+    for betas in ([0.5, 1.5], [-0.1], [0.2, float("nan")]):
+        with pytest.raises(ValueError, match="beta must lie in"):
+            pareto_frontier(tq, betas)
+        with pytest.raises(ValueError, match="beta must lie in"):
+            smoothness(q, n, inside, inside, betas)
+    outside = ModelParams(weights=np.array([1.5]), intercept=0.0)
+    with pytest.raises(ValueError, match="outside the model ball"):
+        smoothness(q, n, outside, inside, [0.5])
+    with pytest.raises(ValueError, match="outside the model ball"):
+        pareto_frontier(TradeoffQuery(q, n, outside, 1.0), [0.5])
+    assert pareto_frontier(tq, []) == []
+    assert smoothness(q, n, inside, inside, []) == []
 
 
 def test_blended_squared_loss_runs():
