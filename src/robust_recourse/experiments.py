@@ -178,8 +178,8 @@ class ExperimentConfig:
             if key in kwargs and isinstance(kwargs[key], dict):
                 try:
                     kwargs[key] = typ(**kwargs[key])
-                except TypeError as exc:
-                    raise ConfigError(str(exc)) from None
+                except (TypeError, ValueError) as exc:
+                    raise ConfigError(f"{key}: {exc}") from None
         for key in ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
@@ -426,20 +426,36 @@ def _write_study(cfg: ExperimentConfig, study: str, columns: list, rows: list, s
 
 
 def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
-    """Robustness/consistency frontier per predicted model, plus the ROAR point."""
+    """Robustness/consistency frontier per predicted model, plus the ROAR point.
+
+    Every fold is prepared first (scorer, tasks and chosen lambda, in fold
+    order). The ROAR baseline then runs once for the whole study: one
+    ``roar_recourse_batch`` call over every fold's rows, each row with its
+    fold's lambda and its own ball. No row's result depends on the others,
+    so this gives the points a call per fold would. The result is split
+    back per fold, and the sums are added in fold order.
+    """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
     sums: dict = {}  # (method, prediction, beta) -> [robustness, consistency, l1 cost, count]
     lambda_by_fold = []
     pred_names: list = []
 
+    folds = []  # (lam, tasks, balls) per fold
     for _, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
-        balls = [Neighborhood(t.base, cfg.alpha) for t in tasks]
-        roar_points = roar_recourse_batch(np.array([t.x0 for t in tasks]), lam, balls, cfg.roar)
+        folds.append((lam, tasks, [Neighborhood(t.base, cfg.alpha) for t in tasks]))
+    roar_points = roar_recourse_batch(
+        np.array([t.x0 for _, tasks, _ in folds for t in tasks]),
+        np.concatenate([np.full(len(tasks), lam) for lam, tasks, _ in folds]),
+        [nbhd for _, _, balls in folds for nbhd in balls],
+        cfg.roar,
+    )
+    fold_ends = np.cumsum([len(tasks) for _, tasks, _ in folds])[:-1]
 
-        for task, nbhd, x_roar in zip(tasks, balls, roar_points):
+    for (lam, tasks, balls), fold_roar in zip(folds, np.split(roar_points, fold_ends)):
+        for task, nbhd, x_roar in zip(tasks, balls, fold_roar):
             q = RecourseQuery(x0=task.x0, lam=lam)
             robust_plan = optimal_robust_recourse(q, nbhd)
             preds = generate_predictions(cfg.prediction, task.base, cfg.alpha)

@@ -38,6 +38,7 @@ against a loop that does all of it every iteration:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,10 +70,13 @@ class RoarConfig:
     tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be finite and positive")
+        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
+                or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer of at least 1")
+        if not 0.0 <= self.tolerance < np.inf:
+            raise ValueError("tolerance must be finite and nonnegative")
 
 
 def roar_recourse(

@@ -301,14 +301,16 @@ def pareto_frontier(tq: TradeoffQuery, betas: list) -> list[TradeoffPoint]:
 
     The robust and consistent plans are solved once and serve both as the
     blend's endpoints and as the two metrics' baselines; the interior betas
-    blend in one stacked search.
+    blend in one stacked search. Each plan's ``worst_case_total`` is the
+    value ``robustness`` would compute for it, by the same expression, so
+    robustness is read from it.
     """
     robust = optimal_robust_recourse(tq.query, tq.neighborhood)
     consistent = consistent_recourse(tq.query, tq.prediction)
     return [
         TradeoffPoint(
             beta=float(beta),
-            robustness=robustness(tq.query, tq.neighborhood, plan.x_prime, robust),
+            robustness=plan.worst_case_total - robust.worst_case_total,
             consistency=consistency(tq.query, tq.prediction, plan.x_prime, consistent),
             l1_cost=plan.l1_cost,
         )

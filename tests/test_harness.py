@@ -8,12 +8,14 @@ import pytest
 from robust_recourse.adversary import Neighborhood, worst_case_shared_model
 from robust_recourse.cli import main
 from robust_recourse.data import SyntheticSpec, generate_synthetic, kfold
+from robust_recourse import experiments
 from robust_recourse.experiments import (
     ConfigError,
     ExperimentConfig,
     PredictionMode,
     PredictionSetSpec,
     _correct_prediction_models,
+    _load_base_dataset,
     _prepare_fold,
     _select_lambda,
     generate_predictions,
@@ -403,7 +405,8 @@ def test_smoothness_study_matches_per_beta_reference(tmp_path):
         assert (row["smoothness"], row["n_instances"]) == (total / n, n)
 
 
-def test_skipped_fold_is_logged(tmp_path, caplog):
+def _skipped_fold_cfg(tmp_path):
+    """A 3-fold CSV study whose fold 0 has no undesirable test row."""
     # fold 0 holds only far-positive rows, so no test row is labeled undesirable there
     n, k = 18, 3
     folds = kfold(n, k, 0)
@@ -416,7 +419,7 @@ def test_skipped_fold_is_logged(tmp_path, caplog):
         lines.append(f"{a:.6f},{b:.6f},{label}")
     data = tmp_path / "data.csv"
     data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    cfg = ExperimentConfig(
+    return ExperimentConfig(
         dataset=str(data),
         shifted_dataset=str(data),
         k_folds=k,
@@ -427,6 +430,10 @@ def test_skipped_fold_is_logged(tmp_path, caplog):
         roar=RoarConfig(max_iters=50),
         out_dir=str(tmp_path / "out"),
     )
+
+
+def test_skipped_fold_is_logged(tmp_path, caplog):
+    cfg = _skipped_fold_cfg(tmp_path)
     for runner in (run_tradeoff_study, run_smoothness_study, run_validity_study):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="robust_recourse"):
@@ -435,7 +442,48 @@ def test_skipped_fold_is_logged(tmp_path, caplog):
         assert skipped == ["fold 0 has no undesirable instances; skipped"]
         assert res.rows
     lambdas = run_tradeoff_study(cfg).extras["lambda_by_fold"]
-    assert len(lambdas) == k - 1
+    assert len(lambdas) == cfg.k_folds - 1
+
+
+@pytest.mark.parametrize("case", ["synthetic", "skipped-fold"])
+def test_tradeoff_study_makes_one_roar_call(tmp_path, monkeypatch, case):
+    # the ROAR baseline runs once per study, over every fold's rows in fold
+    # order, each row with its fold's lambda and a ball around its own base
+    if case == "synthetic":
+        cfg = ExperimentConfig(n_points=60, k_folds=3, seed=1, lambda_grid=(0.05, 0.6, 0.8),
+                               beta_grid=(0.0, 1.0), roar=RoarConfig(max_iters=50),
+                               out_dir=str(tmp_path / "out"))
+    else:
+        cfg = _skipped_fold_cfg(tmp_path)
+    calls = []
+
+    def spy(x0s, lam, balls, *args, **kwargs):
+        calls.append((np.array(x0s), np.array(lam), list(balls)))
+        return roar_recourse_batch(x0s, lam, balls, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "roar_recourse_batch", spy)
+    res = run_tradeoff_study(cfg)
+    ds = _load_base_dataset(cfg)
+    plan = kfold(ds.n, cfg.k_folds, cfg.seed)
+    tasks, lams, fold_lams = [], [], []
+    for fold in range(plan.k):
+        scorer, fold_tasks = _prepare_fold(cfg, ds, plan, fold)
+        if fold_tasks:
+            fold_lams.append(_select_lambda(scorer, fold_tasks, cfg.lambda_grid))
+            tasks += fold_tasks
+            lams += [fold_lams[-1]] * len(fold_tasks)
+    assert res.extras["lambda_by_fold"] == fold_lams
+    if case == "synthetic":
+        assert len(set(fold_lams)) > 1  # the folds chose different lambdas
+    assert len(calls) == 1
+    x0s, lam, balls = calls[0]
+    assert x0s.tobytes() == np.array([t.x0 for t in tasks]).tobytes()
+    assert lam.tolist() == lams
+    assert len(balls) == len(tasks)
+    for ball, task in zip(balls, tasks):
+        assert ball.alpha == cfg.alpha
+        assert ball.base.weights.tobytes() == task.base.weights.tobytes()
+        assert ball.base.intercept == task.base.intercept
 
 
 def test_validity_study_rejects_mlp(tmp_path):
@@ -578,6 +626,10 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         (["validity"], {"n_points": 1}),
         (["pareto"], {"lambda_grid": [0.1, -0.2]}),
         (["pareto"], {"beta_grid": [0.0, 0.5, 0.5, 1.0]}),
+        (["pareto"], {"roar": {"learning_rate": 0}}),
+        (["pareto"], {"roar": {"learning_rate": float("nan")}}),
+        (["pareto"], {"roar": {"max_iters": 1.5}}),
+        (["pareto"], {"surrogate": {"ridge": -1}}),
         (["gen-data", "--n", "1"], None),
         (["gen-data", "--seed", "-1"], None),
         (["oracle-check", "--n", "-1"], None),
@@ -586,7 +638,9 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     ],
     ids=[
         "theta-x0-lengths", "negative-lam", "nan-theta", "nan-lam", "inf-alpha", "one-point",
-        "negative-lambda", "duplicate-beta", "gen-data-one-point", "gen-data-negative-seed",
+        "negative-lambda", "duplicate-beta", "roar-zero-rate", "roar-nan-rate",
+        "roar-fractional-iters", "surrogate-negative-ridge", "gen-data-one-point",
+        "gen-data-negative-seed",
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
     ],
 )

@@ -86,10 +86,23 @@ def test_batch_shape_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RoarConfig(learning_rate=0.0)
-    with pytest.raises(ValueError):
-        RoarConfig(max_iters=0)
+    bad = [
+        dict(learning_rate=0.0),
+        dict(learning_rate=-0.1),
+        dict(learning_rate=np.nan),
+        dict(learning_rate=np.inf),
+        dict(max_iters=0),
+        dict(max_iters=1.5),
+        dict(max_iters=2000.0),
+        dict(max_iters=True),
+        dict(tolerance=-1e-7),
+        dict(tolerance=np.nan),
+        dict(tolerance=np.inf),
+    ]
+    for kw in bad:
+        with pytest.raises(ValueError):
+            RoarConfig(**kw)
+    assert RoarConfig(max_iters=np.int64(5), tolerance=0.0).max_iters == 5
 
 
 def test_single_is_the_one_row_batch():
@@ -289,3 +302,31 @@ def test_a_freeze_on_the_last_iteration_of_a_block_holds():
     assert froze[0] == _BLOCK_ITERS
     assert got.tobytes() == want.tobytes()
     assert roar_recourse_batch(x0s, 0.0, ball, RoarConfig(lr, 300))[0, 0] > got[0, 0]
+
+
+def test_stacked_rows_equal_lone_rows_across_block_lengths():
+    # a study-wide stack runs shorter blocks than a lone row (m·d > 256), and
+    # 203 iterations are a multiple of neither block, so the rows' block
+    # boundaries fall at different iterations; every row must still be bitwise
+    # the one a call of its own gives, whether it froze mid-block, on a block
+    # boundary or never
+    rng = np.random.default_rng(35)
+    m, d, iters = 40, 8, 203
+    stack_block = _BLOCK_ELEMENTS // (m * d)
+    assert m * d > 256 and stack_block < _BLOCK_ITERS
+    assert iters % stack_block and iters % _BLOCK_ITERS
+    x0s, lam, balls, cost, mask = _random_batch(rng, m, d)
+    assert {ball.perturb_intercept for ball in balls} == {True, False}
+    froze_at = []
+    for loss in (LossKind.BCE, LossKind.SQUARED):
+        for tolerance in (1e-7, 3e-3, 1e-2):
+            cfg = RoarConfig(learning_rate=0.05, max_iters=iters, tolerance=tolerance)
+            got = roar_recourse_batch(x0s, lam, balls, cfg, loss, cost, mask)
+            froze_at.extend(_reference_roar(x0s, lam, balls, cfg, loss, cost, mask)[1])
+            for i in range(m):
+                row = roar_recourse_batch(x0s[i : i + 1], lam[i], balls[i], cfg, loss, cost, mask[i])
+                assert got[i].tobytes() == row[0].tobytes()
+    froze_at = np.array(froze_at)
+    assert (froze_at == 0).any() and (froze_at == 1).any()
+    assert (froze_at == stack_block).any()  # froze on the stack's first block boundary
+    assert ((froze_at > stack_block) & (froze_at % stack_block > 0)).any()

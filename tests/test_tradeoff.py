@@ -381,6 +381,28 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
     assert min(restarts.values()) > 0
 
 
+def test_pareto_robustness_is_the_recomputed_metric_bitwise():
+    # pareto_frontier reads robustness from each plan's stored worst-case
+    # total; at every beta, endpoints included, it must be the value the
+    # metric recomputes from the plan's point and a fresh robust solve
+    rng = np.random.default_rng(36)
+    seen = set()
+    for _ in range(80):
+        tq = _random_problem(rng)
+        q, n = tq.query, tq.neighborhood
+        seen.add((q.dim, q.loss, n.perturb_intercept))
+        betas = [0.0, *rng.uniform(0.01, 0.99, 4), 1.0]
+        rng.shuffle(betas)
+        robust = optimal_robust_recourse(q, n)
+        plans = _blend(tq, betas, robust, consistent_recourse(q, tq.prediction))
+        for pt, plan in zip(pareto_frontier(tq, betas), plans):
+            want = robustness(q, n, plan.x_prime)
+            assert np.float64(pt.robustness).tobytes() == np.float64(want).tobytes()
+    assert {d for d, _, _ in seen} == {1, 2, 3, 5, 20}
+    assert {loss for _, loss, _ in seen} == {LossKind.BCE, LossKind.SQUARED}
+    assert {mode for _, _, mode in seen} == {True, False}
+
+
 # -------------------------------------------------------------- smoothness
 
 
