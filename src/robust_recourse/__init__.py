@@ -67,6 +67,7 @@ from .solver import (
 )
 from .surrogate import SurrogateConfig, fit_local_linear
 from .tradeoff import (
+    Frontier,
     TradeoffPoint,
     TradeoffQuery,
     blended_recourse,

@@ -145,7 +145,6 @@ class Dataset:
 class FoldPlan:
     k: int
     assignment: np.ndarray
-    seed: int = 0
 
     def test_indices(self, fold: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == fold)
@@ -262,4 +261,4 @@ def kfold(n: int, k: int = 5, seed: int = 0) -> FoldPlan:
     perm = np.random.default_rng(seed).permutation(n)
     assignment = np.empty(n, dtype=int)
     assignment[perm] = np.arange(n) % k
-    return FoldPlan(k=k, assignment=assignment, seed=seed)
+    return FoldPlan(k=k, assignment=assignment)

@@ -6,9 +6,10 @@ folds, and writes a CSV (with a JSON schema alongside) plus an SVG chart
 under ``<out>/<study>/``. Everything is deterministic given the config:
 reruns produce byte-identical files. The three runners walk the folds
 through one loop, ``_study_folds``, which logs a skipped fold on the
-``robust_recourse`` logger; the pareto and smoothness runners average the
-per-instance values of ``tradeoff.pareto_frontier`` and
-``tradeoff.smoothness``.
+``robust_recourse`` logger. The pareto and smoothness runners make one call
+per instance, over its whole prediction set, of ``tradeoff.pareto_frontier``
+and ``tradeoff.smoothness``, which solve the instance's robust plan once and
+each prediction's consistent plan once, and average the values they return.
 
 The ``glm`` model path trains a logistic model per fold and gives every
 instance the same base parameters. The ``mlp`` path loads fixed network
@@ -22,6 +23,7 @@ import dataclasses
 import enum
 import json
 import logging
+import numbers
 import os
 import time
 from dataclasses import dataclass
@@ -52,14 +54,7 @@ from .roar import RoarConfig, roar_recourse_batch
 from .solver import GridSpec, consistent_recourse, minimax_oracle, optimal_robust_recourse
 from .surrogate import SurrogateConfig, fit_local_linear
 from .svgplot import line_chart
-from .tradeoff import (
-    TradeoffQuery,
-    consistency,
-    pareto_frontier,
-    robustness,
-    smoothness,
-    validity,
-)
+from .tradeoff import consistency, pareto_frontier, robustness, smoothness, validity
 
 __all__ = [
     "ConfigError",
@@ -95,6 +90,14 @@ class PredictionSetSpec:
     mode: PredictionMode = PredictionMode.CORNER
     epsilon: float | None = None
     explicit: tuple = ()
+
+
+def _explicit_model(item: dict) -> tuple:
+    """(weights, intercept) of one explicit prediction, from its config object."""
+    weights = np.asarray(item["weights"], dtype=float)
+    if weights.ndim != 1:
+        raise ValueError("weights must be a flat list")
+    return tuple(weights.tolist()), float(item.get("intercept", 0.0))
 
 
 DEFAULT_BETAS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -142,12 +145,10 @@ class ExperimentConfig:
                 raise ConfigError(f"{name} values must be distinct")
         if any(not 0.0 <= b <= 1.0 for b in self.beta_grid):
             raise ConfigError("beta_grid values must lie in [0, 1]")
-        if self.k_folds < 1:
-            raise ConfigError("k_folds must be at least 1")
-        if self.n_points < 2:
-            raise ConfigError("n_points must be at least 2")
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
+        for name, least in (("k_folds", 1), ("n_points", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                raise ConfigError(f"{name} must be an integer of at least {least}")
         if self.model_kind == "mlp" and not self.mlp_weights:
             raise ConfigError("model_kind 'mlp' requires mlp_weights")
 
@@ -158,24 +159,27 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        if "prediction" in kwargs and isinstance(kwargs["prediction"], dict):
+        for key in ("prediction", "surrogate", "roar"):
+            if key in kwargs and not isinstance(kwargs[key], dict):
+                raise ConfigError(f"{key} must be an object, got {kwargs[key]!r}")
+        if "prediction" in kwargs:
             p = dict(kwargs["prediction"])
             try:
                 mode = PredictionMode(p.pop("mode", "corner"))
             except ValueError as exc:
                 raise ConfigError(str(exc)) from None
-            explicit = tuple(
-                (tuple(item["weights"]), float(item.get("intercept", 0.0)))
-                for item in p.pop("explicit", [])
-            )
-            extra = set(p) - {"epsilon"}
-            if extra:
-                raise ConfigError(f"unknown prediction keys: {sorted(extra)}")
-            kwargs["prediction"] = PredictionSetSpec(
-                mode=mode, epsilon=p.get("epsilon"), explicit=explicit
-            )
+            try:
+                explicit = tuple(_explicit_model(item) for item in p.pop("explicit", []))
+            except (AttributeError, KeyError, TypeError, ValueError):
+                raise ConfigError(
+                    "prediction: each explicit model must be an object with a 'weights' list "
+                    "of numbers and an optional numeric 'intercept'"
+                ) from None
+            if p:
+                raise ConfigError(f"unknown prediction keys: {sorted(p)}")
+            kwargs["prediction"] = PredictionSetSpec(mode=mode, explicit=explicit)
         for key, typ in (("surrogate", SurrogateConfig), ("roar", RoarConfig)):
-            if key in kwargs and isinstance(kwargs[key], dict):
+            if key in kwargs:
                 try:
                     kwargs[key] = typ(**kwargs[key])
                 except (TypeError, ValueError) as exc:
@@ -433,7 +437,9 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     ``roar_recourse_batch`` call over every fold's rows, each row with its
     fold's lambda and its own ball. No row's result depends on the others,
     so this gives the points a call per fold would. The result is split
-    back per fold, and the sums are added in fold order.
+    back per fold, and the sums are added in fold order. Each ROAR row is
+    scored against the two optima of its prediction's ``Frontier``, so the
+    study solves no optimum of its own.
     """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
@@ -457,20 +463,19 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     for (lam, tasks, balls), fold_roar in zip(folds, np.split(roar_points, fold_ends)):
         for task, nbhd, x_roar in zip(tasks, balls, fold_roar):
             q = RecourseQuery(x0=task.x0, lam=lam)
-            robust_plan = optimal_robust_recourse(q, nbhd)
-            preds = generate_predictions(cfg.prediction, task.base, cfg.alpha)
-            if not pred_names:
-                pred_names = [name for name, _ in preds]
-            for pred_name, pred in preds:
-                for pt in pareto_frontier(TradeoffQuery(q, nbhd, pred, 1.0), cfg.beta_grid):
+            names, preds = zip(*generate_predictions(cfg.prediction, task.base, cfg.alpha))
+            pred_names = pred_names or list(names)
+            for pred_name, pred, front in zip(names, preds,
+                                              pareto_frontier(q, nbhd, preds, cfg.beta_grid)):
+                for pt in front.points:
                     acc = sums.setdefault(("blend", pred_name, pt.beta), [0.0, 0.0, 0.0, 0])
                     acc[0] += pt.robustness
                     acc[1] += pt.consistency
                     acc[2] += pt.l1_cost
                     acc[3] += 1
                 acc = sums.setdefault(("roar", pred_name, 1.0), [0.0, 0.0, 0.0, 0])
-                acc[0] += robustness(q, nbhd, x_roar, robust_plan)
-                acc[1] += consistency(q, pred, x_roar)
+                acc[0] += robustness(q, nbhd, x_roar, front.robust)
+                acc[1] += consistency(q, pred, x_roar, front.consistent)
                 acc[2] += weighted_l1(q, x_roar)
                 acc[3] += 1
 
@@ -543,7 +548,11 @@ def _correct_prediction_models(cfg: ExperimentConfig, ds: Dataset, plan, fold: i
 
 
 def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
-    """Mean regret vs trust level, one curve per prediction accuracy."""
+    """Mean regret vs trust level, one curve per prediction accuracy.
+
+    The predictions are the correct model and its epsilon perturbations, with
+    ``cfg.epsilon`` as the step; ``cfg.prediction`` is not read.
+    """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
     alpha = cfg.smoothness_alpha
@@ -551,6 +560,7 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     pred_names: list = []
     lambda_by_fold = []
     eps_by_fold = []
+    spec = PredictionSetSpec(mode=PredictionMode.EPSILON, epsilon=cfg.epsilon)
 
     for fold, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
@@ -568,17 +578,14 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
                 correct_raw = fit_local_linear(correct_src, task.x0, sur_cfg)
             nbhd = Neighborhood(base, alpha)
             correct = nbhd.clamp(correct_raw)
-            spec = dataclasses.replace(cfg.prediction, mode=PredictionMode.EPSILON,
-                                       epsilon=cfg.epsilon)
-            preds = generate_predictions(spec, base, alpha, correct=correct)
-            if not pred_names:
-                pred_names = [name for name, _ in preds]
+            names, preds = zip(*generate_predictions(spec, base, alpha, correct=correct))
+            pred_names = pred_names or list(names)
             if t_idx == 0:
                 eps_by_fold.append(_half_gap(correct, base))
 
             q = RecourseQuery(x0=task.x0, lam=lam)
-            for pred_name, pred in preds:
-                regrets = smoothness(q, nbhd, pred, correct, cfg.beta_grid)
+            for pred_name, regrets in zip(names, smoothness(q, nbhd, preds, correct,
+                                                            cfg.beta_grid)):
                 for beta, regret in zip(cfg.beta_grid, regrets):
                     acc = sums.setdefault((pred_name, float(beta)), [0.0, 0])
                     acc[0] += regret

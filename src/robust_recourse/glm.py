@@ -35,7 +35,6 @@ __all__ = [
     "loss_derivative",
     "weighted_l1",
     "eval_total_cost",
-    "nonconvex_worst_case_example",
 ]
 
 
@@ -224,21 +223,3 @@ def eval_total_cost(query: RecourseQuery, x_prime, params: ModelParams) -> float
     return eval_loss(query.loss, score(params, x_prime)) + query.lam * weighted_l1(
         query, x_prime
     )
-
-
-def nonconvex_worst_case_example(x: float) -> float:
-    """Worst-case total cost of a documented 1-D instance; not convex.
-
-    The instance starts at x0 = 1 with a squared-style loss, a model whose
-    weight and intercept are both 0, a shift budget of 0.5 on each parameter
-    (the input carries a constant +1 intercept feature), and lam = 1. Against
-    the score-minimizing shifted model the total cost reduces to
-
-        exp(1 - |x|) + |x - 1|.
-
-    This function is not convex: its value at 0 (e + 1) exceeds the average
-    of its values at -1 and 1 (which is 2), so the worst-case objective of a
-    recourse problem need not be convex even for a linear model. Exact
-    solvers therefore cannot rely on descent alone; see the solver module.
-    """
-    return math.exp(1.0 - abs(x)) + abs(x - 1.0)

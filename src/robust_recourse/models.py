@@ -82,10 +82,6 @@ class MlpWeights:
             raise ValueError(f"final layer must output 1 value, got {prev_out}")
         object.__setattr__(self, "layers", tuple(cleaned))
 
-    @property
-    def input_dim(self) -> int:
-        return int(self.layers[0][0].shape[1])
-
     def to_json(self) -> str:
         return json.dumps(
             {"layers": [{"w": w.tolist(), "b": b.tolist()} for w, b in self.layers]}
@@ -135,7 +131,6 @@ class TrainConfig:
     max_epochs: int = 500
     l2_penalty: float = 1e-4
     tolerance: float = 1e-6
-    seed: int = 0
 
 
 def _mean_bce_loss(theta: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> float:

@@ -20,17 +20,19 @@ endpoint plans. Its interior betas share one search, ``_descend``, over a
 masked out for good, and two more stacked searches restart the rows an
 endpoint plan beats. No sum runs across rows, and each row's sums reduce
 over the coordinate axis as a lone row's would, so every plan is bitwise
-the one a one-beta sweep gives. ``blended_recourse`` is that one-beta case;
-``pareto_frontier`` and ``smoothness`` solve the endpoints once per query
-and blend their full ``betas``.
+the one a one-beta sweep gives. ``blended_recourse`` is that one-beta case.
+``pareto_frontier`` and ``smoothness`` take one query and its whole
+prediction set: they solve the robust plan once, each prediction's
+consistent plan once, and blend each prediction's full ``betas``.
 
 Metrics:
 
-* ``robustness``: excess worst-case total cost over the optimal robust plan.
+* ``robustness``: excess worst-case total cost over the optimal robust plan,
+  which the caller passes in.
 * ``consistency``: excess total cost under the prediction over the optimal
-  consistent plan.
+  consistent plan, which the caller passes in.
 * ``smoothness``: realized regret when the recourse was computed from one
-  prediction but a different model materializes.
+  prediction but a different model materializes, per prediction used.
 * ``validity``: fraction of recourse points classified desirable.
 """
 
@@ -38,6 +40,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +52,7 @@ from .solver import RecoursePlan, consistent_recourse, optimal_robust_recourse
 __all__ = [
     "TradeoffQuery",
     "TradeoffPoint",
+    "Frontier",
     "blended_recourse",
     "robustness",
     "consistency",
@@ -86,6 +90,14 @@ class TradeoffPoint:
     robustness: float
     consistency: float
     l1_cost: float
+
+
+class Frontier(NamedTuple):
+    """One prediction's beta sweep and the two optima its metrics are measured against."""
+
+    robust: RecoursePlan
+    consistent: RecoursePlan
+    points: list
 
 
 # Signed candidate moves for the blended coordinate search: +/-0.01 * 2^k.
@@ -229,8 +241,8 @@ def blended_recourse(tq: TradeoffQuery) -> RecoursePlan:
     """Minimize beta-weighted worst-case plus prediction total cost.
 
     Solves both endpoint plans exactly, then blends; see ``_blend``. To sweep
-    beta for one query, ``pareto_frontier`` and ``smoothness`` solve the
-    endpoints once and blend every beta in one search.
+    beta for one query, ``pareto_frontier`` and ``smoothness`` solve each
+    endpoint once and blend every beta of a prediction in one search.
     """
     q = tq.query
     robust = optimal_robust_recourse(q, tq.neighborhood)
@@ -238,52 +250,38 @@ def blended_recourse(tq: TradeoffQuery) -> RecoursePlan:
 
 
 def robustness(
-    query: RecourseQuery,
-    neighborhood: Neighborhood,
-    x_prime: np.ndarray,
-    baseline: RecoursePlan | None = None,
+    query: RecourseQuery, neighborhood: Neighborhood, x_prime: np.ndarray, optimum: RecoursePlan
 ) -> float:
-    """Worst-case total cost of x_prime minus that of the optimal robust plan.
-
-    Pass ``baseline`` to reuse a precomputed robust plan across many points.
-    """
-    if baseline is None:
-        baseline = optimal_robust_recourse(query, neighborhood)
+    """Worst-case total cost of x_prime minus that of ``optimum``, the optimal robust plan."""
     worst = eval_total_cost(query, np.asarray(x_prime, dtype=float), best_response(neighborhood, x_prime))
-    return worst - baseline.worst_case_total
+    return worst - optimum.worst_case_total
 
 
 def consistency(
-    query: RecourseQuery,
-    prediction: ModelParams,
-    x_prime: np.ndarray,
-    baseline: RecoursePlan | None = None,
+    query: RecourseQuery, prediction: ModelParams, x_prime: np.ndarray, optimum: RecoursePlan
 ) -> float:
-    """Total cost of x_prime under the prediction minus the optimal value."""
-    if baseline is None:
-        baseline = consistent_recourse(query, prediction)
-    return eval_total_cost(query, np.asarray(x_prime, dtype=float), prediction) - baseline.worst_case_total
+    """Total cost of x_prime under the prediction minus that of ``optimum``, its consistent plan."""
+    return eval_total_cost(query, np.asarray(x_prime, dtype=float), prediction) - optimum.worst_case_total
 
 
 def smoothness(
     query: RecourseQuery,
     neighborhood: Neighborhood,
-    prediction_used: ModelParams,
+    predictions: list,
     correct_prediction: ModelParams,
     betas: list,
-) -> list[float]:
-    """Regret per beta under the model that materialized, given the prediction used.
+) -> list[list[float]]:
+    """Regret per beta under the model that materialized, one list per prediction used.
 
     Zero when the prediction was correct and fully trusted (beta = 0);
-    independent of the prediction at beta = 1.
+    independent of the prediction at beta = 1. The robust plan and the
+    correct model's consistent plan are solved once for all predictions.
     """
-    tq = TradeoffQuery(query, neighborhood, prediction_used, 1.0)
     robust = optimal_robust_recourse(query, neighborhood)
-    consistent = consistent_recourse(query, prediction_used)
     best = consistent_recourse(query, correct_prediction).worst_case_total
     return [
-        eval_total_cost(query, plan.x_prime, correct_prediction) - best
-        for plan in _blend(tq, betas, robust, consistent)
+        [eval_total_cost(query, plan.x_prime, correct_prediction) - best for plan in plans]
+        for _, _, plans in _sweeps(query, neighborhood, predictions, betas, robust)
     ]
 
 
@@ -296,23 +294,36 @@ def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
     return hits / len(recourses)
 
 
-def pareto_frontier(tq: TradeoffQuery, betas: list) -> list[TradeoffPoint]:
-    """One TradeoffPoint per beta; ``tq.beta`` is ignored.
+def _sweeps(query, neighborhood, predictions, betas, robust):
+    """Yields (prediction, its consistent plan, its blended plan per beta) in turn."""
+    for prediction in predictions:
+        tq = TradeoffQuery(query, neighborhood, prediction, 1.0)
+        consistent = consistent_recourse(query, prediction)
+        yield prediction, consistent, _blend(tq, betas, robust, consistent)
 
-    The robust and consistent plans are solved once and serve both as the
-    blend's endpoints and as the two metrics' baselines; the interior betas
-    blend in one stacked search. Each plan's ``worst_case_total`` is the
-    value ``robustness`` would compute for it, by the same expression, so
-    robustness is read from it.
+
+def pareto_frontier(
+    query: RecourseQuery, neighborhood: Neighborhood, predictions: list, betas: list
+) -> list[Frontier]:
+    """One Frontier per prediction: a TradeoffPoint per beta and the two optima.
+
+    The robust plan is solved once for the query and each consistent plan
+    once per prediction; each serves both as an endpoint of that
+    prediction's sweep and as a metric's optimum. Each plan's
+    ``worst_case_total`` is the value ``robustness`` would compute for it,
+    by the same expression, so robustness is read from it.
     """
-    robust = optimal_robust_recourse(tq.query, tq.neighborhood)
-    consistent = consistent_recourse(tq.query, tq.prediction)
+    robust = optimal_robust_recourse(query, neighborhood)
+    sweeps = _sweeps(query, neighborhood, predictions, betas, robust)
     return [
-        TradeoffPoint(
-            beta=float(beta),
-            robustness=plan.worst_case_total - robust.worst_case_total,
-            consistency=consistency(tq.query, tq.prediction, plan.x_prime, consistent),
-            l1_cost=plan.l1_cost,
-        )
-        for beta, plan in zip(betas, _blend(tq, betas, robust, consistent))
+        Frontier(robust, consistent, [
+            TradeoffPoint(
+                beta=float(beta),
+                robustness=plan.worst_case_total - robust.worst_case_total,
+                consistency=consistency(query, prediction, plan.x_prime, consistent),
+                l1_cost=plan.l1_cost,
+            )
+            for beta, plan in zip(betas, plans)
+        ])
+        for prediction, consistent, plans in sweeps
     ]

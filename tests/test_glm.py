@@ -13,7 +13,6 @@ from robust_recourse.glm import (
     eval_total_cost,
     logit,
     loss_derivative,
-    nonconvex_worst_case_example,
     score,
     sigmoid,
     sign,
@@ -88,14 +87,6 @@ def test_total_cost_convex_in_x():
             a, b = rng.uniform(-4, 4, d), rng.uniform(-4, 4, d)
             mid = eval_total_cost(q, (a + b) / 2, theta)
             assert mid <= (eval_total_cost(q, a, theta) + eval_total_cost(q, b, theta)) / 2 + 1e-9
-
-
-def test_worst_case_objective_not_convex_probe():
-    # Midpoint above the chord: max-over-models total cost is not convex.
-    j_left = nonconvex_worst_case_example(-1.0)
-    j_right = nonconvex_worst_case_example(1.0)
-    j_mid = nonconvex_worst_case_example(0.0)
-    assert j_mid > (j_left + j_right) / 2 + 0.5
 
 
 def test_sign_convention():

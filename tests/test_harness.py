@@ -8,7 +8,7 @@ import pytest
 from robust_recourse.adversary import Neighborhood, worst_case_shared_model
 from robust_recourse.cli import main
 from robust_recourse.data import SyntheticSpec, generate_synthetic, kfold
-from robust_recourse import experiments
+from robust_recourse import experiments, solver, tradeoff
 from robust_recourse.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -80,16 +80,23 @@ def test_config_from_dict_nested():
     cfg = ExperimentConfig.from_dict(
         {
             "beta_grid": [0.0, 1.0],
-            "prediction": {"mode": "epsilon", "epsilon": 0.1},
+            "prediction": {"mode": "epsilon"},
             "surrogate": {"n_samples": 64},
             "roar": {"max_iters": 100},
         }
     )
     assert cfg.prediction.mode is PredictionMode.EPSILON
-    assert cfg.prediction.epsilon == 0.1
+    assert cfg.prediction.epsilon is None
     assert cfg.surrogate.n_samples == 64
     assert cfg.roar.max_iters == 100
     assert cfg.beta_grid == (0.0, 1.0)
+    explicit = ExperimentConfig.from_dict(
+        {"prediction": {"mode": "explicit", "explicit": [{"weights": [1, 2], "intercept": 0.5}]}}
+    )
+    assert explicit.prediction.explicit == (((1.0, 2.0), 0.5),)
+    # no study reads a prediction epsilon: smoothness takes the top-level one
+    with pytest.raises(ConfigError, match=r"unknown prediction keys: \['epsilon'\]"):
+        ExperimentConfig.from_dict({"prediction": {"mode": "epsilon", "epsilon": 0.1}})
 
 
 def test_config_from_json_file_errors(tmp_path):
@@ -322,21 +329,24 @@ def _add(sums, key, *values):
 
 
 def _check_tradeoff_rows_against_per_beta_reference(cfg):
-    # one blended_recourse call per beta, with the metrics solving their own baselines
+    # one blended_recourse call per beta, with the metrics measured against
+    # optima this reference solves itself
     res = run_tradeoff_study(cfg)
     sums = {}
     for _, _, _, lam, tasks in _reference_folds(cfg):
         for task in tasks:
             q = RecourseQuery(x0=task.x0, lam=lam)
             nbhd = Neighborhood(task.base, cfg.alpha)
+            robust = optimal_robust_recourse(q, nbhd)
             x_roar = roar_recourse(q, nbhd, cfg.roar).x_prime
             for name, pred in generate_predictions(cfg.prediction, task.base, cfg.alpha):
+                consistent = consistent_recourse(q, pred)
                 for beta in cfg.beta_grid:
                     bp = blended_recourse(TradeoffQuery(q, nbhd, pred, beta))
-                    _add(sums, ("blend", name, beta), robustness(q, nbhd, bp.x_prime),
-                         consistency(q, pred, bp.x_prime), bp.l1_cost)
-                _add(sums, ("roar", name, 1.0), robustness(q, nbhd, x_roar),
-                     consistency(q, pred, x_roar), weighted_l1(q, x_roar))
+                    _add(sums, ("blend", name, beta), robustness(q, nbhd, bp.x_prime, robust),
+                         consistency(q, pred, bp.x_prime, consistent), bp.l1_cost)
+                _add(sums, ("roar", name, 1.0), robustness(q, nbhd, x_roar, robust),
+                     consistency(q, pred, x_roar, consistent), weighted_l1(q, x_roar))
     assert len(res.rows) == len(sums) == 5 * (len(cfg.beta_grid) + 1)
     for row in res.rows:
         r, c, cost, n = sums[(row["method"], row["prediction"], row["beta"])]
@@ -496,6 +506,57 @@ def test_validity_study_rejects_mlp(tmp_path):
         run_validity_study(cfg)
 
 
+@pytest.mark.parametrize("study", ["pareto", "smoothness"])
+def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
+    # besides lambda selection, a study solves each instance's robust plan
+    # once and one consistent plan per (instance, model): each prediction's,
+    # and for smoothness the correct model's too
+    cfg = ExperimentConfig(n_points=40, k_folds=2, seed=3, lambda_grid=(0.05, 0.1),
+                           beta_grid=(0.0, 0.5, 1.0), roar=RoarConfig(max_iters=50),
+                           out_dir=str(tmp_path / "out"))
+    solves, selecting = {"robust": [], "consistent": []}, []
+
+    def counted(kind, solve):
+        def spy(query, model):
+            if not selecting:
+                key = (query.x0.tobytes(), query.lam)
+                if kind == "consistent":
+                    key += (model.weights.tobytes(), model.intercept)
+                solves[kind].append(key)
+            return solve(query, model)
+        return spy
+
+    def select(*args):
+        selecting.append(True)
+        try:
+            return _select_lambda(*args)
+        finally:
+            selecting.pop()
+
+    monkeypatch.setattr(experiments, "_select_lambda", select)
+    for module in (experiments, tradeoff):
+        monkeypatch.setattr(module, "optimal_robust_recourse",
+                            counted("robust", solver.optimal_robust_recourse))
+        monkeypatch.setattr(module, "consistent_recourse",
+                            counted("consistent", solver.consistent_recourse))
+    (run_tradeoff_study if study == "pareto" else run_smoothness_study)(cfg)
+    monkeypatch.undo()
+
+    tasks = [(t, lam) for _, _, _, lam, fold_tasks in _reference_folds(cfg) for t in fold_tasks]
+    instances = sorted((t.x0.tobytes(), lam) for t, lam in tasks)
+    assert len(set(instances)) == len(instances) > 0
+    assert sorted(solves["robust"]) == instances
+    if study == "pareto":
+        models = [
+            (t.x0.tobytes(), lam, pred.weights.tobytes(), pred.intercept)
+            for t, lam in tasks
+            for _, pred in generate_predictions(cfg.prediction, t.base, cfg.alpha)
+        ]
+        assert sorted(solves["consistent"]) == sorted(models)
+    else:  # the five epsilon predictions and the correct model
+        assert sorted(key[:2] for key in solves["consistent"]) == sorted(instances * 6)
+
+
 # -------------------------------------------------------------- mlp path
 
 
@@ -630,6 +691,18 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         (["pareto"], {"roar": {"learning_rate": float("nan")}}),
         (["pareto"], {"roar": {"max_iters": 1.5}}),
         (["pareto"], {"surrogate": {"ridge": -1}}),
+        (["pareto"], {"k_folds": 2.5, "n_points": 40}),
+        (["pareto"], {"n_points": 40.5}),
+        (["pareto"], {"seed": 1.5, "n_points": 40}),
+        (["pareto"], {"n_points": True}),
+        (["pareto"], {"roar": 5}),
+        (["pareto"], {"surrogate": [64]}),
+        (["pareto"], {"prediction": "corner"}),
+        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"intercept": 0}]}}),
+        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [[1.0, 2.0]]}}),
+        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"weights": ["a", "b"]}]}}),
+        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"weights": "12"}]}}),
+        (["smoothness"], {"prediction": {"epsilon": 0.01}}),
         (["gen-data", "--n", "1"], None),
         (["gen-data", "--seed", "-1"], None),
         (["oracle-check", "--n", "-1"], None),
@@ -639,7 +712,11 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     ids=[
         "theta-x0-lengths", "negative-lam", "nan-theta", "nan-lam", "inf-alpha", "one-point",
         "negative-lambda", "duplicate-beta", "roar-zero-rate", "roar-nan-rate",
-        "roar-fractional-iters", "surrogate-negative-ridge", "gen-data-one-point",
+        "roar-fractional-iters", "surrogate-negative-ridge", "fractional-folds",
+        "fractional-points", "fractional-seed", "bool-points", "roar-not-object",
+        "surrogate-not-object", "prediction-not-object", "explicit-without-weights",
+        "explicit-not-object", "explicit-text-weights", "explicit-string-weights",
+        "prediction-epsilon", "gen-data-one-point",
         "gen-data-negative-seed",
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
     ],

@@ -57,9 +57,9 @@ def test_never_beats_exact_solver():
         q = _query(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 0.8)))
         n = _nbhd(rng.uniform(-2, 2, d), float(rng.uniform(0.0, 0.6)), intercept=float(rng.uniform(-1, 1)))
         plan = roar_recourse(q, n)
-        gap = robustness(q, n, plan.x_prime)
-        assert gap >= -1e-9
-        assert plan.worst_case_total >= optimal_robust_recourse(q, n).worst_case_total - 1e-9
+        robust = optimal_robust_recourse(q, n)
+        assert robustness(q, n, plan.x_prime, robust) >= -1e-9
+        assert plan.worst_case_total >= robust.worst_case_total - 1e-9
 
 
 def test_immutable_respected():

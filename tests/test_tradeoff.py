@@ -18,6 +18,7 @@ from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
 from robust_recourse import tradeoff
 from robust_recourse.tradeoff import (
     _STEP_GRID,
+    Frontier,
     TradeoffQuery,
     _blend,
     blended_recourse,
@@ -56,7 +57,7 @@ def test_robustness_zero_at_robust_plan():
     q = _query([0.0], 0.1)
     n = _nbhd([1.0], 0.5, perturb_intercept=False)
     plan = optimal_robust_recourse(q, n)
-    assert robustness(q, n, plan.x_prime) == pytest.approx(0.0, abs=1e-15)
+    assert robustness(q, n, plan.x_prime, plan) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_robustness_of_staying_put():
@@ -64,8 +65,11 @@ def test_robustness_of_staying_put():
     # 0.5004024235381879, so staying put gives up exactly the difference.
     q = _query([0.0], 0.1)
     n = _nbhd([1.0], 0.5, perturb_intercept=False)
-    assert robustness(q, n, q.x0) == pytest.approx(0.1927447570217574, abs=1e-12)
-    assert robustness(q, n, q.x0) == pytest.approx(math.log(2.0) - 0.5004024235381879, abs=1e-14)
+    robust = optimal_robust_recourse(q, n)
+    assert robustness(q, n, q.x0, robust) == pytest.approx(0.1927447570217574, abs=1e-12)
+    assert robustness(q, n, q.x0, robust) == pytest.approx(
+        math.log(2.0) - 0.5004024235381879, abs=1e-14
+    )
 
 
 def test_robustness_nonnegative_random():
@@ -73,7 +77,8 @@ def test_robustness_nonnegative_random():
     for _ in range(100):
         tq = _random_tq(rng)
         x = rng.uniform(-3, 3, tq.query.dim)
-        assert robustness(tq.query, tq.neighborhood, x) >= -1e-9
+        robust = optimal_robust_recourse(tq.query, tq.neighborhood)
+        assert robustness(tq.query, tq.neighborhood, x, robust) >= -1e-9
 
 
 def test_consistency_zero_at_consistent_plan():
@@ -81,16 +86,9 @@ def test_consistency_zero_at_consistent_plan():
     for _ in range(20):
         tq = _random_tq(rng)
         plan = consistent_recourse(tq.query, tq.prediction)
-        assert consistency(tq.query, tq.prediction, plan.x_prime) == pytest.approx(0.0, abs=1e-12)
+        assert consistency(tq.query, tq.prediction, plan.x_prime, plan) == pytest.approx(0.0, abs=1e-12)
         robust = optimal_robust_recourse(tq.query, tq.neighborhood)
-        assert consistency(tq.query, tq.prediction, robust.x_prime) >= -1e-9
-
-
-def test_metric_baselines_reused():
-    q = _query([0.0], 0.1)
-    n = _nbhd([1.0], 0.5, perturb_intercept=False)
-    base = optimal_robust_recourse(q, n)
-    assert robustness(q, n, q.x0, baseline=base) == robustness(q, n, q.x0)
+        assert consistency(tq.query, tq.prediction, robust.x_prime, plan) >= -1e-9
 
 
 # ---------------------------------------------------------------- blending
@@ -269,7 +267,8 @@ def test_pareto_frontier_endpoints_and_monotonicity():
     n = _nbhd([1.0], 0.5, perturb_intercept=False)
     pred = ModelParams(weights=np.array([1.4]), intercept=0.0)
     betas = [0.0, 0.25, 0.5, 0.75, 1.0]
-    pts = pareto_frontier(TradeoffQuery(q, n, pred, 1.0), betas)
+    (front,) = pareto_frontier(q, n, [pred], betas)
+    pts = front.points
     assert [p.beta for p in pts] == betas
     assert pts[-1].robustness == pytest.approx(0.0, abs=1e-12)
     assert pts[0].consistency == pytest.approx(0.0, abs=1e-12)
@@ -297,21 +296,28 @@ def _random_problem(rng):
         intercept=float(rng.uniform(-1, 1)),
         perturb_intercept=not fixed,
     )
-    shift = 0.0 if fixed else float(rng.uniform(-n.alpha, n.alpha))
-    pred = ModelParams(
-        weights=n.base.weights + rng.uniform(-n.alpha, n.alpha, d), intercept=n.base.intercept + shift
+    return TradeoffQuery(q, n, _random_prediction(rng, n), 1.0)
+
+
+def _random_prediction(rng, n):
+    """A model drawn uniformly from the ball, with the base intercept when it is fixed."""
+    shift = float(rng.uniform(-n.alpha, n.alpha)) if n.perturb_intercept else 0.0
+    return ModelParams(
+        weights=n.base.weights + rng.uniform(-n.alpha, n.alpha, n.base.dim),
+        intercept=n.base.intercept + shift,
     )
-    return TradeoffQuery(q, n, pred, 1.0)
 
 
 def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
-    # pareto_frontier and smoothness blend every beta of a sweep in one stacked
-    # search; each value must be the one a one-beta blended_recourse gives
+    # pareto_frontier and smoothness sweep a query's whole prediction set,
+    # blending every beta of a prediction in one stacked search from endpoints
+    # solved once; each value must be the one a one-beta blend of that
+    # prediction from freshly solved endpoints gives
     descend, searches = tradeoff._descend, []
 
-    def spy(tq, betas, start):  # records each stacked search's start and move counts
+    def spy(tq, betas, start):  # records each stacked search's prediction, start and move counts
         out = descend(tq, betas, start)
-        searches.append((start, [len(m) for m in out[2]]))
+        searches.append((tq.prediction, start, [len(m) for m in out[2]]))
         return out
 
     pinned = [
@@ -334,49 +340,58 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
         ),
     ]
     rng = np.random.default_rng(27)
-    losses, dims, staggered, restarts = set(), set(), 0, {"robust": 0, "consistent": 0}
+    losses, dims, sizes, staggered = set(), set(), set(), 0
+    restarts = {"robust": 0, "consistent": 0}
     for i in range(62):
         tq = pinned[i] if i < len(pinned) else _random_problem(rng)
         q, n = tq.query, tq.neighborhood
         losses.add(q.loss)
         dims.add(q.dim)
+        preds = [tq.prediction] + [_random_prediction(rng, n) for _ in range(i % 3)]
+        sizes.add(len(preds))
         inner = [0.5, *rng.uniform(0.01, 0.99, 7)]
         betas = [inner[0]] + inner + [0.0, 1.0]  # 9 interior rows, one beta twice
         rng.shuffle(betas)
-        correct = ModelParams(
-            weights=n.base.weights + rng.uniform(-n.alpha, n.alpha, q.dim),
-            intercept=n.base.intercept,
-        )
+        correct = _random_prediction(rng, n)
         searches.clear()
         monkeypatch.setattr(tradeoff, "_descend", spy)
-        points = pareto_frontier(tq, betas)
+        frontiers = pareto_frontier(q, n, preds, betas)
         monkeypatch.undo()
-        # from x0, then the restarts that have rows: the robust plan's first
-        (start, counts), *ends = searches
-        assert len(counts) == 9 and (start == q.x0).all()
-        staggered += len({k for k in counts if k < 4 * q.dim}) > 1  # rows stop in different rounds
+        regrets = smoothness(q, n, preds, correct, betas)
+        assert len(frontiers) == len(regrets) == len(preds)
         robust = optimal_robust_recourse(q, n)
-        consistent = consistent_recourse(q, tq.prediction)
-        for i_end, (start, counts) in enumerate(ends):
-            name = "robust" if i_end == 0 and (start == robust.x_prime).all() else "consistent"
-            assert name == "robust" or (start == consistent.x_prime).all()
-            restarts[name] += len(counts)
-        regrets = smoothness(q, n, tq.prediction, correct, betas)
         best = consistent_recourse(q, correct).worst_case_total
-        for beta, pt, regret in zip(betas, points, regrets):
-            plan = blended_recourse(TradeoffQuery(q, n, tq.prediction, beta))
-            if 0.0 < beta < 1.0:  # and the one a per-coordinate loop gives
-                x_ref, trace_ref, _ = _reference_blend(
-                    TradeoffQuery(q, n, tq.prediction, beta), robust, consistent)
-                np.testing.assert_array_equal(plan.x_prime, x_ref)
-                assert plan.trace == trace_ref
-            assert pt.beta == beta
-            assert pt.robustness == robustness(q, n, plan.x_prime)
-            assert pt.consistency == consistency(q, tq.prediction, plan.x_prime)
-            assert pt.l1_cost == plan.l1_cost
-            assert regret == eval_total_cost(q, plan.x_prime, correct) - best
+        for pred, front, regret_list in zip(preds, frontiers, regrets):
+            consistent = consistent_recourse(q, pred)
+            assert front.robust is frontiers[0].robust  # one robust solve per query
+            for got, want in ((front.robust, robust), (front.consistent, consistent)):
+                np.testing.assert_array_equal(got.x_prime, want.x_prime)
+                assert got.worst_case_total == want.worst_case_total
+            # each prediction's searches: from x0, then the restarts that have
+            # rows, the robust plan's first
+            (start, counts), *ends = [(st, c) for p, st, c in searches if p is pred]
+            assert len(counts) == 9 and (start == q.x0).all()
+            staggered += len({k for k in counts if k < 4 * q.dim}) > 1  # rows stop in different rounds
+            for i_end, (start, counts) in enumerate(ends):
+                name = "robust" if i_end == 0 and (start == robust.x_prime).all() else "consistent"
+                assert name == "robust" or (start == consistent.x_prime).all()
+                restarts[name] += len(counts)
+            assert len(front.points) == len(regret_list) == len(betas)
+            for beta, pt, regret in zip(betas, front.points, regret_list):
+                tq_beta = TradeoffQuery(q, n, pred, beta)
+                (plan,) = _blend(tq_beta, [beta], robust, consistent)
+                if 0.0 < beta < 1.0:  # and the one a per-coordinate loop gives
+                    x_ref, trace_ref, _ = _reference_blend(tq_beta, robust, consistent)
+                    np.testing.assert_array_equal(plan.x_prime, x_ref)
+                    assert plan.trace == trace_ref
+                assert pt.beta == beta
+                assert pt.robustness == robustness(q, n, plan.x_prime, robust)
+                assert pt.consistency == consistency(q, pred, plan.x_prime, consistent)
+                assert pt.l1_cost == plan.l1_cost
+                assert regret == eval_total_cost(q, plan.x_prime, correct) - best
     assert losses == {LossKind.BCE, LossKind.SQUARED}
     assert dims == {1, 2, 3, 5, 20}
+    assert sizes == {1, 2, 3}
     assert staggered > 0
     assert min(restarts.values()) > 0
 
@@ -395,8 +410,9 @@ def test_pareto_robustness_is_the_recomputed_metric_bitwise():
         rng.shuffle(betas)
         robust = optimal_robust_recourse(q, n)
         plans = _blend(tq, betas, robust, consistent_recourse(q, tq.prediction))
-        for pt, plan in zip(pareto_frontier(tq, betas), plans):
-            want = robustness(q, n, plan.x_prime)
+        (front,) = pareto_frontier(q, n, [tq.prediction], betas)
+        for pt, plan in zip(front.points, plans):
+            want = robustness(q, n, plan.x_prime, robust)
             assert np.float64(pt.robustness).tobytes() == np.float64(want).tobytes()
     assert {d for d, _, _ in seen} == {1, 2, 3, 5, 20}
     assert {loss for _, loss, _ in seen} == {LossKind.BCE, LossKind.SQUARED}
@@ -410,7 +426,7 @@ def test_smoothness_zero_when_prediction_correct_and_trusted():
     rng = np.random.default_rng(24)
     for _ in range(20):
         tq = _random_tq(rng, beta=0.0)
-        (got,) = smoothness(tq.query, tq.neighborhood, tq.prediction, tq.prediction, [0.0])
+        ((got,),) = smoothness(tq.query, tq.neighborhood, [tq.prediction], tq.prediction, [0.0])
         assert got == pytest.approx(0.0, abs=1e-12)
 
 
@@ -422,8 +438,7 @@ def test_smoothness_prediction_independent_at_full_caution():
         intercept=tq.neighborhood.base.intercept,
     )
     correct = tq.prediction
-    a = smoothness(tq.query, tq.neighborhood, tq.prediction, correct, [1.0])
-    b = smoothness(tq.query, tq.neighborhood, other, correct, [1.0])
+    a, b = smoothness(tq.query, tq.neighborhood, [tq.prediction, other], correct, [1.0])
     assert a == b
 
 
@@ -437,7 +452,7 @@ def test_smoothness_nonnegative_random():
             intercept=tq.neighborhood.base.intercept
             + float(rng.uniform(-tq.neighborhood.alpha, tq.neighborhood.alpha)),
         )
-        got = smoothness(tq.query, tq.neighborhood, tq.prediction, correct, [0.0, tq.beta, 1.0])
+        (got,) = smoothness(tq.query, tq.neighborhood, [tq.prediction], correct, [0.0, tq.beta, 1.0])
         assert min(got) >= -1e-9
 
 
@@ -477,20 +492,21 @@ def test_tradeoff_query_validation():
     TradeoffQuery(q, n, ModelParams(weights=np.array([0.8]), intercept=-0.2), 0.5)  # on the surface
     with pytest.raises(ValueError, match="different dimensions"):
         TradeoffQuery(q, n, ModelParams(weights=np.array([1.0, 1.0]), intercept=0.0), 0.5)
-    # the sweeps check every beta and the prediction as a TradeoffQuery does
-    tq = TradeoffQuery(q, n, inside, 1.0)
+    # the sweeps check every beta, and every prediction as a TradeoffQuery does
     for betas in ([0.5, 1.5], [-0.1], [0.2, float("nan")]):
         with pytest.raises(ValueError, match="beta must lie in"):
-            pareto_frontier(tq, betas)
+            pareto_frontier(q, n, [inside], betas)
         with pytest.raises(ValueError, match="beta must lie in"):
-            smoothness(q, n, inside, inside, betas)
+            smoothness(q, n, [inside], inside, betas)
     outside = ModelParams(weights=np.array([1.5]), intercept=0.0)
     with pytest.raises(ValueError, match="outside the model ball"):
-        smoothness(q, n, outside, inside, [0.5])
+        smoothness(q, n, [inside, outside], inside, [0.5])
     with pytest.raises(ValueError, match="outside the model ball"):
-        pareto_frontier(TradeoffQuery(q, n, outside, 1.0), [0.5])
-    assert pareto_frontier(tq, []) == []
-    assert smoothness(q, n, inside, inside, []) == []
+        pareto_frontier(q, n, [inside, outside], [0.5])
+    (front,) = pareto_frontier(q, n, [inside], [])
+    assert isinstance(front, Frontier) and front.points == []
+    assert smoothness(q, n, [inside], inside, []) == [[]]
+    assert pareto_frontier(q, n, [], [0.5]) == smoothness(q, n, [], inside, [0.5]) == []
 
 
 def test_blended_squared_loss_runs():
