@@ -276,6 +276,9 @@ def generate_predictions(
     preds = []
     for i, (weights, intercept) in enumerate(spec.explicit):
         cand = ModelParams(weights=np.asarray(weights, dtype=float), intercept=intercept)
+        if cand.dim != base.dim:
+            raise ConfigError(f"explicit prediction {i} has {cand.dim} weights, "
+                              f"the data have {base.dim} features")
         if not ball.contains(cand):
             raise ConfigError(f"explicit prediction {i} lies outside the model ball")
         preds.append((f"pred{i}", cand))

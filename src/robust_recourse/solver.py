@@ -16,12 +16,11 @@ applied move is recorded in the returned plan's trace.
 minimizes the total cost under a single predicted model exactly.
 
 ``minimax_oracle`` certifies the solver on small instances by exhaustive
-grid search over inputs, with the inner maximum taken over every corner of
-the model ball. It scans the corners ``Neighborhood.corners`` enumerates,
-independent of the closed-form adversary. Both losses are non-increasing
-in the score, so the scan keeps the minimum corner score per grid point and
-evaluates the loss once there, which is exact; scores and costs are
-separable in the features, so it broadcasts one 1-D array per free axis
+grid search over inputs, with the inner maximum taken over the corners of
+the model ball, independent of the closed-form adversary. Both losses are
+non-increasing in the score, so the scan keeps the least corner score per
+grid point, a sum of each feature's smaller corner term, and evaluates the
+loss once there, which is exact; it broadcasts one 1-D array per free axis
 instead of building the point mesh. Optional refinement passes re-grid
 around the incumbent with a ten times finer step; they assume the
 worst-case objective is convex in the input, which holds for the BCE loss
@@ -30,6 +29,7 @@ worst-case objective is convex in the input, which holds for the BCE loss
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -292,11 +292,11 @@ def minimax_oracle(
     immutable ones stay at x0). The inner maximum over the ball is exact
     because the score is linear in the model, so it is attained at a corner,
     and both losses are non-increasing in the score, so the maximum loss
-    over the corners is the loss at their minimum score. The scan takes that
-    minimum over an explicit enumeration of the corners, then evaluates the
-    loss once per grid point; scores and costs are broadcast sums of one
-    1-D array per free axis, so no point matrix is built. Only for
-    low-dimensional certification runs.
+    over the corners is the loss at their minimum score. The scan sums each
+    feature's least corner term (``_grid_scan``), never enumerating the
+    2^(d+1) corners, and evaluates the loss once per grid point; scores and
+    costs are broadcast sums of one 1-D array per free axis, so no point
+    matrix is built. Only for low-dimensional certification runs.
     """
     grid = grid or GridSpec()
     d = query.dim
@@ -308,8 +308,6 @@ def minimax_oracle(
     if len(free) > 3:
         raise ValueError("oracle supports at most 3 mutable dimensions")
     step = grid.resolved_step(len(free) or 1)
-
-    corner_w, corner_b = neighborhood.corners()
 
     def axis(i: int, lo: float, hi: float, n_pts: int) -> np.ndarray:
         pts = np.linspace(lo, hi, n_pts)
@@ -323,37 +321,38 @@ def minimax_oracle(
         axis(i, float(query.x0[i]) - grid.half_range, float(query.x0[i]) + grid.half_range, n_pts)
         for i in free
     ]
-    x_best, val_best = _grid_scan(query, corner_w, corner_b, free, axes)
+    x_best, val_best = _grid_scan(query, neighborhood, free, axes)
     h = step
     for _ in range(grid.refine_levels):
         axes = [axis(i, float(x_best[i]) - 2.5 * h, float(x_best[i]) + 2.5 * h, 51) for i in free]
-        x_cand, val_cand = _grid_scan(query, corner_w, corner_b, free, axes)
+        x_cand, val_cand = _grid_scan(query, neighborhood, free, axes)
         if val_cand < val_best:
             x_best, val_best = x_cand, val_cand
         h /= 10.0
     return x_best, val_best
 
 
-def _grid_scan(query, corner_w, corner_b, free, axes) -> tuple[np.ndarray, float]:
+def _grid_scan(query, neighborhood, free, axes) -> tuple[np.ndarray, float]:
     """Best grid point and its worst-case total, scanned without a point matrix.
 
     The k-th free axis broadcasts along the k-th grid dimension and an
-    immutable feature is the constant x0[i]; per-feature terms are added in
-    index order. The argmin over the C-order totals keeps the first minimum
-    in the raveled ``meshgrid(..., indexing="ij")`` order.
+    immutable feature is the constant x0[i]. A corner's score adds the terms
+    c_i * (w_i +/- alpha) in index order, then its intercept; the least one
+    is the same sum of each feature's smaller term plus ``worst_intercept``,
+    bit for bit: round-to-nearest addition is monotone, so no corner sums
+    below it, and the corner taking every smaller term is summed in the same
+    order. Only a zero's sign can differ, which no loss tells apart. The
+    argmin over the C-order totals keeps the first minimum in the raveled
+    ``meshgrid(..., indexing="ij")`` order.
     """
     x0 = query.x0
     coords = list(x0)
     for k, (i, a) in enumerate(zip(free, axes)):
         coords[i] = a.reshape([-1 if j == k else 1 for j in range(len(free))])
 
-    low = np.full([a.size for a in axes], math.inf)
-    for w, b in zip(corner_w, corner_b):
-        s = coords[0] * w[0]
-        for c, w_i in zip(coords[1:], w[1:]):
-            s = s + c * w_i
-        s += b  # in place: a full-size temporary per corner tripled the scan time
-        np.minimum(low, s, out=low)
+    alpha, weights = neighborhood.alpha, neighborhood.base.weights
+    terms = [np.minimum(c * (w - alpha), c * (w + alpha)) for c, w in zip(coords, weights)]
+    low = functools.reduce(np.add, terms) + neighborhood.worst_intercept
 
     cost = 0.0
     for i in free:

@@ -274,15 +274,16 @@ def smoothness(
     """Regret per beta under the model that materialized, one list per prediction used.
 
     Zero when the prediction was correct and fully trusted (beta = 0);
-    independent of the prediction at beta = 1. The robust plan and the
-    correct model's consistent plan are solved once for all predictions.
+    independent of the prediction at beta = 1. Each plan is solved once; a
+    prediction equal to the correct model lends it its consistent plan.
     """
     robust = optimal_robust_recourse(query, neighborhood)
-    best = consistent_recourse(query, correct_prediction).worst_case_total
-    return [
-        [eval_total_cost(query, plan.x_prime, correct_prediction) - best for plan in plans]
-        for _, _, plans in _sweeps(query, neighborhood, predictions, betas, robust)
-    ]
+    sweeps = list(_sweeps(query, neighborhood, predictions, betas, robust))
+    same = [c for p, c, _ in sweeps if p.intercept == correct_prediction.intercept
+            and np.array_equal(p.weights, correct_prediction.weights)]
+    best = (same or [consistent_recourse(query, correct_prediction)])[0].worst_case_total
+    return [[eval_total_cost(query, plan.x_prime, correct_prediction) - best for plan in plans]
+            for _, _, plans in sweeps]
 
 
 def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:

@@ -165,11 +165,17 @@ def test_explicit_predictions():
     spec = PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(((1.2,), 0.1),))
     preds = generate_predictions(spec, base, 0.3)
     assert preds[0][0] == "pred0"
-    for outside in (((2.0,), 0.0), ((1.2,), 0.31), ((1.0, 1.0), 0.0)):
+    for outside in (((2.0,), 0.0), ((1.2,), 0.31)):
         with pytest.raises(ConfigError, match="outside the model ball"):
             generate_predictions(
                 PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(outside,)), base, 0.3
             )
+    # A wrong length is named as such, not as a model outside the ball.
+    with pytest.raises(ConfigError, match="prediction 0 has 2 weights, the data have 1 features"):
+        generate_predictions(
+            PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(((1.0, 1.0), 0.0),)),
+            base, 0.3,
+        )
     with pytest.raises(ConfigError, match="at least one model"):
         generate_predictions(PredictionSetSpec(mode=PredictionMode.EXPLICIT), base, 0.3)
 
@@ -509,8 +515,8 @@ def test_validity_study_rejects_mlp(tmp_path):
 @pytest.mark.parametrize("study", ["pareto", "smoothness"])
 def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
     # besides lambda selection, a study solves each instance's robust plan
-    # once and one consistent plan per (instance, model): each prediction's,
-    # and for smoothness the correct model's too
+    # once and one consistent plan per (instance, prediction); smoothness's
+    # correct model is its "correct" prediction, so its plan is not solved again
     cfg = ExperimentConfig(n_points=40, k_folds=2, seed=3, lambda_grid=(0.05, 0.1),
                            beta_grid=(0.0, 0.5, 1.0), roar=RoarConfig(max_iters=50),
                            out_dir=str(tmp_path / "out"))
@@ -553,8 +559,9 @@ def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
             for _, pred in generate_predictions(cfg.prediction, t.base, cfg.alpha)
         ]
         assert sorted(solves["consistent"]) == sorted(models)
-    else:  # the five epsilon predictions and the correct model
-        assert sorted(key[:2] for key in solves["consistent"]) == sorted(instances * 6)
+    else:  # the five epsilon predictions, each model solved once
+        assert sorted(key[:2] for key in solves["consistent"]) == sorted(instances * 5)
+        assert len(set(solves["consistent"])) == len(solves["consistent"])
 
 
 # -------------------------------------------------------------- mlp path
@@ -702,6 +709,11 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         (["pareto"], {"prediction": {"mode": "explicit", "explicit": [[1.0, 2.0]]}}),
         (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"weights": ["a", "b"]}]}}),
         (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"weights": "12"}]}}),
+        (
+            ["pareto"],
+            {"n_points": 40, "k_folds": 2,
+             "prediction": {"mode": "explicit", "explicit": [{"weights": [1.0]}]}},
+        ),
         (["smoothness"], {"prediction": {"epsilon": 0.01}}),
         (["gen-data", "--n", "1"], None),
         (["gen-data", "--seed", "-1"], None),
@@ -716,6 +728,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         "fractional-points", "fractional-seed", "bool-points", "roar-not-object",
         "surrogate-not-object", "prediction-not-object", "explicit-without-weights",
         "explicit-not-object", "explicit-text-weights", "explicit-string-weights",
+        "explicit-wrong-dimension",
         "prediction-epsilon", "gen-data-one-point",
         "gen-data-negative-seed",
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",

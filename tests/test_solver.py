@@ -320,8 +320,9 @@ def test_oracle_counts_mutable_dimensions():
     assert abs(val - plan.worst_case_total) <= 1e-6
 
 
-def _reference_scan(query, corner_w, corner_b, free, axes):
+def _reference_scan(query, neighborhood, free, axes):
     """The scan as a point matrix: every grid point against every corner."""
+    corner_w, corner_b = neighborhood.corners()
     mesh = np.meshgrid(*axes, indexing="ij") if axes else []
     n_pts = mesh[0].size if mesh else 1
     pts = np.tile(query.x0, (n_pts, 1))
@@ -365,6 +366,87 @@ def test_oracle_scan_matches_point_matrix_reference(monkeypatch):
         # An axis can hold x0 and a linspace point a few ulps from it; the
         # last bit of a total decides between the two, so compare to 1e-12.
         np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
+
+
+def _corner_loop_scan(query, neighborhood, free, axes):
+    """The scan as a loop over the enumerated corners, one score pass each."""
+    x0 = query.x0
+    coords = list(x0)
+    for k, (i, a) in enumerate(zip(free, axes)):
+        coords[i] = a.reshape([-1 if j == k else 1 for j in range(len(free))])
+    low = np.full([a.size for a in axes], math.inf)
+    for w, b in zip(*neighborhood.corners()):
+        s = coords[0] * w[0]
+        for c, w_i in zip(coords[1:], w[1:]):
+            s = s + c * w_i
+        s += b
+        np.minimum(low, s, out=low)
+    cost = 0.0
+    for i in free:
+        cost = cost + query.cost.weights[i] * np.abs(coords[i] - x0[i])
+    totals = np.asarray(eval_loss(query.loss, low) + query.lam * cost)
+    k = int(np.argmin(totals))
+    best_x = x0.copy()
+    for i, a, j in zip(free, axes, np.unravel_index(k, totals.shape)):
+        best_x[i] = a[j]
+    return best_x, float(totals.flat[k])
+
+
+def test_oracle_scan_equals_corner_enumeration_bitwise(monkeypatch):
+    # The per-feature least terms must reproduce the corner loop's point and
+    # value bit for bit, not to a tolerance: the argument is monotone rounding.
+    rng = np.random.default_rng(29)
+    cases = []
+    for t in range(64):
+        d = 1 + t % 8
+        n_free = min(d, t % 4)
+        mask = np.ones(d, dtype=bool)
+        mask[rng.choice(d, n_free, replace=False)] = False
+        x0 = rng.uniform(-2, 2, d)
+        x0[rng.random(d) < 0.3] = 0.0
+        weights = rng.uniform(-2, 2, d)
+        weights[rng.random(d) < 0.3] = 0.0
+        q = _query(
+            x0,
+            float(rng.choice([0.05, 0.3, 1.0])),
+            loss=(LossKind.BCE, LossKind.SQUARED)[t % 2],
+            cost=CostSpec(rng.uniform(0.5, 2.0, d)),
+            immutable_mask=mask,
+        )
+        n = _nbhd(
+            weights,
+            float(rng.choice([0.0, 0.1, 0.5])),
+            intercept=float(rng.choice([0.0, rng.uniform(-1, 1)])),
+            perturb_intercept=bool(rng.integers(2)),
+        )
+        step = {0: 0.1, 1: 0.01, 2: 0.05, 3: 0.25}[n_free]
+        grid = GridSpec(half_range=2.0, step=step, refine_levels=int(n_free < 3 and t // 4 % 2))
+        cases.append((q, n, grid, minimax_oracle(q, n, grid)))
+    assert {float(n.alpha) for _, n, _, _ in cases} >= {0.0, 0.1, 0.5}
+    assert {int((~q.immutable_mask).sum()) for q, *_ in cases} == {0, 1, 2, 3}
+
+    monkeypatch.setattr(solver, "_grid_scan", _corner_loop_scan)
+    for q, n, grid, (x, val) in cases:
+        x_ref, val_ref = minimax_oracle(q, n, grid)
+        assert x.tobytes() == x_ref.tobytes()
+        assert val.hex() == val_ref.hex()
+
+
+def test_oracle_never_enumerates_corners(monkeypatch):
+    # Three mutable of 40 features: enumerating 2^41 corners could not finish.
+    def refuse(self):
+        raise AssertionError("the oracle enumerated the ball's corners")
+
+    monkeypatch.setattr(Neighborhood, "corners", refuse)
+    rng = np.random.default_rng(41)
+    mask = np.ones(40, dtype=bool)
+    mask[[4, 17, 33]] = False
+    q = _query(rng.uniform(-1, 1, 40), 0.3, immutable_mask=mask)
+    n = _nbhd(rng.uniform(-1, 1, 40), 0.05, intercept=0.2)
+    plan = optimal_robust_recourse(q, n)
+    x, val = minimax_oracle(q, n, GridSpec(half_range=8.0, step=0.4, refine_levels=4))
+    np.testing.assert_array_equal(x[mask], q.x0[mask])
+    assert abs(val - plan.worst_case_total) <= 1e-6
 
 
 @pytest.mark.xfail(

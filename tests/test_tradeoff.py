@@ -456,6 +456,32 @@ def test_smoothness_nonnegative_random():
         assert min(got) >= -1e-9
 
 
+def test_smoothness_reuses_the_plan_of_a_prediction_equal_to_the_correct_model(monkeypatch):
+    rng = np.random.default_rng(27)
+    tq = _random_tq(rng)
+    base, alpha = tq.neighborhood.base, tq.neighborhood.alpha
+    correct = ModelParams(weights=base.weights + alpha / 2, intercept=base.intercept - alpha / 2)
+    equal = ModelParams(weights=correct.weights.copy(), intercept=correct.intercept)
+    nearby = ModelParams(weights=correct.weights, intercept=np.nextafter(correct.intercept, 0.0))
+    betas = [0.0, 0.4, 1.0]
+    best = consistent_recourse(tq.query, correct).worst_case_total
+    calls = []
+
+    def spy(query, model):
+        calls.append(model)
+        return consistent_recourse(query, model)
+
+    monkeypatch.setattr(tradeoff, "consistent_recourse", spy)
+    for preds, n_solves in (([tq.prediction, equal], 2), ([tq.prediction, nearby], 3)):
+        calls.clear()
+        got = smoothness(tq.query, tq.neighborhood, preds, correct, betas)
+        assert len(calls) == n_solves
+        robust = optimal_robust_recourse(tq.query, tq.neighborhood)
+        sweeps = tradeoff._sweeps(tq.query, tq.neighborhood, preds, betas, robust)
+        for regrets, (_, _, plans) in zip(got, sweeps):
+            assert regrets == [eval_total_cost(tq.query, x.x_prime, correct) - best for x in plans]
+
+
 # ---------------------------------------------------------------- validity
 
 
