@@ -1,6 +1,6 @@
 """Recourse generation for generalized linear models under bounded model shift."""
 
-from .adversary import AscentConfig, Neighborhood, best_response, corner_oracle, worst_case_shared_model
+from .adversary import Neighborhood, best_response, corner_oracle, worst_case_shared_model
 from .data import (
     DataError,
     Dataset,

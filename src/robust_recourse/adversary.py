@@ -7,9 +7,9 @@ the intercept (its multiplier is the constant +1). ``corner_oracle`` checks
 the same thing by brute force over the corners ``Neighborhood.corners``
 enumerates and is used to certify the closed form.
 ``worst_case_shared_model`` finds a single model that degrades a whole
-batch of recourses at once, via projected gradient ascent,
-for validity experiments; it also takes a stack of equal-size batches, each
-with its own ball, and ascends them all in one loop.
+recourse set at once, for validity experiments. Its mean loss is convex in
+the model, so it searches the ball's vertices: all of them when there are
+few, a local 1-flip search when there are many.
 
 A Neighborhood may be built with ``perturb_intercept=False`` for problems
 posed without an attackable intercept term; the intercept then stays fixed.
@@ -26,7 +26,9 @@ import numpy as np
 
 from .glm import DimensionMismatchError, LossKind, ModelParams, eval_loss, sigmoid, sign
 
-__all__ = ["Neighborhood", "AscentConfig", "best_response", "corner_oracle", "worst_case_shared_model"]
+__all__ = ["Neighborhood", "best_response", "corner_oracle", "worst_case_shared_model"]
+
+_ENUMERATION_CAP = 12  # free ball coordinates up to which every corner is scored
 
 
 @dataclass(frozen=True)
@@ -85,14 +87,6 @@ class Neighborhood:
         return self.base.weights + self.alpha * signs[:, :d], intercepts
 
 
-@dataclass(frozen=True)
-class AscentConfig:
-    learning_rate: float = 0.001
-    steps: int = 1000
-    moment_decay: tuple = (0.9, 0.999)
-    epsilon: float = 1e-8
-
-
 def best_response(neighborhood: Neighborhood, x) -> ModelParams:
     """Model in the ball minimizing the score of x, in closed form.
 
@@ -129,64 +123,50 @@ def corner_oracle(neighborhood: Neighborhood, x) -> ModelParams:
     return ModelParams(weights[k], intercepts[k])
 
 
-def worst_case_shared_model(neighborhood, recourses, cfg: AscentConfig = AscentConfig()):
+def worst_case_shared_model(neighborhood: Neighborhood, recourses) -> ModelParams:
     """One model in the ball that hurts a whole recourse set.
 
-    Maximizes the mean BCE loss of the set toward the desirable label with
-    adaptive-moment gradient ascent, projecting every coordinate back into
-    the ball after each step. The iterate with the best objective seen is
-    returned, so the result is never worse than the ball's base model.
-
-    Stacked form: given P balls and a (P, n, d) array of P equal-size sets,
-    one loop ascends each set in its own ball with its own moments and
-    best-so-far, and returns a list of P models, bitwise equal to P calls.
+    Maximizes the mean BCE loss of the set toward the desirable label. The
+    loss is convex in the model and the ball is a box, so a vertex attains
+    the maximum. With at most ``_ENUMERATION_CAP`` free coordinates (the
+    weights, plus the intercept when it is attackable) every corner is
+    scored and the first best in ``corners()`` order is returned: the exact
+    worst case. Above the cap a 1-flip vertex search runs instead: it starts
+    at the vertex the signs of the base model's gradient point to and takes
+    the best strictly improving single flip until none improves. That is a
+    local optimum only; convex maximization over a box is NP-hard.
     """
-    stacked = not isinstance(neighborhood, Neighborhood)
-    balls = list(neighborhood) if stacked else [neighborhood]
-    points = np.asarray(recourses, dtype=float)
-    points = points if stacked else np.atleast_2d(points)[None]
+    base, alpha = neighborhood.base, neighborhood.alpha
+    points = np.atleast_2d(np.asarray(recourses, dtype=float))
     if points.size == 0:
         raise ValueError("recourse list is empty")
-    theta0 = np.array([np.append(ball.base.weights, ball.base.intercept) for ball in balls])
-    if points.ndim != 3 or len(points) != len(balls) or points.shape[2] + 1 != theta0.shape[1]:
-        raise DimensionMismatchError(
-            f"{len(balls)} balls of {theta0.shape[1] - 1} weights, recourse sets {points.shape}"
-        )
-    radius = np.array([[ball.alpha] for ball in balls])
-    lo, hi = theta0 - radius, theta0 + radius
-    fixed = np.array([not ball.perturb_intercept for ball in balls])
-    lo[fixed, -1] = hi[fixed, -1] = theta0[fixed, -1]
-    design = np.concatenate([points, np.ones(points.shape[:2] + (1,))], axis=2)
-    design_t = design.transpose(0, 2, 1)
+    if points.ndim != 2 or points.shape[1] != base.dim:
+        raise DimensionMismatchError(f"model has {base.dim} weights, recourse set {points.shape}")
 
-    def scores(theta):
-        return (design @ theta[:, :, None])[:, :, 0]
+    def objective(scores):
+        return np.mean(eval_loss(LossKind.BCE, scores), axis=-1)
 
-    def objective(s):
-        return np.mean(eval_loss(LossKind.BCE, s), axis=1)
+    d, n_free = base.dim, base.dim + int(neighborhood.perturb_intercept)
+    if n_free <= _ENUMERATION_CAP:
+        weights, intercepts = neighborhood.corners()
+        k = int(np.argmax(objective(weights @ points.T + intercepts[:, None])))
+        return ModelParams(weights[k], intercepts[k])
 
-    beta1, beta2 = cfg.moment_decay
-    theta = theta0.copy()
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    best_theta = theta.copy()
-    s = scores(theta)  # the current iterate's scores serve its objective and the next gradient
-    best_value = objective(s)
+    def vertex(signs):
+        shift = alpha * signs[d] if n_free > d else 0.0
+        return ModelParams(base.weights + alpha * signs[:d], base.intercept + shift)
 
-    for step in range(1, cfg.steps + 1):
-        # ascent direction: d/dtheta mean log(1 + exp(-s)) = -mean sigmoid(-s) x
-        grad = -(design_t @ sigmoid(-s)[:, :, None])[:, :, 0] / points.shape[1]
-        m = beta1 * m + (1.0 - beta1) * grad
-        v = beta2 * v + (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**step)
-        v_hat = v / (1.0 - beta2**step)
-        theta = theta + cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
-        theta = np.clip(theta, lo, hi)
-        s = scores(theta)
-        value = objective(s)
-        improved = value > best_value
-        best_value = np.where(improved, value, best_value)
-        best_theta[improved] = theta[improved]
-
-    models = [ModelParams(row[:-1], row[-1]) for row in best_theta]
-    return models if stacked else models[0]
+    # start where the gradient's signs point: d/dtheta mean log(1 + exp(-s)) = -mean sigmoid(-s) x
+    free = np.hstack([points, np.ones((len(points), 1))])[:, :n_free]
+    signs = sign(-(sigmoid(-(points @ base.weights + base.intercept)) @ free))
+    start = vertex(signs)
+    scores = points @ start.weights + start.intercept
+    value = objective(scores)
+    while True:
+        # flipping coordinate j moves every score by -2 alpha signs[j] free[:, j]
+        flipped = scores - 2.0 * alpha * (signs[:, None] * free.T)
+        values = objective(flipped)
+        j = int(np.argmax(values))
+        if not values[j] > value:
+            return vertex(signs)
+        signs[j], scores, value = -signs[j], flipped[j], values[j]

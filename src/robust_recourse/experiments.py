@@ -639,7 +639,8 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
     cells = [(float(a), float(lam)) for a in cfg.validity_alphas for lam in cfg.validity_lambdas]
 
     for _, _, tasks in _study_folds(cfg, ds, plan):
-        # every (alpha, lam) cell of the fold in one ROAR call and one ascent
+        # every (alpha, lam) cell of the fold in one ROAR call, then one
+        # worst-case model per cell and method
         x0s = np.array([t.x0 for t in tasks])
         balls = [Neighborhood(tasks[0].base, alpha) for alpha, _ in cells]
         recs_alg = [
@@ -649,15 +650,13 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
         lams = np.repeat([lam for _, lam in cells], len(tasks))
         row_balls = [nbhd for nbhd in balls for _ in tasks]
         recs_roar = roar_recourse_batch(np.tile(x0s, (len(cells), 1)), lams, row_balls, cfg.roar)
-        # set 2c is cell c's exact recourses, set 2c + 1 its ROAR ones
-        recs = np.stack([recs_alg, recs_roar.reshape(len(cells), *x0s.shape)], axis=1)
-        recs = recs.reshape(-1, *x0s.shape)
-        models = worst_case_shared_model([nbhd for nbhd in balls for _ in range(2)], recs)
-        for i, (pts, model) in enumerate(zip(recs, models)):
-            acc = sums.setdefault((("alg", "roar")[i % 2], *cells[i // 2]), [0.0, 0.0, 0])
-            acc[0] += validity(model, pts)
-            acc[1] += float(np.mean(np.abs(pts - x0s).sum(axis=1)))
-            acc[2] += 1
+        recs_roar = recs_roar.reshape(len(cells), *x0s.shape)
+        for cell, nbhd, alg, roar in zip(cells, balls, recs_alg, recs_roar):
+            for method, pts in (("alg", alg), ("roar", roar)):
+                acc = sums.setdefault((method, *cell), [0.0, 0.0, 0])
+                acc[0] += validity(worst_case_shared_model(nbhd, pts), pts)
+                acc[1] += float(np.mean(np.abs(pts - x0s).sum(axis=1)))
+                acc[2] += 1
 
     rows = []
     for method in ("alg", "roar"):

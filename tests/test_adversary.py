@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from robust_recourse.adversary import (
-    AscentConfig,
     Neighborhood,
     best_response,
     corner_oracle,
     worst_case_shared_model,
 )
-from robust_recourse.glm import LossKind, ModelParams, eval_loss, score
+from robust_recourse.glm import DimensionMismatchError, LossKind, ModelParams, eval_loss, score, sigmoid
 
 
 def _nbhd(weights, alpha, intercept=0.0, **kw):
@@ -128,17 +127,17 @@ def test_shared_model_zero_alpha_returns_base():
 
 
 def test_shared_model_single_point_brackets():
+    # one point: the worst mean loss is the loss at the least score, best_response's
     rng = np.random.default_rng(13)
     for _ in range(10):
         base = ModelParams(weights=rng.uniform(-1, 1, 2), intercept=float(rng.uniform(-0.5, 0.5)))
         n = Neighborhood(base, 0.3)
         x = rng.uniform(-2, 2, 2)
-        got = worst_case_shared_model(n, [x], AscentConfig(steps=1500))
+        got = worst_case_shared_model(n, [x])
         obj = _mean_bce(got, [x])
-        assert obj >= _mean_bce(base, [x]) - 1e-12  # best-seen never below start
-        assert obj <= _mean_bce(best_response(n, x), [x]) + 1e-6  # closed form is the max
-        assert (np.abs(got.weights - base.weights) <= 0.3 + 1e-12).all()
-        assert abs(got.intercept - base.intercept) <= 0.3 + 1e-12
+        assert obj >= _mean_bce(base, [x])
+        assert obj == pytest.approx(_mean_bce(best_response(n, x), [x]), rel=1e-14, abs=1e-14)
+        assert n.contains(got)
 
 
 def test_shared_model_empty_list_errors():
@@ -155,30 +154,116 @@ def test_shared_model_deterministic():
     assert a.intercept == b.intercept
 
 
-def test_stacked_ascent_equals_single_calls_bitwise():
+def _adam_ascent(neighborhood, points, steps=1000, learning_rate=0.001, betas=(0.9, 0.999), eps=1e-8):
+    """Reference: projected Adam ascent on the mean BCE, keeping the best iterate seen."""
+    points = np.asarray(points, dtype=float)
+    base = neighborhood.base
+    theta0 = np.append(base.weights, base.intercept)
+    lo, hi = theta0 - neighborhood.alpha, theta0 + neighborhood.alpha
+    if not neighborhood.perturb_intercept:
+        lo[-1] = hi[-1] = theta0[-1]
+    design = np.hstack([points, np.ones((len(points), 1))])
+
+    def objective(theta):
+        return float(np.mean(eval_loss(LossKind.BCE, design @ theta)))
+
+    theta, m, v = theta0.copy(), np.zeros_like(theta0), np.zeros_like(theta0)
+    best_theta, best_value = theta.copy(), objective(theta)
+    for step in range(1, steps + 1):
+        grad = -(sigmoid(-(design @ theta)) @ design) / len(points)
+        m = betas[0] * m + (1.0 - betas[0]) * grad
+        v = betas[1] * v + (1.0 - betas[1]) * grad * grad
+        m_hat, v_hat = m / (1.0 - betas[0] ** step), v / (1.0 - betas[1] ** step)
+        theta = np.clip(theta + learning_rate * m_hat / (np.sqrt(v_hat) + eps), lo, hi)
+        value = objective(theta)
+        if value > best_value:
+            best_theta, best_value = theta.copy(), value
+    return ModelParams(best_theta[:-1], best_theta[-1])
+
+
+def _random_set(rng, d, perturb_intercept, alphas=(0.0, 0.02, 0.1, 0.3, 1.0)):
+    ball = _nbhd(
+        rng.uniform(-2, 2, d),
+        float(rng.choice(alphas)),
+        intercept=float(rng.uniform(-1, 1)),
+        perturb_intercept=perturb_intercept,
+    )
+    return ball, rng.uniform(-3, 3, (int(rng.integers(1, 40)), d))
+
+
+def _flip_values(ball, model, points):
+    """Mean BCE of every vertex one sign flip away from the vertex ``model``."""
+    d = ball.base.dim
+    signs = np.append(np.sign(model.weights - ball.base.weights), np.sign(model.intercept - ball.base.intercept))
+    values = []
+    for j in range(d + int(ball.perturb_intercept)):
+        flipped = signs.copy()
+        flipped[j] = -flipped[j]
+        weights = ball.base.weights + ball.alpha * flipped[:d]
+        intercept = ball.base.intercept + (ball.alpha * flipped[d] if ball.perturb_intercept else 0.0)
+        values.append(_mean_bce(ModelParams(weights, intercept), points))
+    return values
+
+
+def test_shared_model_is_the_best_corner_below_the_cap():
     rng = np.random.default_rng(14)
-    n_sets, n_points, d = 6, 5, 2
-    balls = [
-        _nbhd(
-            rng.uniform(-1, 1, d),
-            float(rng.choice([0.0, 0.05, 0.3])),
-            intercept=float(rng.uniform(-0.5, 0.5)),
-            perturb_intercept=bool(p % 2),
-        )
-        for p in range(n_sets)
-    ]
-    sets = rng.uniform(-2, 2, (n_sets, n_points, d))
-    cfg = AscentConfig(steps=300)
-    got = worst_case_shared_model(balls, sets, cfg)
-    assert len(got) == n_sets
-    for ball, pts, model in zip(balls, sets, got):
-        single = worst_case_shared_model(ball, list(pts), cfg)
-        np.testing.assert_array_equal(model.weights, single.weights)
-        assert model.intercept == single.intercept
+    for case in range(40):
+        d, perturb = int(rng.integers(1, 7)), bool(case % 2)
+        if case % 10 == 0:  # 12 free coordinates: the cap itself
+            d, perturb = (11, True) if case % 20 else (12, False)
+        ball, pts = _random_set(rng, d, perturb)
+        got = worst_case_shared_model(ball, pts)
+        weights, intercepts = ball.corners()
+        corner_values = np.mean(eval_loss(LossKind.BCE, pts @ weights.T + intercepts), axis=0)
+        obj = _mean_bce(got, pts)
+        assert obj >= max(corner_values) - 1e-12
+        assert ball.contains(got)
+        assert ((weights == got.weights).all(axis=1) & (intercepts == got.intercept)).any()
+        if d <= 6:
+            assert obj >= _mean_bce(_adam_ascent(ball, pts), pts) - 1e-12
 
 
-def test_stacked_ascent_needs_one_ball_per_set():
-    with pytest.raises(ValueError):
-        worst_case_shared_model([_nbhd([1.0], 0.1)], np.zeros((2, 3, 1)))
-    with pytest.raises(ValueError):
-        worst_case_shared_model([_nbhd([1.0, 1.0], 0.1)], np.zeros((1, 3, 1)))
+def test_shared_model_above_the_cap_is_a_local_vertex_optimum():
+    rng = np.random.default_rng(15)
+    for case in range(24):
+        d = (20, 30)[case % 2]
+        ball, pts = _random_set(rng, d, bool(case // 2 % 2), alphas=(0.02, 0.1, 0.3, 1.0))
+        got = worst_case_shared_model(ball, pts)
+        signs = np.sign(got.weights - ball.base.weights)
+        np.testing.assert_array_equal(got.weights, ball.base.weights + ball.alpha * signs)
+        assert (signs != 0).all()
+        if ball.perturb_intercept:
+            assert abs(got.intercept - ball.base.intercept) == pytest.approx(ball.alpha, abs=1e-15)
+        else:
+            assert got.intercept == ball.base.intercept
+        obj = _mean_bce(got, pts)
+        assert max(_flip_values(ball, got, pts)) <= obj + 1e-12
+        assert obj >= _mean_bce(_adam_ascent(ball, pts), pts) - 1e-12
+
+
+def test_shared_model_enumerates_only_up_to_the_cap(monkeypatch):
+    def refuse(self):
+        raise AssertionError("corners enumerated")
+
+    rng = np.random.default_rng(16)
+    pts = rng.uniform(-1, 1, (5, 12))
+    monkeypatch.setattr(Neighborhood, "corners", refuse)
+    worst_case_shared_model(_nbhd(rng.uniform(-1, 1, 12), 0.1), pts)  # 13 free coordinates
+    with pytest.raises(AssertionError):
+        worst_case_shared_model(_nbhd(rng.uniform(-1, 1, 12), 0.1, perturb_intercept=False), pts)
+
+
+def test_shared_model_ties_go_to_the_first_corner():
+    for perturb in (True, False):
+        ball = _nbhd([0.5, -1.0, 2.0], 0.25, intercept=0.1, perturb_intercept=perturb)
+        got = worst_case_shared_model(ball, np.zeros((4, 3)))
+        weights, intercepts = ball.corners()
+        np.testing.assert_array_equal(got.weights, weights[0])
+        assert got.intercept == intercepts[0]
+
+
+def test_shared_model_dimension_mismatch():
+    with pytest.raises(DimensionMismatchError):
+        worst_case_shared_model(_nbhd([1.0, 1.0], 0.1), np.zeros((3, 1)))
+    with pytest.raises(DimensionMismatchError):
+        worst_case_shared_model(_nbhd([1.0], 0.1), [np.array([1.0, 2.0])])

@@ -275,6 +275,42 @@ def test_validity_study_small(tmp_path):
     assert os.path.exists(res.svg_path)
 
 
+def test_validity_study_above_the_enumeration_cap(tmp_path, monkeypatch):
+    # 14 features and an attackable intercept: 15 free ball coordinates, so the
+    # shared worst case comes from the vertex search, never from the corners
+    def refuse(self):
+        raise AssertionError("corners enumerated")
+
+    monkeypatch.setattr(Neighborhood, "corners", refuse)
+    rng = np.random.default_rng(21)
+    features = rng.normal(size=(60, 14))
+    labels = features @ rng.uniform(-1, 1, 14) + rng.normal(scale=0.5, size=60) > 0
+    lines = [",".join([f"f{j}" for j in range(14)] + ["label"])]
+    lines += [",".join([f"{v:.6f}" for v in row] + [str(int(y))]) for row, y in zip(features, labels)]
+    data = tmp_path / "wide.csv"
+    data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    def run(name):
+        return run_validity_study(ExperimentConfig(
+            dataset=str(data),
+            k_folds=2,
+            lambda_grid=(0.1,),
+            validity_alphas=(0.05, 0.3),
+            validity_lambdas=(0.1,),
+            roar=RoarConfig(max_iters=50),
+            out_dir=str(tmp_path / name),
+        ))
+
+    res = run("run1")
+    assert sorted((r["method"], r["alpha"]) for r in res.rows) == [
+        ("alg", 0.05), ("alg", 0.3), ("roar", 0.05), ("roar", 0.3)
+    ]
+    for row in res.rows:
+        assert 0.0 <= row["validity"] <= 1.0 and row["mean_cost"] >= 0.0
+    with open(res.csv_path, "rb") as fh, open(run("run2").csv_path, "rb") as again:
+        assert fh.read() == again.read()
+
+
 def test_validity_study_matches_per_cell_reference(tmp_path):
     # the runner stacks every (alpha, lam) cell of a fold; this loop does one cell at a time
     alphas, lams, roar_cfg = (0.05, 0.2), (0.05, 0.1), RoarConfig(max_iters=200)

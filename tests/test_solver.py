@@ -451,8 +451,9 @@ def test_oracle_never_enumerates_corners(monkeypatch):
 
 @pytest.mark.xfail(
     strict=True,
-    reason="ROADMAP item 2: the squared-loss crossing branch commits a clamped move "
-    "without checking that it lowers the objective",
+    reason="ROADMAP item 1: the clamped squared loss is flat at 1 for scores <= 0, so the "
+    "objective is not convex and the coordinate steps stall; the fix solves the convex "
+    "(1 - s)_+^2 part and compares it with staying at x0",
 )
 def test_squared_loss_solver_matches_dense_grid():
     rng = np.random.default_rng(5)
