@@ -11,9 +11,7 @@ from .data import (
     compute_norm_stats,
     generate_synthetic,
     ingest_csv,
-    invert_norm,
     kfold,
-    normalize,
     shifted_synthetic,
 )
 from .experiments import (

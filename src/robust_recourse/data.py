@@ -5,9 +5,9 @@ for the features, so two specs differing only in class means consume the
 random stream identically; a zero mean shift reproduces the unshifted data
 bit for bit.
 
-Normalization is z-score with the statistics kept alongside the data, so
-recourse vectors computed in normalized space can be mapped back to raw
-units. Constant features normalize to zero and are flagged.
+Normalization is a z-score: the studies compute the statistics on each
+fold's training rows (``compute_norm_stats``) and apply them to that fold's
+rows (``apply_norm``). Constant features normalize to zero and are flagged.
 """
 
 from __future__ import annotations
@@ -29,8 +29,6 @@ __all__ = [
     "ingest_csv",
     "compute_norm_stats",
     "apply_norm",
-    "invert_norm",
-    "normalize",
     "kfold",
 ]
 
@@ -66,28 +64,12 @@ class NormStats:
     stddev: np.ndarray
     constant: np.ndarray
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "stddev": self.stddev.tolist(),
-            "constant": self.constant.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "NormStats":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            stddev=np.asarray(d["stddev"], dtype=float),
-            constant=np.asarray(d["constant"], dtype=bool),
-        )
-
 
 @dataclass(frozen=True)
 class Dataset:
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple = ()
-    norm_stats: NormStats | None = None
 
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
@@ -120,7 +102,6 @@ class Dataset:
             "features": self.features.tolist(),
             "labels": self.labels.tolist(),
             "feature_names": list(self.feature_names),
-            "norm_stats": self.norm_stats.to_dict() if self.norm_stats else None,
         }
         return json.dumps(payload)
 
@@ -132,12 +113,10 @@ class Dataset:
             raise DataError(f"dataset is not valid JSON: {exc}") from None
         if not isinstance(d, dict) or not {"features", "labels"} <= d.keys():
             raise DataError("dataset JSON needs 'features' and 'labels'")
-        stats = NormStats.from_dict(d["norm_stats"]) if d.get("norm_stats") else None
         return cls(
             features=np.asarray(d["features"], dtype=float),
             labels=np.asarray(d["labels"], dtype=int),
             feature_names=tuple(d.get("feature_names", ())),
-            norm_stats=stats,
         )
 
 
@@ -226,30 +205,9 @@ def compute_norm_stats(features: np.ndarray) -> NormStats:
 
 
 def apply_norm(stats: NormStats, features: np.ndarray) -> np.ndarray:
+    """Z-score one row or a matrix of rows; constant features map to zero."""
     out = (np.asarray(features, dtype=float) - stats.mean) / stats.stddev
-    if out.ndim == 1:
-        return np.where(stats.constant, 0.0, out)
-    return np.where(stats.constant[None, :], 0.0, out)
-
-
-def invert_norm(stats: NormStats, x: np.ndarray) -> np.ndarray:
-    """Map normalized coordinates back to raw units (constant features to their mean)."""
-    x = np.asarray(x, dtype=float)
-    raw = x * stats.stddev + stats.mean
-    if raw.ndim == 1:
-        return np.where(stats.constant, stats.mean, raw)
-    return np.where(stats.constant[None, :], stats.mean[None, :], raw)
-
-
-def normalize(ds: Dataset) -> Dataset:
-    """Z-score the dataset on its own statistics and keep them for inversion."""
-    stats = compute_norm_stats(ds.features)
-    return Dataset(
-        features=apply_norm(stats, ds.features),
-        labels=ds.labels,
-        feature_names=ds.feature_names,
-        norm_stats=stats,
-    )
+    return np.where(stats.constant, 0.0, out)
 
 
 def kfold(n: int, k: int = 5, seed: int = 0) -> FoldPlan:

@@ -41,7 +41,7 @@ from .data import (
     kfold,
     shifted_synthetic,
 )
-from .glm import ModelParams, RecourseQuery, logit, weighted_l1
+from .glm import ModelParams, RecourseQuery, weighted_l1
 from .models import (
     BlackBoxScorer,
     GlmScorer,
@@ -51,7 +51,8 @@ from .models import (
     train_logistic,
 )
 from .roar import RoarConfig, roar_recourse_batch
-from .solver import GridSpec, consistent_recourse, minimax_oracle, optimal_robust_recourse
+from .solver import (GridSpec, consistent_recourse, minimax_oracle, optimal_robust_recourse,
+                     solve_coordinate_step)
 from .surrogate import SurrogateConfig, fit_local_linear
 from .svgplot import line_chart
 from .tradeoff import consistency, pareto_frontier, robustness, smoothness, validity
@@ -79,16 +80,14 @@ class ConfigError(ValueError):
 
 class PredictionMode(enum.Enum):
     CORNER = "corner"
-    EPSILON = "epsilon"
     EXPLICIT = "explicit"
 
 
 @dataclass(frozen=True)
 class PredictionSetSpec:
-    """How to build the set of predicted models handed to the learner."""
+    """How the pareto study builds its set of predicted models."""
 
     mode: PredictionMode = PredictionMode.CORNER
-    epsilon: float | None = None
     explicit: tuple = ()
 
 
@@ -104,10 +103,24 @@ DEFAULT_BETAS = tuple(round(0.1 * i, 1) for i in range(11))
 DEFAULT_LAMBDAS = (0.05, 0.1, 0.2, 0.5, 0.7, 1.0)
 DEFAULT_VALIDITY_ALPHAS = tuple(round(0.02 * i, 2) for i in range(1, 11))
 DEFAULT_VALIDITY_LAMBDAS = (0.05, 0.1, 0.2)
+_GRIDS = ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas")
+
+# The JSON value each config field takes, by its annotation (a string, as
+# annotations are postponed here); one ending in "| None" also admits null.
+# A number is never a boolean.
+_FIELD_KINDS = {"str": (str, "a string"), "float": (numbers.Real, "a number"),
+                "int": (numbers.Integral, "an integer"), "tuple": ((tuple, list), "a list")}
+_MAX_EPSILON = np.finfo(float).max / 2.0
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A study configuration; building one checks each field's JSON type and range.
+
+    A bad value raises ConfigError. ``surrogate.n_samples`` is checked against
+    the feature count when the first fold is prepared.
+    """
+
     dataset: str = "synthetic"
     model_kind: str = "glm"
     alpha: float = 0.5
@@ -132,22 +145,35 @@ class ExperimentConfig:
     roar: RoarConfig = RoarConfig()
 
     def __post_init__(self) -> None:
+        for f in dataclasses.fields(self):
+            kind, _, optional = f.type.partition(" | ")
+            value = getattr(self, f.name)
+            if kind in _FIELD_KINDS and not (optional and value is None):
+                typ, what = _FIELD_KINDS[kind]
+                if isinstance(value, bool) or not isinstance(value, typ):
+                    raise ConfigError(f"{f.name} must be {what}{' or null' if optional else ''}"
+                                      f", got {value!r}")
         if self.model_kind not in ("glm", "mlp"):
             raise ConfigError(f"model_kind must be 'glm' or 'mlp', got {self.model_kind!r}")
         if not (0.0 <= self.alpha < np.inf and 0.0 <= self.smoothness_alpha < np.inf):
             raise ConfigError("alpha must be finite and nonnegative")
-        for name in ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas"):
+        # the +/-2 epsilon predictions shift the correct model by twice epsilon
+        if self.epsilon is not None and not 0.0 <= self.epsilon <= _MAX_EPSILON:
+            raise ConfigError(f"epsilon must lie in [0, {_MAX_EPSILON:.3g}], got {self.epsilon}")
+        if self.smoothness_shift is not None and not np.isfinite(self.smoothness_shift):
+            raise ConfigError(f"smoothness_shift must be finite, got {self.smoothness_shift}")
+        for name in _GRIDS:
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
-            if any(not 0.0 <= v < np.inf for v in getattr(self, name)):
-                raise ConfigError(f"{name} values must be finite and nonnegative")
+            if any(isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0.0 <= v < np.inf)
+                   for v in getattr(self, name)):
+                raise ConfigError(f"{name} values must be finite nonnegative numbers")
             if len(set(getattr(self, name))) < len(getattr(self, name)):
                 raise ConfigError(f"{name} values must be distinct")
         if any(not 0.0 <= b <= 1.0 for b in self.beta_grid):
             raise ConfigError("beta_grid values must lie in [0, 1]")
         for name, least in (("k_folds", 1), ("n_points", 2), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+            if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be an integer of at least {least}")
         if self.model_kind == "mlp" and not self.mlp_weights:
             raise ConfigError("model_kind 'mlp' requires mlp_weights")
@@ -159,9 +185,10 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        for key in ("prediction", "surrogate", "roar"):
-            if key in kwargs and not isinstance(kwargs[key], dict):
-                raise ConfigError(f"{key} must be an object, got {kwargs[key]!r}")
+        for key in ("prediction", "surrogate", "roar", *_GRIDS):
+            typ, what = (list, "a list") if key in _GRIDS else (dict, "an object")
+            if key in kwargs and not isinstance(kwargs[key], typ):
+                raise ConfigError(f"{key} must be {what}, got {kwargs[key]!r}")
         if "prediction" in kwargs:
             p = dict(kwargs["prediction"])
             try:
@@ -178,13 +205,16 @@ class ExperimentConfig:
             if p:
                 raise ConfigError(f"unknown prediction keys: {sorted(p)}")
             kwargs["prediction"] = PredictionSetSpec(mode=mode, explicit=explicit)
+        if "seed" in kwargs.get("surrogate", {}):
+            raise ConfigError("surrogate.seed is not read: each instance's fit derives its seed "
+                              "from the config seed")
         for key, typ in (("surrogate", SurrogateConfig), ("roar", RoarConfig)):
             if key in kwargs:
                 try:
                     kwargs[key] = typ(**kwargs[key])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from None
-        for key in ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas"):
+        for key in _GRIDS:
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         try:
@@ -235,6 +265,22 @@ def _half_gap(a: ModelParams, b: ModelParams) -> float:
     return max(float(np.max(np.abs(a.weights - b.weights))), abs(a.intercept - b.intercept)) / 2.0
 
 
+def _epsilon_predictions(ball: Neighborhood, correct: ModelParams, epsilon: float | None) -> list:
+    """The smoothness study's named predictions: ``correct`` and its +/-eps, +/-2 eps shifts.
+
+    Each shift moves every weight and the intercept by the same signed step,
+    and each model is clamped into ``ball``. ``epsilon`` None takes half the
+    largest gap between ``correct`` and the ball's base.
+    """
+    eps = _half_gap(correct, ball.base) if epsilon is None else epsilon
+    return [
+        (name, ball.clamp(ModelParams(weights=correct.weights + delta,
+                                      intercept=correct.intercept + delta)))
+        for name, delta in (("correct", 0.0), ("+eps", eps), ("-eps", -eps),
+                            ("+2eps", 2.0 * eps), ("-2eps", -2.0 * eps))
+    ]
+
+
 def _corner_patterns(d: int) -> list:
     if d == 2:
         return [np.array(p) for p in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))]
@@ -242,13 +288,8 @@ def _corner_patterns(d: int) -> list:
     return [np.ones(d), -np.ones(d), alt, -alt]
 
 
-def generate_predictions(
-    spec: PredictionSetSpec,
-    base: ModelParams,
-    alpha: float,
-    correct: ModelParams | None = None,
-) -> list:
-    """Named predicted models, each clamped into the ball around ``base``."""
+def generate_predictions(spec: PredictionSetSpec, base: ModelParams, alpha: float) -> list:
+    """The pareto study's named predicted models, each inside the ball around ``base``."""
     ball = Neighborhood(base, alpha)
     if spec.mode is PredictionMode.CORNER:
         preds = [("base", base)]
@@ -256,23 +297,6 @@ def generate_predictions(
             cand = ModelParams(weights=base.weights + alpha * pat, intercept=base.intercept)
             preds.append((f"corner{i}", ball.clamp(cand)))
         return preds
-    if spec.mode is PredictionMode.EPSILON:
-        if correct is None:
-            raise ConfigError("epsilon predictions need a correct-prediction model")
-        eps = _half_gap(correct, base) if spec.epsilon is None else spec.epsilon
-        out = []
-        for name, delta in (
-            ("correct", 0.0),
-            ("+eps", eps),
-            ("-eps", -eps),
-            ("+2eps", 2.0 * eps),
-            ("-2eps", -2.0 * eps),
-        ):
-            cand = ModelParams(
-                weights=correct.weights + delta, intercept=correct.intercept + delta
-            )
-            out.append((name, ball.clamp(cand)))
-        return out
     preds = []
     for i, (weights, intercept) in enumerate(spec.explicit):
         cand = ModelParams(weights=np.asarray(weights, dtype=float), intercept=intercept)
@@ -340,6 +364,9 @@ def _prepare_fold(cfg: ExperimentConfig, ds: Dataset, plan, fold: int):
             if predict_label(scorer, x) == 0
         ]
         return scorer, tasks
+    if cfg.surrogate.n_samples < ds.dim + 1:
+        raise ConfigError(f"surrogate.n_samples must be at least {ds.dim + 1} for {ds.dim} "
+                          f"features, got {cfg.surrogate.n_samples}")
     weights = _load_mlp(cfg.mlp_weights)
     scorer = MlpScorer(weights)
     tasks = []
@@ -553,8 +580,9 @@ def _correct_prediction_models(cfg: ExperimentConfig, ds: Dataset, plan, fold: i
 def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     """Mean regret vs trust level, one curve per prediction accuracy.
 
-    The predictions are the correct model and its epsilon perturbations, with
-    ``cfg.epsilon`` as the step; ``cfg.prediction`` is not read.
+    The predictions are the correct model and its epsilon perturbations
+    (``_epsilon_predictions``), with ``cfg.epsilon`` as the step;
+    ``cfg.prediction`` is not read.
     """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
@@ -563,7 +591,6 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     pred_names: list = []
     lambda_by_fold = []
     eps_by_fold = []
-    spec = PredictionSetSpec(mode=PredictionMode.EPSILON, epsilon=cfg.epsilon)
 
     for fold, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
@@ -581,7 +608,7 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
                 correct_raw = fit_local_linear(correct_src, task.x0, sur_cfg)
             nbhd = Neighborhood(base, alpha)
             correct = nbhd.clamp(correct_raw)
-            names, preds = zip(*generate_predictions(spec, base, alpha, correct=correct))
+            names, preds = zip(*_epsilon_predictions(nbhd, correct, cfg.epsilon))
             pred_names = pred_names or list(names)
             if t_idx == 0:
                 eps_by_fold.append(_half_gap(correct, base))
@@ -718,13 +745,9 @@ def _displacement_bound(nbhd: Neighborhood, x0, lam) -> float:
     weights, alpha = nbhd.base.weights, nbhd.alpha
     s0 = float(x0 @ weights - alpha * np.abs(x0).sum() + nbhd.worst_intercept)
     worst = 0.0
-    for j in range(len(weights)):
-        bound = abs(x0[j])
-        for a in (abs(weights[j] - alpha), abs(weights[j] + alpha)):
-            if a > lam:
-                target = logit(1.0 - lam / a)
-                bound = max(bound, abs(x0[j]) + max(0.0, target - s0) / a)
-        worst = max(worst, bound)
+    for wj, xj in zip(weights, x0):
+        for a in (abs(wj - alpha), abs(wj + alpha)):
+            worst = max(worst, abs(xj) + solve_coordinate_step(lam, s0, a)[0])
     return worst
 
 

@@ -105,7 +105,11 @@ class TraceStep(NamedTuple):
 
 @dataclass(frozen=True)
 class RecoursePlan:
-    """Solver output: the recourse, its costs, and the moves that built it."""
+    """Solver output: the recourse, its costs, and the moves that built it.
+
+    Only the exact solvers record a trace; ROAR plans and interior blended
+    plans carry an empty one.
+    """
 
     x_prime: np.ndarray
     l1_cost: float

@@ -8,6 +8,7 @@ of exactly 0 or 1 clamp to logits of -15 / +15.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,16 @@ class SurrogateConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.width is not None and self.width <= 0.0:
-            raise ValueError("kernel width must be positive")
-        if self.ridge < 0.0:
-            raise ValueError("ridge penalty must be nonnegative")
+        if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral)
+                or self.n_samples < 1):
+            raise ValueError("n_samples must be an integer of at least 1")
+        if isinstance(self.stddev, bool) or not (isinstance(self.stddev, numbers.Real)
+                                                 and np.isfinite(self.stddev)):
+            raise ValueError("stddev must be a finite number")
+        if self.width is not None and not 0.0 < self.width < np.inf:
+            raise ValueError("kernel width must be finite and positive")
+        if not 0.0 <= self.ridge < np.inf:
+            raise ValueError("ridge penalty must be finite and nonnegative")
 
 
 def fit_local_linear(

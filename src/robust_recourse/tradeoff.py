@@ -21,6 +21,8 @@ masked out for good, and two more stacked searches restart the rows an
 endpoint plan beats. No sum runs across rows, and each row's sums reduce
 over the coordinate axis as a lone row's would, so every plan is bitwise
 the one a one-beta sweep gives. ``blended_recourse`` is that one-beta case.
+An interior plan carries an empty trace, as a ROAR plan does: only the
+exact solver records its moves.
 ``pareto_frontier`` and ``smoothness`` take one query and its whole
 prediction set: they solve the robust plan once, each prediction's
 consistent plan once, and blend each prediction's full ``betas``.
@@ -144,15 +146,14 @@ def _blended_value(tq: TradeoffQuery, x):
 def _descend(tq: TradeoffQuery, betas: np.ndarray, start: np.ndarray):
     """Coordinate search from ``start`` at every trust level in ``betas`` at once.
 
-    Returns each row's final point, its blended value and its moves. A row
-    leaves the search for good once no move improves it by more than 1e-9:
-    its point and value are written back, and the rest of the search runs on
-    the remaining rows only.
+    Returns each row's final point and its blended value. A row leaves the
+    search for good once no move improves it by more than 1e-9: its point
+    and value are written back, and the rest of the search runs on the
+    remaining rows only.
     """
     q = tq.query
     x = np.repeat(start[None], len(betas), axis=0)
     current = _mix(tq, betas, *_coordinate_terms(tq, x).sum(axis=-1))
-    moves = [[] for _ in betas]
     rows = np.arange(len(betas))  # the rows still searching, and their state
     xs, bs, cur, at = x, betas[:, None, None], current, rows
     for _ in range(4 * q.dim):
@@ -174,10 +175,8 @@ def _descend(tq: TradeoffQuery, betas: np.ndarray, start: np.ndarray):
         j, k = np.divmod(flat, _STEP_GRID.size)
         xs[at, j] += _STEP_GRID[k]
         cur = best
-        for r, jr, kr in zip(rows.tolist(), j.tolist(), k.tolist()):
-            moves[r].append((jr, float(_STEP_GRID[kr]), False))
     x[rows], current[rows] = xs, cur
-    return x, current, moves
+    return x, current
 
 
 def _blend(tq: TradeoffQuery, betas, robust: RecoursePlan, consistent: RecoursePlan) -> list:
@@ -197,16 +196,16 @@ def _blend(tq: TradeoffQuery, betas, robust: RecoursePlan, consistent: RecourseP
 
     Each row's arithmetic is that of a search run for its beta alone: no sum
     runs across rows, each row's sums reduce over its own coordinate axis
-    in the order a lone row's do, and a stopped row neither moves nor
-    records a move. So every plan is bit for bit the one a one-beta call,
-    and the per-beta loop this search replaced, gives.
+    in the order a lone row's do, and a stopped row no longer moves. So
+    every plan is bit for bit the one a one-beta call, and the per-beta
+    loop this search replaced, gives.
     """
     q, n = tq.query, tq.neighborhood
     betas = np.array(betas, dtype=float)
     for beta in betas:
         _check_beta(beta)
     inner = betas[(betas > 0.0) & (betas < 1.0)]
-    x, current, traces = _descend(tq, inner, q.x0)
+    x, current = _descend(tq, inner, q.x0)
     # The step grid can stall short of a valley an exact endpoint solution
     # sits in; restart every row that endpoint already beats, robust first.
     for endpoint in (robust, consistent):
@@ -214,11 +213,9 @@ def _blend(tq: TradeoffQuery, betas, robust: RecoursePlan, consistent: RecourseP
         rows = np.flatnonzero(_mix(tq, inner, *sums) < current - 1e-12)
         if rows.size == 0:
             continue
-        x2, val2, moves2 = _descend(tq, inner[rows], endpoint.x_prime)
-        for r, xr, vr, mr in zip(rows.tolist(), x2, val2, moves2):
-            if vr < current[r] - 1e-12:
-                x[r], current[r] = xr, vr
-                traces[r] = list(endpoint.trace) + mr
+        x2, val2 = _descend(tq, inner[rows], endpoint.x_prime)
+        better = val2 < current[rows] - 1e-12
+        x[rows[better]], current[rows[better]] = x2[better], val2[better]
 
     if 0.0 in betas:
         worst = eval_total_cost(q, consistent.x_prime, best_response(n, consistent.x_prime))
@@ -228,9 +225,9 @@ def _blend(tq: TradeoffQuery, betas, robust: RecoursePlan, consistent: RecourseP
             x_prime=xr,
             l1_cost=weighted_l1(q, xr),
             worst_case_total=eval_total_cost(q, xr, best_response(n, xr)),
-            trace=tuple(tr),
+            trace=(),
         )
-        for xr, tr in zip(x, traces)
+        for xr in x
     )
     return [
         robust if beta == 1.0 else trusting if beta == 0.0 else next(blended) for beta in betas

@@ -1,18 +1,17 @@
+import json
+
 import numpy as np
 import pytest
 
 from robust_recourse.data import (
     DataError,
     Dataset,
-    NormStats,
     SyntheticSpec,
     apply_norm,
     compute_norm_stats,
     generate_synthetic,
     ingest_csv,
-    invert_norm,
     kfold,
-    normalize,
     shifted_synthetic,
 )
 
@@ -68,12 +67,15 @@ def test_dataset_validation():
 
 
 def test_dataset_json_round_trip():
-    ds = normalize(generate_synthetic(SyntheticSpec(n_points=50, seed=6)))
-    back = Dataset.from_json(ds.to_json())
-    np.testing.assert_array_equal(ds.features, back.features)
-    np.testing.assert_array_equal(ds.labels, back.labels)
-    assert ds.feature_names == back.feature_names
-    np.testing.assert_array_equal(ds.norm_stats.mean, back.norm_stats.mean)
+    ds = generate_synthetic(SyntheticSpec(n_points=50, seed=6))
+    payload = json.loads(ds.to_json())
+    assert set(payload) == {"features", "labels", "feature_names"}
+    # files written with the old "norm_stats" key still read
+    for back in (Dataset.from_json(ds.to_json()),
+                 Dataset.from_json(json.dumps(dict(payload, norm_stats=None)))):
+        np.testing.assert_array_equal(ds.features, back.features)
+        np.testing.assert_array_equal(ds.labels, back.labels)
+        assert ds.feature_names == back.feature_names
 
 
 # -------------------------------------------------------------------- csv
@@ -123,13 +125,11 @@ def test_ingest_empty_file(tmp_path):
 # ---------------------------------------------------------- normalization
 
 
-def test_normalize_statistics_and_inverse():
+def test_normalize_statistics():
     ds = generate_synthetic(SyntheticSpec(n_points=300, seed=7))
-    normed = normalize(ds)
-    assert np.abs(normed.features.mean(axis=0)).max() <= 1e-9
-    np.testing.assert_allclose(normed.features.std(axis=0), 1.0, atol=1e-12)
-    raw = invert_norm(normed.norm_stats, normed.features)
-    np.testing.assert_allclose(raw, ds.features, atol=1e-12)
+    normed = apply_norm(compute_norm_stats(ds.features), ds.features)
+    assert np.abs(normed.mean(axis=0)).max() <= 1e-9
+    np.testing.assert_allclose(normed.std(axis=0), 1.0, atol=1e-12)
 
 
 def test_normalize_constant_feature():
@@ -138,19 +138,10 @@ def test_normalize_constant_feature():
     assert stats.constant.tolist() == [True, False]
     normed = apply_norm(stats, feats)
     assert (normed[:, 0] == 0.0).all()
-    assert (invert_norm(stats, normed)[:, 0] == 3.0).all()
     # single-vector path
     one = apply_norm(stats, feats[0])
     assert one[0] == 0.0
-    assert invert_norm(stats, one)[0] == 3.0
-
-
-def test_norm_stats_dict_round_trip():
-    stats = compute_norm_stats(np.random.default_rng(8).normal(size=(20, 3)))
-    back = NormStats.from_dict(stats.to_dict())
-    np.testing.assert_array_equal(stats.mean, back.mean)
-    np.testing.assert_array_equal(stats.stddev, back.stddev)
-    np.testing.assert_array_equal(stats.constant, back.constant)
+    np.testing.assert_array_equal(one, normed[0])
 
 
 # ------------------------------------------------------------------ folds

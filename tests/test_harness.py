@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import logging
 import os
@@ -15,6 +16,7 @@ from robust_recourse.experiments import (
     PredictionMode,
     PredictionSetSpec,
     _correct_prediction_models,
+    _epsilon_predictions,
     _load_base_dataset,
     _prepare_fold,
     _select_lambda,
@@ -80,13 +82,12 @@ def test_config_from_dict_nested():
     cfg = ExperimentConfig.from_dict(
         {
             "beta_grid": [0.0, 1.0],
-            "prediction": {"mode": "epsilon"},
+            "prediction": {"mode": "corner"},
             "surrogate": {"n_samples": 64},
             "roar": {"max_iters": 100},
         }
     )
-    assert cfg.prediction.mode is PredictionMode.EPSILON
-    assert cfg.prediction.epsilon is None
+    assert cfg.prediction.mode is PredictionMode.CORNER
     assert cfg.surrogate.n_samples == 64
     assert cfg.roar.max_iters == 100
     assert cfg.beta_grid == (0.0, 1.0)
@@ -94,9 +95,35 @@ def test_config_from_dict_nested():
         {"prediction": {"mode": "explicit", "explicit": [{"weights": [1, 2], "intercept": 0.5}]}}
     )
     assert explicit.prediction.explicit == (((1.0, 2.0), 0.5),)
-    # no study reads a prediction epsilon: smoothness takes the top-level one
+    # no study reads a prediction epsilon: smoothness builds its own set from
+    # the top-level one, and pareto takes corner or explicit predictions
     with pytest.raises(ConfigError, match=r"unknown prediction keys: \['epsilon'\]"):
-        ExperimentConfig.from_dict({"prediction": {"mode": "epsilon", "epsilon": 0.1}})
+        ExperimentConfig.from_dict({"prediction": {"mode": "corner", "epsilon": 0.1}})
+    with pytest.raises(ConfigError, match="'epsilon' is not a valid PredictionMode"):
+        ExperimentConfig.from_dict({"prediction": {"mode": "epsilon"}})
+    # each fit's seed derives from the config seed, so a surrogate seed would do nothing
+    with pytest.raises(ConfigError, match="surrogate.seed is not read"):
+        ExperimentConfig.from_dict({"surrogate": {"seed": 3}})
+
+
+# What each config field's annotation admits, as JSON values. A field with a
+# new annotation fails here until it is listed, and checked by the config.
+_JSON_VALUES = {"bool": True, "int": 5, "float": 2.5, "str": "x", "list": [0.5], "object": {},
+                "null": None}
+_ADMITS = {
+    "str": {"str"}, "str | None": {"str", "null"}, "int": {"int"}, "float": {"int", "float"},
+    "float | None": {"int", "float", "null"}, "tuple": {"list"},
+    "PredictionSetSpec": {"object"}, "SurrogateConfig": {"object"}, "RoarConfig": {"object"},
+}
+
+
+@pytest.mark.parametrize("field", dataclasses.fields(ExperimentConfig), ids=lambda f: f.name)
+def test_config_refuses_wrong_json_types(field):
+    admitted = _ADMITS[field.type]
+    for kind, value in _JSON_VALUES.items():
+        if kind not in admitted:
+            with pytest.raises(ConfigError, match=field.name):
+                ExperimentConfig.from_dict({field.name: value})
 
 
 def test_config_from_json_file_errors(tmp_path):
@@ -139,8 +166,8 @@ def test_corner_predictions_higher_dim():
 def test_epsilon_predictions():
     base = ModelParams(weights=np.array([1.0, 1.0]), intercept=0.0)
     correct = ModelParams(weights=np.array([1.2, 0.9]), intercept=0.1)
-    spec = PredictionSetSpec(mode=PredictionMode.EPSILON)
-    preds = generate_predictions(spec, base, 0.5, correct=correct)
+    ball = Neighborhood(base, 0.5)
+    preds = _epsilon_predictions(ball, correct, None)
     names = [name for name, _ in preds]
     assert names == ["correct", "+eps", "-eps", "+2eps", "-2eps"]
     np.testing.assert_array_equal(preds[0][1].weights, correct.weights)
@@ -151,13 +178,9 @@ def test_epsilon_predictions():
         assert (np.abs(p.weights - base.weights) <= 0.5 + 1e-12).all()
         assert abs(p.intercept - base.intercept) <= 0.5 + 1e-12
     # an explicit epsilon that overshoots the ball clamps onto its surface
-    wide = generate_predictions(
-        PredictionSetSpec(mode=PredictionMode.EPSILON, epsilon=0.3), base, 0.5, correct=correct
-    )
+    wide = _epsilon_predictions(ball, correct, 0.3)
     np.testing.assert_allclose(wide[3][1].weights, [1.5, 1.5])
     assert wide[3][1].intercept == pytest.approx(0.5)
-    with pytest.raises(ConfigError):
-        generate_predictions(spec, base, 0.5)
 
 
 def test_explicit_predictions():
@@ -438,7 +461,6 @@ def test_smoothness_study_matches_per_beta_reference(tmp_path):
     )
     res = run_smoothness_study(cfg)
     alpha = cfg.smoothness_alpha
-    spec = PredictionSetSpec(mode=PredictionMode.EPSILON)
     sums = {}
     for fold, ds, plan, lam, tasks in _reference_folds(cfg):
         correct_raw = _correct_prediction_models(cfg, ds, plan, fold)
@@ -447,7 +469,7 @@ def test_smoothness_study_matches_per_beta_reference(tmp_path):
             nbhd = Neighborhood(task.base, alpha)
             correct = nbhd.clamp(correct_raw)
             best = consistent_recourse(q, correct).worst_case_total
-            for name, pred in generate_predictions(spec, task.base, alpha, correct=correct):
+            for name, pred in _epsilon_predictions(nbhd, correct, cfg.epsilon):
                 for beta in cfg.beta_grid:
                     bp = blended_recourse(TradeoffQuery(q, nbhd, pred, beta))
                     _add(sums, (name, beta), eval_total_cost(q, bp.x_prime, correct) - best)
@@ -751,6 +773,41 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
              "prediction": {"mode": "explicit", "explicit": [{"weights": [1.0]}]}},
         ),
         (["smoothness"], {"prediction": {"epsilon": 0.01}}),
+        (["smoothness"], {"prediction": {"mode": "epsilon"}}),
+        (["pareto"], {"prediction": {"mode": "epsilon"}}),
+        (["smoothness"], {"epsilon": "abc"}),
+        (["smoothness"], {"epsilon": float("nan")}),
+        (["smoothness"], {"epsilon": 1e308}),
+        (["smoothness"], {"epsilon": -0.2}),
+        (["smoothness"], {"smoothness_shift": "x"}),
+        (["smoothness"], {"smoothness_shift": float("nan")}),
+        (["pareto"], {"beta_grid": 5}),
+        (["pareto"], {"lambda_grid": None}),
+        (["pareto"], {"beta_grid": [True, False]}),
+        (["pareto"], {"dataset": 5}),
+        (["pareto"], {"model_kind": "mlp", "mlp_weights": 5}),
+        (["smoothness"], {"shifted_dataset": 5}),
+        (["pareto"], {"out_dir": ["o"]}),
+        (["pareto"], {"alpha": True}),
+        (["smoothness"], {"smoothness_alpha": True}),
+        (["pareto"], {"surrogate": {"seed": 3}}),
+        (["pareto"], {"surrogate": {"n_samples": "x"}}),
+        (["pareto"], {"surrogate": {"n_samples": 2.5}}),
+        (["pareto"], {"surrogate": {"n_samples": 0}}),
+        (["pareto"], {"surrogate": {"stddev": float("nan")}}),
+        (["pareto"], {"surrogate": {"stddev": "x"}}),
+        (["pareto"], {"surrogate": {"ridge": float("nan")}}),
+        (["pareto"], {"surrogate": {"width": float("nan")}}),
+        (
+            ["pareto"],
+            {"model_kind": "mlp", "mlp_weights": "net.json", "surrogate": {"n_samples": 2},
+             "n_points": 40, "k_folds": 2},
+        ),
+        (
+            ["smoothness"],
+            {"model_kind": "mlp", "mlp_weights": "net.json", "mlp_weights_shifted": "net.json",
+             "surrogate": {"n_samples": 2}, "n_points": 40, "k_folds": 2},
+        ),
         (["gen-data", "--n", "1"], None),
         (["gen-data", "--seed", "-1"], None),
         (["oracle-check", "--n", "-1"], None),
@@ -765,13 +822,24 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         "surrogate-not-object", "prediction-not-object", "explicit-without-weights",
         "explicit-not-object", "explicit-text-weights", "explicit-string-weights",
         "explicit-wrong-dimension",
-        "prediction-epsilon", "gen-data-one-point",
+        "prediction-epsilon", "smoothness-epsilon-mode", "pareto-epsilon-mode", "epsilon-text",
+        "epsilon-nan", "epsilon-overflow", "epsilon-negative", "shift-text", "shift-nan",
+        "beta-grid-number", "lambda-grid-null", "beta-grid-bools", "dataset-number",
+        "mlp-weights-number", "shifted-dataset-number", "out-dir-list", "alpha-bool",
+        "smoothness-alpha-bool", "surrogate-seed", "surrogate-text-samples",
+        "surrogate-fractional-samples", "surrogate-zero-samples", "surrogate-nan-stddev",
+        "surrogate-text-stddev", "surrogate-nan-ridge", "surrogate-nan-width",
+        "pareto-mlp-samples-below-features", "smoothness-mlp-samples-below-features",
+        "gen-data-one-point",
         "gen-data-negative-seed",
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
+        for key in ("mlp_weights", "mlp_weights_shifted"):
+            if config.get(key) == "net.json":
+                config = dict(config, **{key: _write_mlp(tmp_path / "net.json")})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]

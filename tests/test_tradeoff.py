@@ -163,7 +163,11 @@ def _reference_value(tq, x):
 
 
 def _reference_blend(tq, robust, consistent):
-    """Interior-beta blend with a per-coordinate loop and running dot products."""
+    """Interior-beta blend with a per-coordinate loop and running dot products.
+
+    Returns the plan's point, its worst-case total, and how many moves the
+    search from x0 made.
+    """
     q, n = tq.query, tq.neighborhood
     d = q.dim
     b_eff = n.base.intercept - (n.alpha if n.perturb_intercept else 0.0)
@@ -171,7 +175,7 @@ def _reference_blend(tq, robust, consistent):
     def descend(x_start):
         x = x_start.copy()
         current = _reference_value(tq, x)
-        moves = []
+        steps = 0
         for _ in range(4 * d):
             best_gain, best_j, best_delta = 0.0, -1, 0.0
             dot0 = float(x @ n.base.weights)
@@ -204,17 +208,16 @@ def _reference_blend(tq, robust, consistent):
                 break
             x[best_j] += best_delta
             current -= best_gain
-            moves.append((best_j, best_delta, False))
-        return x, current, moves
+            steps += 1
+        return x, current, steps
 
-    x, current, trace = descend(q.x0)
+    x, current, steps = descend(q.x0)
     for endpoint in (robust, consistent):
         if _reference_value(tq, endpoint.x_prime) < current - 1e-12:
-            x2, val2, moves2 = descend(endpoint.x_prime)
+            x2, val2, _ = descend(endpoint.x_prime)
             if val2 < current - 1e-12:
                 x, current = x2, val2
-                trace = list(endpoint.trace) + moves2
-    return x, tuple(trace), eval_total_cost(q, x, best_response(n, x))
+    return x, eval_total_cost(q, x, best_response(n, x)), steps
 
 
 def test_blend_matches_per_coordinate_reference_exactly():
@@ -239,10 +242,10 @@ def test_blend_matches_per_coordinate_reference_exactly():
         tq = TradeoffQuery(q, n, pred, float(rng.uniform(0.05, 0.95)))
         robust = optimal_robust_recourse(q, n)
         consistent = consistent_recourse(q, pred)
-        x_ref, trace_ref, worst_ref = _reference_blend(tq, robust, consistent)
+        x_ref, worst_ref, _ = _reference_blend(tq, robust, consistent)
         (plan,) = _blend(tq, [tq.beta], robust, consistent)
         np.testing.assert_array_equal(plan.x_prime, x_ref)
-        assert plan.trace == trace_ref
+        assert plan.trace == ()  # only the exact solvers record moves
         assert plan.worst_case_total == worst_ref
         seen.add((d, loss, fixed, bool(mask.all())))
         if case == 0:
@@ -315,10 +318,9 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
     # prediction from freshly solved endpoints gives
     descend, searches = tradeoff._descend, []
 
-    def spy(tq, betas, start):  # records each stacked search's prediction, start and move counts
-        out = descend(tq, betas, start)
-        searches.append((tq.prediction, start, [len(m) for m in out[2]]))
-        return out
+    def spy(tq, betas, start):  # records each stacked search's prediction, start and row count
+        searches.append((tq.prediction, start, len(betas)))
+        return descend(tq, betas, start)
 
     pinned = [
         # At beta = 0.5 the robust restart ends below the consistent plan's
@@ -369,26 +371,27 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
                 assert got.worst_case_total == want.worst_case_total
             # each prediction's searches: from x0, then the restarts that have
             # rows, the robust plan's first
-            (start, counts), *ends = [(st, c) for p, st, c in searches if p is pred]
-            assert len(counts) == 9 and (start == q.x0).all()
-            staggered += len({k for k in counts if k < 4 * q.dim}) > 1  # rows stop in different rounds
-            for i_end, (start, counts) in enumerate(ends):
+            (start, rows), *ends = [(st, r) for p, st, r in searches if p is pred]
+            assert rows == 9 and (start == q.x0).all()
+            for i_end, (start, rows) in enumerate(ends):
                 name = "robust" if i_end == 0 and (start == robust.x_prime).all() else "consistent"
                 assert name == "robust" or (start == consistent.x_prime).all()
-                restarts[name] += len(counts)
+                restarts[name] += rows
             assert len(front.points) == len(regret_list) == len(betas)
+            counts = []  # moves of each interior beta's search from x0
             for beta, pt, regret in zip(betas, front.points, regret_list):
                 tq_beta = TradeoffQuery(q, n, pred, beta)
                 (plan,) = _blend(tq_beta, [beta], robust, consistent)
                 if 0.0 < beta < 1.0:  # and the one a per-coordinate loop gives
-                    x_ref, trace_ref, _ = _reference_blend(tq_beta, robust, consistent)
+                    x_ref, _, steps = _reference_blend(tq_beta, robust, consistent)
                     np.testing.assert_array_equal(plan.x_prime, x_ref)
-                    assert plan.trace == trace_ref
+                    counts.append(steps)
                 assert pt.beta == beta
                 assert pt.robustness == robustness(q, n, plan.x_prime, robust)
                 assert pt.consistency == consistency(q, pred, plan.x_prime, consistent)
                 assert pt.l1_cost == plan.l1_cost
                 assert regret == eval_total_cost(q, plan.x_prime, correct) - best
+            staggered += len({k for k in counts if k < 4 * q.dim}) > 1  # rows stop in different rounds
     assert losses == {LossKind.BCE, LossKind.SQUARED}
     assert dims == {1, 2, 3, 5, 20}
     assert sizes == {1, 2, 3}
