@@ -4,17 +4,20 @@ Each study trains per fold, computes recourse only for test instances that
 the base scorer labels undesirable, averages metrics across instances and
 folds, and writes a CSV (with a JSON schema alongside) plus an SVG chart
 under ``<out>/<study>/``. Everything is deterministic given the config:
-reruns produce byte-identical files. The three runners walk the folds
-through one loop, ``_study_folds``, which logs a skipped fold on the
-``robust_recourse`` logger. The pareto and smoothness runners make one call
-per instance, over its whole prediction set, of ``tradeoff.pareto_frontier``
-and ``tradeoff.smoothness``, which solve the instance's robust plan once and
-each prediction's consistent plan once, and average the values they return.
+reruns produce byte-identical files. The three runners share one pipeline:
+``_study_folds`` walks the folds (logging a skipped one on the
+``robust_recourse`` logger), ``_add`` and ``_means`` keep each key's sums and
+averages, and ``_curves`` picks each chart series from the rows. The pareto
+and smoothness runners make one call per instance, over its whole
+prediction set, of ``tradeoff.pareto_frontier`` and ``tradeoff.smoothness``,
+which solve the instance's robust plan once and each prediction's
+consistent plan once.
 
-The ``glm`` model path trains a logistic model per fold and gives every
-instance the same base parameters. The ``mlp`` path loads fixed network
-weights and fits a local linear surrogate per instance, so each instance
-carries its own base parameters and model ball.
+Every instance model comes from ``_local_model``. A fitted logistic model
+(the ``glm`` path's per-fold base, or a linear correct-prediction model) is
+every instance's model as it is. A network (the ``mlp`` path) gets a local
+linear surrogate per instance, so each instance carries its own base
+parameters and model ball.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from .models import (
     GlmScorer,
     MlpScorer,
     MlpWeights,
+    TrainingDataError,
     predict_label,
     train_logistic,
 )
@@ -282,8 +286,6 @@ def _epsilon_predictions(ball: Neighborhood, correct: ModelParams, epsilon: floa
 
 
 def _corner_patterns(d: int) -> list:
-    if d == 2:
-        return [np.array(p) for p in ((1.0, 1.0), (-1.0, -1.0), (1.0, -1.0), (-1.0, 1.0))]
     alt = np.array([1.0 if i % 2 == 0 else -1.0 for i in range(d)])
     return [np.ones(d), -np.ones(d), alt, -alt]
 
@@ -352,31 +354,34 @@ def _fold_features(cfg, ds, plan, fold):
     return x_train, y_train, x_test
 
 
+def _local_model(cfg: ExperimentConfig, source, x0: np.ndarray, *seed_parts: int) -> ModelParams:
+    """``source`` itself if it is a ``ModelParams``, else its local surrogate around ``x0``.
+
+    The fit is seeded by ``_derived_seed(cfg.seed, *seed_parts)``. Its design
+    depends only on ``x0`` and ``cfg.surrogate``, so a failed fit is a ConfigError.
+    """
+    if isinstance(source, ModelParams):
+        return source
+    sur_cfg = dataclasses.replace(cfg.surrogate, seed=_derived_seed(cfg.seed, *seed_parts))
+    try:
+        return fit_local_linear(source, x0, sur_cfg)
+    except TrainingDataError as exc:
+        raise ConfigError(f"surrogate config: {exc}") from None
+
+
 def _prepare_fold(cfg: ExperimentConfig, ds: Dataset, plan, fold: int):
     """Returns (scorer, tasks) where tasks cover undesirably-labeled test rows."""
     x_train, y_train, x_test = _fold_features(cfg, ds, plan, fold)
     if cfg.model_kind == "glm":
-        theta0 = train_logistic(x_train, y_train)
-        scorer: BlackBoxScorer = GlmScorer(theta0)
-        tasks = [
-            _InstanceTask(x0=x, base=theta0)
-            for x in x_test
-            if predict_label(scorer, x) == 0
-        ]
-        return scorer, tasks
-    if cfg.surrogate.n_samples < ds.dim + 1:
-        raise ConfigError(f"surrogate.n_samples must be at least {ds.dim + 1} for {ds.dim} "
-                          f"features, got {cfg.surrogate.n_samples}")
-    weights = _load_mlp(cfg.mlp_weights)
-    scorer = MlpScorer(weights)
-    tasks = []
-    for i, x in enumerate(x_test):
-        if predict_label(scorer, x) != 0:
-            continue
-        sur_cfg = dataclasses.replace(
-            cfg.surrogate, seed=_derived_seed(cfg.seed, fold, i)
-        )
-        tasks.append(_InstanceTask(x0=x, base=fit_local_linear(scorer, x, sur_cfg)))
+        source = train_logistic(x_train, y_train)
+        scorer: BlackBoxScorer = GlmScorer(source)
+    else:
+        if cfg.surrogate.n_samples < ds.dim + 1:
+            raise ConfigError(f"surrogate.n_samples must be at least {ds.dim + 1} for {ds.dim} "
+                              f"features, got {cfg.surrogate.n_samples}")
+        source = scorer = MlpScorer(_load_mlp(cfg.mlp_weights, ds.dim))
+    tasks = [_InstanceTask(x0=x, base=_local_model(cfg, source, x, fold, i))
+             for i, x in enumerate(x_test) if predict_label(scorer, x) == 0]
     return scorer, tasks
 
 
@@ -398,12 +403,17 @@ def _study_folds(cfg: ExperimentConfig, ds: Dataset, plan):
         raise ConfigError("no fold produced undesirable instances")
 
 
-def _load_mlp(path: str) -> MlpWeights:
+def _load_mlp(path: str, dim: int) -> MlpWeights:
+    """The network in ``path``; its first layer must take ``dim`` inputs."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return MlpWeights.from_json(fh.read())
+            weights = MlpWeights.from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read MLP weights {path}: {exc}") from exc
+    width = weights.layers[0][0].shape[1]
+    if width != dim:
+        raise ConfigError(f"MLP weights {path} take {width} inputs, the data have {dim} features")
+    return weights
 
 
 def _select_lambda(scorer: BlackBoxScorer, tasks: list, grid: tuple) -> float:
@@ -422,7 +432,27 @@ def _select_lambda(scorer: BlackBoxScorer, tasks: list, grid: tuple) -> float:
 
 
 # ---------------------------------------------------------------------------
-# output writers
+# aggregation and output writers
+
+
+def _add(sums: dict, key, *values) -> None:
+    """Adds one instance's values to ``key``'s sums; the last entry counts instances."""
+    acc = sums.setdefault(key, [0.0] * len(values) + [0])
+    for i, value in enumerate(values):
+        acc[i] += value
+    acc[-1] += 1
+
+
+def _means(sums: dict, key) -> tuple:
+    """``key``'s mean values, followed by its instance count."""
+    *totals, n = sums[key]
+    return (*(total / n for total in totals), n)
+
+
+def _curves(rows: list, names, group: str, x: str, y: str) -> list:
+    """Per name, the ``x`` and ``y`` columns of the rows whose ``group`` is that name, in order."""
+    picked = [(name, [r for r in rows if r[group] == name]) for name in names]
+    return [(name, [r[x] for r in mine], [r[y] for r in mine]) for name, mine in picked]
 
 
 def _fmt_cell(v) -> str:
@@ -462,14 +492,13 @@ def _write_study(cfg: ExperimentConfig, study: str, columns: list, rows: list, s
 def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     """Robustness/consistency frontier per predicted model, plus the ROAR point.
 
-    Every fold is prepared first (scorer, tasks and chosen lambda, in fold
-    order). The ROAR baseline then runs once for the whole study: one
-    ``roar_recourse_batch`` call over every fold's rows, each row with its
-    fold's lambda and its own ball. No row's result depends on the others,
-    so this gives the points a call per fold would. The result is split
-    back per fold, and the sums are added in fold order. Each ROAR row is
-    scored against the two optima of its prediction's ``Frontier``, so the
-    study solves no optimum of its own.
+    Every fold is prepared first (scorer, tasks and chosen lambda), giving
+    one (lambda, task, ball) list in fold order. The ROAR baseline then runs
+    once over that list, one ``roar_recourse_batch`` call with each row's own
+    lambda and ball. No row's result depends on the others, so this gives the
+    points a call per fold would. One loop then scores the list in order.
+    Each ROAR row is scored against the two optima of its prediction's
+    ``Frontier``, so the study solves no optimum of its own.
     """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
@@ -477,63 +506,27 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     lambda_by_fold = []
     pred_names: list = []
 
-    folds = []  # (lam, tasks, balls) per fold
+    instances = []  # (lam, task, ball), in fold order
     for _, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
-        folds.append((lam, tasks, [Neighborhood(t.base, cfg.alpha) for t in tasks]))
-    roar_points = roar_recourse_batch(
-        np.array([t.x0 for _, tasks, _ in folds for t in tasks]),
-        np.concatenate([np.full(len(tasks), lam) for lam, tasks, _ in folds]),
-        [nbhd for _, _, balls in folds for nbhd in balls],
-        cfg.roar,
-    )
-    fold_ends = np.cumsum([len(tasks) for _, tasks, _ in folds])[:-1]
+        instances += [(lam, t, Neighborhood(t.base, cfg.alpha)) for t in tasks]
+    lams, tasks, balls = zip(*instances)
+    roar_points = roar_recourse_batch(np.array([t.x0 for t in tasks]), np.array(lams),
+                                      list(balls), cfg.roar)
 
-    for (lam, tasks, balls), fold_roar in zip(folds, np.split(roar_points, fold_ends)):
-        for task, nbhd, x_roar in zip(tasks, balls, fold_roar):
-            q = RecourseQuery(x0=task.x0, lam=lam)
-            names, preds = zip(*generate_predictions(cfg.prediction, task.base, cfg.alpha))
-            pred_names = pred_names or list(names)
-            for pred_name, pred, front in zip(names, preds,
-                                              pareto_frontier(q, nbhd, preds, cfg.beta_grid)):
-                for pt in front.points:
-                    acc = sums.setdefault(("blend", pred_name, pt.beta), [0.0, 0.0, 0.0, 0])
-                    acc[0] += pt.robustness
-                    acc[1] += pt.consistency
-                    acc[2] += pt.l1_cost
-                    acc[3] += 1
-                acc = sums.setdefault(("roar", pred_name, 1.0), [0.0, 0.0, 0.0, 0])
-                acc[0] += robustness(q, nbhd, x_roar, front.robust)
-                acc[1] += consistency(q, pred, x_roar, front.consistent)
-                acc[2] += weighted_l1(q, x_roar)
-                acc[3] += 1
+    for (lam, task, nbhd), x_roar in zip(instances, roar_points):
+        q = RecourseQuery(x0=task.x0, lam=lam)
+        names, preds = zip(*generate_predictions(cfg.prediction, task.base, cfg.alpha))
+        pred_names = pred_names or list(names)
+        for pred_name, pred, front in zip(names, preds,
+                                          pareto_frontier(q, nbhd, preds, cfg.beta_grid)):
+            for pt in front.points:
+                _add(sums, ("blend", pred_name, pt.beta), pt.robustness, pt.consistency,
+                     pt.l1_cost)
+            _add(sums, ("roar", pred_name, 1.0), robustness(q, nbhd, x_roar, front.robust),
+                 consistency(q, pred, x_roar, front.consistent), weighted_l1(q, x_roar))
 
-    rows = []
-    for method, betas in (("blend", cfg.beta_grid), ("roar", (1.0,))):
-        for pred_name in pred_names:
-            for beta in betas:
-                r, c, cost, n = sums[(method, pred_name, float(beta))]
-                rows.append(
-                    {
-                        "method": method,
-                        "prediction": pred_name,
-                        "beta": float(beta),
-                        "robustness": r / n,
-                        "consistency": c / n,
-                        "l1_cost": cost / n,
-                        "n_instances": n,
-                    }
-                )
-
-    series = []
-    for pred_name in pred_names:
-        pts = [
-            (row["robustness"], row["consistency"])
-            for row in rows
-            if row["method"] == "blend" and row["prediction"] == pred_name
-        ]
-        series.append((pred_name, [p[0] for p in pts], [p[1] for p in pts]))
     columns = [
         ("method", "str", "blend (beta-weighted solver) or roar (gradient baseline)"),
         ("prediction", "str", "predicted-model identifier"),
@@ -543,6 +536,12 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
         ("l1_cost", "float", "mean weighted L1 modification cost"),
         ("n_instances", "int", "instance count behind the averages"),
     ]
+    keys = [(method, name, float(beta)) for method, betas in (("blend", cfg.beta_grid),
+                                                              ("roar", (1.0,)))
+            for name in pred_names for beta in betas]
+    rows = [dict(zip([c[0] for c in columns], (*key, *_means(sums, key)))) for key in keys]
+    series = _curves([r for r in rows if r["method"] == "blend"], pred_names, "prediction",
+                     "robustness", "consistency")
     csv_path, svg_path = _write_study(cfg, "pareto", columns, rows, series,
                                       title="Robustness vs consistency", x_label="robustness",
                                       y_label="consistency")
@@ -562,14 +561,17 @@ def _correct_prediction_models(cfg: ExperimentConfig, ds: Dataset, plan, fold: i
     if cfg.model_kind == "mlp":
         if not cfg.mlp_weights_shifted:
             raise ConfigError("smoothness on mlp needs mlp_weights_shifted")
-        return MlpScorer(_load_mlp(cfg.mlp_weights_shifted))
+        return MlpScorer(_load_mlp(cfg.mlp_weights_shifted, ds.dim))
     if cfg.dataset == "synthetic":
         shift = cfg.smoothness_shift if cfg.smoothness_shift is not None else cfg.smoothness_alpha
         spec = SyntheticSpec(n_points=cfg.n_points, seed=cfg.seed)
         shifted = shifted_synthetic(spec, shift)
         x_train = shifted.features[plan.train_indices(fold)]
         y_train = shifted.labels[plan.train_indices(fold)]
-        return train_logistic(x_train, y_train)
+        try:  # the shift is a config value, so a fit it breaks is a config error
+            return train_logistic(x_train, y_train)
+        except TrainingDataError as exc:
+            raise ConfigError(f"smoothness_shift {shift}: {exc}") from None
     if not cfg.shifted_dataset:
         raise ConfigError("smoothness on a csv dataset needs shifted_dataset")
     shifted = ingest_csv(cfg.shifted_dataset, cfg.label_column, cfg.positive_label)
@@ -580,79 +582,46 @@ def _correct_prediction_models(cfg: ExperimentConfig, ds: Dataset, plan, fold: i
 def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     """Mean regret vs trust level, one curve per prediction accuracy.
 
-    The predictions are the correct model and its epsilon perturbations
+    Each instance's correct model is ``_local_model`` of the fold's
+    correct-prediction source, clamped into the instance's ball. The
+    predictions are that model and its epsilon perturbations
     (``_epsilon_predictions``), with ``cfg.epsilon`` as the step;
     ``cfg.prediction`` is not read.
     """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
-    alpha = cfg.smoothness_alpha
-    sums: dict = {}
+    sums: dict = {}  # (prediction, beta) -> [regret, count]
     pred_names: list = []
     lambda_by_fold = []
-    eps_by_fold = []
 
     for fold, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
         correct_src = _correct_prediction_models(cfg, ds, plan, fold)
-
         for t_idx, task in enumerate(tasks):
-            base = task.base
-            if isinstance(correct_src, ModelParams):
-                correct_raw = correct_src
-            else:
-                sur_cfg = dataclasses.replace(
-                    cfg.surrogate, seed=_derived_seed(cfg.seed, fold, t_idx, 7)
-                )
-                correct_raw = fit_local_linear(correct_src, task.x0, sur_cfg)
-            nbhd = Neighborhood(base, alpha)
-            correct = nbhd.clamp(correct_raw)
+            nbhd = Neighborhood(task.base, cfg.smoothness_alpha)
+            correct = nbhd.clamp(_local_model(cfg, correct_src, task.x0, fold, t_idx, 7))
             names, preds = zip(*_epsilon_predictions(nbhd, correct, cfg.epsilon))
             pred_names = pred_names or list(names)
-            if t_idx == 0:
-                eps_by_fold.append(_half_gap(correct, base))
-
             q = RecourseQuery(x0=task.x0, lam=lam)
             for pred_name, regrets in zip(names, smoothness(q, nbhd, preds, correct,
                                                             cfg.beta_grid)):
                 for beta, regret in zip(cfg.beta_grid, regrets):
-                    acc = sums.setdefault((pred_name, float(beta)), [0.0, 0])
-                    acc[0] += regret
-                    acc[1] += 1
+                    _add(sums, (pred_name, float(beta)), regret)
 
-    rows = []
-    for pred_name in pred_names:
-        for beta in cfg.beta_grid:
-            s, n = sums[(pred_name, float(beta))]
-            rows.append(
-                {
-                    "prediction": pred_name,
-                    "beta": float(beta),
-                    "smoothness": s / n,
-                    "n_instances": n,
-                }
-            )
-
-    series = []
-    for pred_name in pred_names:
-        pts = [(row["beta"], row["smoothness"]) for row in rows if row["prediction"] == pred_name]
-        series.append((pred_name, [p[0] for p in pts], [p[1] for p in pts]))
     columns = [
         ("prediction", "str", "correct model or its +/- epsilon perturbations"),
         ("beta", "float", "trust parameter"),
         ("smoothness", "float", "mean regret under the materialized model"),
         ("n_instances", "int", "instance count behind the averages"),
     ]
+    keys = [(name, float(beta)) for name in pred_names for beta in cfg.beta_grid]
+    rows = [dict(zip([c[0] for c in columns], (*key, *_means(sums, key)))) for key in keys]
+    series = _curves(rows, pred_names, "prediction", "beta", "smoothness")
     csv_path, svg_path = _write_study(cfg, "smoothness", columns, rows, series,
                                       title="Smoothness vs trust", x_label="beta",
                                       y_label="smoothness")
-
-    extras = {
-        "lambda_by_fold": lambda_by_fold,
-        "epsilon_by_fold": eps_by_fold,
-        "predictions": pred_names,
-    }
+    extras = {"lambda_by_fold": lambda_by_fold, "predictions": pred_names}
     return StudyResult(rows=rows, csv_path=csv_path, svg_path=svg_path, extras=extras)
 
 
@@ -662,7 +631,7 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
         raise ConfigError("the validity study supports the glm model path only")
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
-    sums: dict = {}
+    sums: dict = {}  # (method, alpha, lam) -> [validity, mean cost, count]
     cells = [(float(a), float(lam)) for a in cfg.validity_alphas for lam in cfg.validity_lambdas]
 
     for _, _, tasks in _study_folds(cfg, ds, plan):
@@ -680,26 +649,16 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
         recs_roar = recs_roar.reshape(len(cells), *x0s.shape)
         for cell, nbhd, alg, roar in zip(cells, balls, recs_alg, recs_roar):
             for method, pts in (("alg", alg), ("roar", roar)):
-                acc = sums.setdefault((method, *cell), [0.0, 0.0, 0])
-                acc[0] += validity(worst_case_shared_model(nbhd, pts), pts)
-                acc[1] += float(np.mean(np.abs(pts - x0s).sum(axis=1)))
-                acc[2] += 1
+                _add(sums, (method, *cell), validity(worst_case_shared_model(nbhd, pts), pts),
+                     float(np.mean(np.abs(pts - x0s).sum(axis=1))))
 
     rows = []
     for method in ("alg", "roar"):
         pts = []
-        for alpha in cfg.validity_alphas:
-            for lam in cfg.validity_lambdas:
-                v, c, n = sums[(method, float(alpha), float(lam))]
-                pts.append(
-                    {
-                        "method": method,
-                        "alpha": float(alpha),
-                        "lam": float(lam),
-                        "validity": v / n,
-                        "mean_cost": c / n,
-                    }
-                )
+        for alpha, lam in cells:
+            v, c, _ = _means(sums, (method, alpha, lam))
+            pts.append({"method": method, "alpha": alpha, "lam": lam, "validity": v,
+                        "mean_cost": c})
         for row in pts:
             row["pareto"] = not any(
                 other["validity"] >= row["validity"]
@@ -711,13 +670,9 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
             )
         rows.extend(pts)
 
-    series = []
-    for method in ("alg", "roar"):
-        front = sorted(
-            (r for r in rows if r["method"] == method and r["pareto"]),
-            key=lambda r: (r["mean_cost"], r["validity"]),
-        )
-        series.append((method, [r["mean_cost"] for r in front], [r["validity"] for r in front]))
+    # a stable sort keeps each method's front in (cost, validity) order
+    front = sorted((r for r in rows if r["pareto"]), key=lambda r: (r["mean_cost"], r["validity"]))
+    series = _curves(front, ("alg", "roar"), "method", "mean_cost", "validity")
     columns = [
         ("method", "str", "alg (exact solver) or roar (gradient baseline)"),
         ("alpha", "float", "model-ball radius"),

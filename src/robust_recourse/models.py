@@ -32,7 +32,7 @@ __all__ = [
 
 
 class TrainingDataError(ValueError):
-    """Training data is unusable (single class or non-finite features)."""
+    """Training data is unusable (single class, non-finite or overflowing features)."""
 
 
 @runtime_checkable
@@ -145,7 +145,8 @@ def fit_logistic(features, labels, cfg: TrainConfig = TrainConfig()):
 
     The step is halved whenever a proposed update would increase the loss, so
     the recorded per-epoch losses are non-increasing. Returns the fitted
-    parameters together with that loss history.
+    parameters together with that loss history. Features so large that the
+    fit overflows raise TrainingDataError.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels, dtype=int).ravel()
@@ -162,22 +163,25 @@ def fit_logistic(features, labels, cfg: TrainConfig = TrainConfig()):
     xb = np.hstack([x, np.ones((n, 1))])  # last column carries the intercept
     theta = np.zeros(d + 1)
     lr = cfg.learning_rate
-    losses = [_mean_bce_loss(theta, xb, y, cfg.l2_penalty)]
-
-    for _ in range(cfg.max_epochs):
-        s = xb @ theta
-        grad = xb.T @ (sigmoid(s) - y) / n
-        grad[:-1] += cfg.l2_penalty * theta[:-1]
-        if float(np.max(np.abs(grad))) <= cfg.tolerance:
-            break
-        while True:
-            candidate = theta - lr * grad
-            cand_loss = _mean_bce_loss(candidate, xb, y, cfg.l2_penalty)
-            if cand_loss <= losses[-1] + 1e-12 or lr < 1e-12:
-                break
-            lr *= 0.5
-        theta = candidate
-        losses.append(cand_loss)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            losses = [_mean_bce_loss(theta, xb, y, cfg.l2_penalty)]
+            for _ in range(cfg.max_epochs):
+                s = xb @ theta
+                grad = xb.T @ (sigmoid(s) - y) / n
+                grad[:-1] += cfg.l2_penalty * theta[:-1]
+                if float(np.max(np.abs(grad))) <= cfg.tolerance:
+                    break
+                while True:
+                    candidate = theta - lr * grad
+                    cand_loss = _mean_bce_loss(candidate, xb, y, cfg.l2_penalty)
+                    if cand_loss <= losses[-1] + 1e-12 or lr < 1e-12:
+                        break
+                    lr *= 0.5
+                theta = candidate
+                losses.append(cand_loss)
+    except FloatingPointError as exc:
+        raise TrainingDataError(f"logistic fit overflowed: {exc}") from None
 
     return ModelParams(theta[:-1], theta[-1]), np.asarray(losses)
 

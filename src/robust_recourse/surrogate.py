@@ -67,11 +67,10 @@ def fit_local_linear(
     if np.ptp(samples, axis=0).max() == 0.0:
         raise TrainingDataError("degenerate design: all surrogate samples identical")
 
-    sq_dist = ((samples - x0) ** 2).sum(axis=1)
-    omega = np.exp(-sq_dist / width**2)
-
     probs = np.array([scorer.probability(z) for z in samples])
+    # a vanishing width gives weight 0, its limit
     with np.errstate(divide="ignore", over="ignore"):
+        omega = np.exp(-((samples - x0) ** 2).sum(axis=1) / width**2)
         logits = np.log(probs / (1.0 - probs))
     targets = np.clip(logits, -LOGIT_CLAMP, LOGIT_CLAMP)
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from robust_recourse.experiments import (
     PredictionMode,
     PredictionSetSpec,
     _correct_prediction_models,
+    _derived_seed,
     _epsilon_predictions,
     _load_base_dataset,
     _prepare_fold,
@@ -27,7 +29,8 @@ from robust_recourse.experiments import (
     run_validity_study,
 )
 from robust_recourse.glm import ModelParams, RecourseQuery, eval_total_cost, weighted_l1
-from robust_recourse.models import GlmScorer, MlpWeights, predict_label, train_logistic
+from robust_recourse.models import (GlmScorer, MlpScorer, MlpWeights, predict_label,
+                                   train_logistic)
 from robust_recourse.roar import RoarConfig, roar_recourse, roar_recourse_batch
 from robust_recourse.solver import (
     GridSpec,
@@ -35,7 +38,7 @@ from robust_recourse.solver import (
     minimax_oracle,
     optimal_robust_recourse,
 )
-from robust_recourse.surrogate import SurrogateConfig
+from robust_recourse.surrogate import SurrogateConfig, fit_local_linear
 from robust_recourse.tradeoff import (
     TradeoffQuery,
     blended_recourse,
@@ -271,8 +274,6 @@ def test_smoothness_study_small(tmp_path):
     assert max(full) - min(full) <= 1e-6
     for val in by_key.values():
         assert val >= -1e-9
-    assert len(res.extras["epsilon_by_fold"]) == 2
-    assert all(e >= 0.0 for e in res.extras["epsilon_by_fold"])
     assert os.path.exists(res.svg_path)
 
 
@@ -625,10 +626,10 @@ def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
 # -------------------------------------------------------------- mlp path
 
 
-def _write_mlp(path, bias=(0.0, 0.0)):
+def _write_mlp(path, bias=(0.0, 0.0), inputs=2):
     net = MlpWeights(
         layers=[
-            (np.array([[1.0, 1.0], [-1.0, -1.0]]), np.asarray(bias, dtype=float)),
+            (np.array([[1.0] * inputs, [-1.0] * inputs]), np.asarray(bias, dtype=float)),
             (np.array([[2.0, -2.0]]), np.array([0.0])),
         ]
     )
@@ -682,6 +683,52 @@ def test_smoothness_mlp_with_shifted_weights(tmp_path):
     res = run_smoothness_study(cfg)
     assert len(res.rows) == 5 * 2
     assert all(r["smoothness"] >= -1e-9 for r in res.rows)
+
+
+def test_smoothness_study_mlp_matches_per_beta_reference(tmp_path):
+    # The reference fits every surrogate itself: an instance's base model is
+    # seeded by (fold, test row) and its correct model by (fold, task, 7).
+    cfg = ExperimentConfig(
+        model_kind="mlp",
+        mlp_weights=_write_mlp(tmp_path / "net.json"),
+        mlp_weights_shifted=_write_mlp(tmp_path / "shifted.json", bias=(0.3, -0.3)),
+        n_points=40,
+        k_folds=2,
+        lambda_grid=(0.05, 0.1),
+        beta_grid=(0.0, 0.5, 1.0),
+        surrogate=SurrogateConfig(n_samples=80),
+        out_dir=str(tmp_path / "sm"),
+    )
+    res = run_smoothness_study(cfg)
+    net, shifted = (MlpScorer(MlpWeights.from_json((tmp_path / name).read_text(encoding="utf-8")))
+                    for name in ("net.json", "shifted.json"))
+
+    def surrogate(scorer, x, *parts):
+        seeded = dataclasses.replace(cfg.surrogate, seed=_derived_seed(cfg.seed, *parts))
+        return fit_local_linear(scorer, x, seeded)
+
+    ds = generate_synthetic(SyntheticSpec(n_points=cfg.n_points, seed=cfg.seed))
+    plan = kfold(ds.n, cfg.k_folds, cfg.seed)
+    sums = {}
+    for fold in range(plan.k):
+        tasks = [SimpleNamespace(x0=x, base=surrogate(net, x, fold, i))
+                 for i, x in enumerate(ds.features[plan.test_indices(fold)])
+                 if predict_label(net, x) == 0]
+        assert tasks
+        lam = _select_lambda(net, tasks, cfg.lambda_grid)
+        for t, task in enumerate(tasks):
+            q = RecourseQuery(x0=task.x0, lam=lam)
+            nbhd = Neighborhood(task.base, cfg.smoothness_alpha)
+            correct = nbhd.clamp(surrogate(shifted, task.x0, fold, t, 7))
+            best = consistent_recourse(q, correct).worst_case_total
+            for name, pred in _epsilon_predictions(nbhd, correct, cfg.epsilon):
+                for beta in cfg.beta_grid:
+                    bp = blended_recourse(TradeoffQuery(q, nbhd, pred, beta))
+                    _add(sums, (name, beta), eval_total_cost(q, bp.x_prime, correct) - best)
+    assert len(res.rows) == len(sums) == 5 * 3
+    for row in res.rows:
+        total, n = sums[(row["prediction"], row["beta"])]
+        assert (row["smoothness"], row["n_instances"]) == (total / n, n)
 
 
 # ------------------------------------------------------------------- cli
@@ -808,6 +855,24 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
             {"model_kind": "mlp", "mlp_weights": "net.json", "mlp_weights_shifted": "net.json",
              "surrogate": {"n_samples": 2}, "n_points": 40, "k_folds": 2},
         ),
+        (["pareto"], {"model_kind": "mlp", "mlp_weights": "net3.json", "n_points": 40,
+                      "k_folds": 2}),
+        (
+            ["smoothness"],
+            {"model_kind": "mlp", "mlp_weights": "net.json", "mlp_weights_shifted": "net3.json",
+             "n_points": 40, "k_folds": 2},
+        ),
+        (["smoothness"], {"smoothness_shift": 1e308, "n_points": 40, "k_folds": 2}),
+        (
+            ["smoothness"],
+            {"model_kind": "mlp", "mlp_weights": "net.json", "mlp_weights_shifted": "net.json",
+             "surrogate": {"stddev": 0}, "n_points": 40, "k_folds": 2},
+        ),
+        (
+            ["pareto"],
+            {"model_kind": "mlp", "mlp_weights": "net.json", "surrogate": {"width": 1e-300},
+             "n_points": 40, "k_folds": 2},
+        ),
         (["gen-data", "--n", "1"], None),
         (["gen-data", "--seed", "-1"], None),
         (["oracle-check", "--n", "-1"], None),
@@ -830,6 +895,8 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         "surrogate-fractional-samples", "surrogate-zero-samples", "surrogate-nan-stddev",
         "surrogate-text-stddev", "surrogate-nan-ridge", "surrogate-nan-width",
         "pareto-mlp-samples-below-features", "smoothness-mlp-samples-below-features",
+        "mlp-weights-width", "mlp-weights-shifted-width", "shift-overflows-training",
+        "surrogate-zero-stddev", "surrogate-vanishing-width",
         "gen-data-one-point",
         "gen-data-negative-seed",
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
@@ -838,8 +905,10 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
     if config is not None:
         for key in ("mlp_weights", "mlp_weights_shifted"):
-            if config.get(key) == "net.json":
-                config = dict(config, **{key: _write_mlp(tmp_path / "net.json")})
+            name = config.get(key)
+            if name in ("net.json", "net3.json"):
+                path = _write_mlp(tmp_path / name, inputs=3 if name == "net3.json" else 2)
+                config = dict(config, **{key: path})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]

@@ -46,6 +46,13 @@ def test_train_logistic_synthetic_accuracy():
     assert (preds == ds.labels).mean() >= 0.95
 
 
+def test_fit_logistic_overflow_is_training_data_error():
+    # finite features whose gradient sums overflow a float
+    feats = np.array([[1e308, 1e308], [9e307, 1e308], [-1e308, 5e307], [-9e307, -1e308]])
+    with pytest.raises(TrainingDataError, match="overflow"):
+        fit_logistic(feats, np.array([1, 1, 0, 0]))
+
+
 def test_fit_logistic_loss_monotone():
     ds = generate_synthetic(SyntheticSpec(n_points=200, seed=6))
     _, losses = fit_logistic(ds.features, ds.labels, TrainConfig(max_epochs=200))
