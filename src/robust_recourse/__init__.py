@@ -61,6 +61,7 @@ from .solver import (
     consistent_recourse,
     minimax_oracle,
     optimal_robust_recourse,
+    optimal_robust_recourse_batch,
     solve_coordinate_step,
 )
 from .surrogate import SurrogateConfig, fit_local_linear

@@ -55,8 +55,8 @@ from .models import (
     train_logistic,
 )
 from .roar import RoarConfig, roar_recourse_batch
-from .solver import (GridSpec, consistent_recourse, minimax_oracle, optimal_robust_recourse,
-                     solve_coordinate_step)
+from .solver import (GridSpec, minimax_oracle, optimal_robust_recourse,
+                     optimal_robust_recourse_batch, solve_coordinate_step)
 from .surrogate import SurrogateConfig, fit_local_linear
 from .svgplot import line_chart
 from .tradeoff import consistency, pareto_frontier, robustness, smoothness, validity
@@ -404,12 +404,15 @@ def _study_folds(cfg: ExperimentConfig, ds: Dataset, plan):
 
 
 def _load_mlp(path: str, dim: int) -> MlpWeights:
-    """The network in ``path``; its first layer must take ``dim`` inputs."""
+    """The network in ``path``, which must take ``dim`` inputs; else a ConfigError naming it."""
     try:
         with open(path, encoding="utf-8") as fh:
             weights = MlpWeights.from_json(fh.read())
     except OSError as exc:
         raise ConfigError(f"cannot read MLP weights {path}: {exc}") from exc
+    except (ValueError, KeyError, TypeError) as exc:  # JSONDecodeError is a ValueError
+        raise ConfigError(f"MLP weights {path} are not a network: "
+                          f"{type(exc).__name__}: {exc}") from exc
     width = weights.layers[0][0].shape[1]
     if width != dim:
         raise ConfigError(f"MLP weights {path} take {width} inputs, the data have {dim} features")
@@ -417,15 +420,18 @@ def _load_mlp(path: str, dim: int) -> MlpWeights:
 
 
 def _select_lambda(scorer: BlackBoxScorer, tasks: list, grid: tuple) -> float:
-    """Largest lambda maximizing consistent-recourse validity under the base scorer."""
+    """Largest lambda maximizing consistent-recourse validity under the base scorer.
+
+    One batch solve over every (lambda, task) row, with a zero-radius ball per task.
+    """
+    lams = sorted(grid)
+    x0s = np.array([t.x0 for t in tasks])
+    balls = [Neighborhood(t.base, 0.0) for t in tasks]
+    plans = optimal_robust_recourse_batch(np.tile(x0s, (len(lams), 1)),
+                                          np.repeat(lams, len(tasks)), balls * len(lams))
     best_lam, best_val = None, -1.0
-    for lam in sorted(grid):
-        hits = 0
-        for task in tasks:
-            q = RecourseQuery(x0=task.x0, lam=lam)
-            plan = consistent_recourse(q, task.base)
-            hits += predict_label(scorer, plan.x_prime)
-        val = hits / len(tasks)
+    for lam, pts in zip(lams, plans.reshape(len(lams), *x0s.shape)):
+        val = sum(predict_label(scorer, x) for x in pts) / len(tasks)
         if val >= best_val:
             best_lam, best_val = lam, val
     return best_lam
@@ -626,7 +632,11 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
 
 
 def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
-    """Worst-case validity vs mean cost for the exact solver and the ROAR baseline."""
+    """Worst-case validity vs mean cost for the exact solver and the ROAR baseline.
+
+    Each fold solves every (alpha, lam, instance) row in one exact and one ROAR
+    batch call, then finds one worst-case model per cell and method.
+    """
     if cfg.model_kind != "glm":
         raise ConfigError("the validity study supports the glm model path only")
     ds = _load_base_dataset(cfg)
@@ -635,18 +645,12 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
     cells = [(float(a), float(lam)) for a in cfg.validity_alphas for lam in cfg.validity_lambdas]
 
     for _, _, tasks in _study_folds(cfg, ds, plan):
-        # every (alpha, lam) cell of the fold in one ROAR call, then one
-        # worst-case model per cell and method
         x0s = np.array([t.x0 for t in tasks])
         balls = [Neighborhood(tasks[0].base, alpha) for alpha, _ in cells]
-        recs_alg = [
-            [optimal_robust_recourse(RecourseQuery(x0=x, lam=lam), nbhd).x_prime for x in x0s]
-            for nbhd, (_, lam) in zip(balls, cells)
-        ]
-        lams = np.repeat([lam for _, lam in cells], len(tasks))
-        row_balls = [nbhd for nbhd in balls for _ in tasks]
-        recs_roar = roar_recourse_batch(np.tile(x0s, (len(cells), 1)), lams, row_balls, cfg.roar)
-        recs_roar = recs_roar.reshape(len(cells), *x0s.shape)
+        rows = (np.tile(x0s, (len(cells), 1)), np.repeat([lam for _, lam in cells], len(tasks)),
+                [nbhd for nbhd in balls for _ in tasks])
+        recs_alg = optimal_robust_recourse_batch(*rows).reshape(len(cells), *x0s.shape)
+        recs_roar = roar_recourse_batch(*rows, cfg.roar).reshape(len(cells), *x0s.shape)
         for cell, nbhd, alg, roar in zip(cells, balls, recs_alg, recs_roar):
             for method, pts in (("alg", alg), ("roar", roar)):
                 _add(sums, (method, *cell), validity(worst_case_shared_model(nbhd, pts), pts),

@@ -46,7 +46,6 @@ import numpy as np
 from .adversary import Neighborhood, best_response
 from .glm import (
     CostSpec,
-    DimensionMismatchError,
     LossKind,
     RecourseQuery,
     eval_loss,
@@ -54,7 +53,7 @@ from .glm import (
     loss_derivative,
     weighted_l1,
 )
-from .solver import RecoursePlan
+from .solver import RecoursePlan, _row_stack
 
 __all__ = ["RoarConfig", "roar_recourse", "roar_recourse_batch"]
 
@@ -115,31 +114,11 @@ def roar_recourse_batch(
     cfg = cfg or RoarConfig()
     x0s = np.asarray(x0s, dtype=float)
     m, d = x0s.shape
-    balls = [neighborhood] if isinstance(neighborhood, Neighborhood) else list(neighborhood)
-    base_w = np.array([ball.base.weights for ball in balls])
-    if len(balls) not in (1, m) or base_w.shape[1] != d:
-        raise DimensionMismatchError(
-            f"{len(balls)} balls of {base_w.shape[1]} weights for starts of shape {(m, d)}"
-        )
-    alpha = np.array([[ball.alpha] for ball in balls])
-    b_eff = np.array([ball.worst_intercept for ball in balls])
-    lam = np.asarray(lam, dtype=float)
-    if lam.shape not in ((), (m,)):
-        raise DimensionMismatchError(f"lam of shape {lam.shape} for {m} rows")
-    lam = np.broadcast_to(lam, (m,))
-    if not np.all((0.0 <= lam) & (lam < np.inf)):
-        raise ValueError("lam must be finite and nonnegative")
-    mask = np.zeros(d, dtype=bool) if immutable_mask is None else immutable_mask
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape not in ((d,), (m, d)):
-        raise DimensionMismatchError(f"mask of shape {mask.shape} for starts of shape {(m, d)}")
-    free = ~np.broadcast_to(mask, (m, d))
-    cost_w = (cost or CostSpec.unit(d)).weights
-    if cost_w.shape != (d,):
-        raise DimensionMismatchError(f"cost has {cost_w.size} weights, starts have {d} features")
+    base_w, alpha, b_eff, lam, free, cost_w = _row_stack(x0s, lam, neighborhood, cost,
+                                                         immutable_mask)
     lam_cost = lam[:, None] * cost_w
     # worst-case weights on each orthant side; sign convention +1 at zero, matching best_response
-    w_pos, w_neg = base_w - alpha, base_w + alpha
+    w_pos, w_neg = base_w - alpha[:, None], base_w + alpha[:, None]
 
     def scored(pts: np.ndarray) -> tuple:
         weights = np.where(pts >= 0.0, w_pos, w_neg)

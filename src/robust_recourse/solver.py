@@ -1,16 +1,23 @@
 """Exact recourse solvers and a brute-force certification oracle.
 
-``optimal_robust_recourse`` minimizes the worst-case total cost over an
-L-infinity ball of models by greedy coordinate moves: it keeps the running
-worst-case model in closed form, always moves the coordinate with the
-largest cost-adjusted weight magnitude, and solves each one-dimensional
-subproblem exactly (``solve_coordinate_step``: a closed-form logit for BCE,
-a comparison of the piece candidates for the squared loss). A
-per-coordinate region flag tracks which orthant the coordinate currently
-occupies so that a move through zero hands off cleanly to the flipped
-worst-case weight instead of oscillating at the boundary;
-coordinates whose flipped weight cannot keep helping are retired. Every
-applied move is recorded in the returned plan's trace.
+``optimal_robust_recourse_batch`` minimizes the worst-case total cost over
+an L-infinity ball of models for many rows at once, each with its own
+start, lam, ball and immutable mask, in one lockstep loop of greedy
+coordinate moves (``_greedy_rows``). Each row keeps its worst-case model in
+closed form, moves the coordinate with the largest cost-adjusted weight
+magnitude, and solves that one-dimensional subproblem exactly
+(``solve_coordinate_step``: a closed-form logit for BCE, a comparison of the
+piece candidates for the squared loss). A move through zero stops there and
+hands off to the far orthant's worst-case weight, or retires the coordinate
+when that weight cannot keep helping. ``optimal_robust_recourse`` is the
+one-row case; its plan's trace records every applied move.
+
+Each pass picks every live row's coordinate and score in numpy, then takes
+each row's step in Python. The step stays scalar so that its BCE logit is
+``math.log``: numpy's array log differs from it in the last bit on about
+0.2% of inputs. The stacked score is ``np.matmul`` of (1, d) by (d, 1) rows,
+which equals each row's own ``x @ adv`` bit for bit where ``einsum`` and a
+row sum do not. So every row is bitwise its one-row call.
 
 ``consistent_recourse`` is the same procedure with a zero-radius ball, which
 minimizes the total cost under a single predicted model exactly.
@@ -37,18 +44,17 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import Neighborhood, best_response
+from .adversary import Neighborhood
 from .glm import (
+    CostSpec,
     DimensionMismatchError,
     LossKind,
     ModelParams,
     RecourseQuery,
     eval_loss,
-    eval_total_cost,
     logit,
     sigmoid,
     sign,
-    weighted_l1,
 )
 
 __all__ = [
@@ -57,6 +63,7 @@ __all__ = [
     "RecoursePlan",
     "solve_coordinate_step",
     "optimal_robust_recourse",
+    "optimal_robust_recourse_batch",
     "consistent_recourse",
     "minimax_oracle",
 ]
@@ -190,87 +197,136 @@ def optimal_robust_recourse(
     query: RecourseQuery,
     neighborhood: Neighborhood,
 ) -> RecoursePlan:
-    """Recourse minimizing the worst-case total cost over the model ball.
+    """Recourse minimizing the worst-case total cost over the model ball; one row of the loop.
 
-    Greedy coordinate scheme: track the worst-case model for the current
-    point in closed form, repeatedly pick the active coordinate with the
-    largest weight magnitude per unit cost, and apply its exact
-    one-dimensional optimum. A move that would push a coordinate through
-    zero is clamped there; the coordinate stays active, with its region flag
-    flipped, only when the worst-case weight of the far orthant keeps
-    pointing in the travel direction. The loop runs at most 2 d + 2 passes:
-    one boundary crossing plus one interior move per coordinate, a final
-    zero-length check, and one spare.
+    The costs are ``weighted_l1`` and ``eval_total_cost`` against
+    ``best_response``, written out on the row arrays so no model is re-validated.
     """
-    base = neighborhood.base
-    alpha = neighborhood.alpha
-    d = query.dim
-    if base.dim != d:
-        raise DimensionMismatchError(f"model has {base.dim} weights, query has {d} features")
+    base, x0 = neighborhood.base.weights, query.x0
+    if base.size != x0.size:
+        raise DimensionMismatchError(f"model has {base.size} weights, query has {x0.size} features")
+    alpha, b, cost_w = neighborhood.alpha, neighborhood.worst_intercept, query.cost.weights
+    xs, traces, saturated = _greedy_rows(x0[None, :], base[None, :], np.array([alpha]),
+                                         np.array([b]), np.array([query.lam]),
+                                         ~query.immutable_mask[None, :], cost_w, query.loss)
+    x = xs[0]
+    l1 = float(cost_w @ np.abs(x - x0))
+    total = eval_loss(query.loss, float((base - alpha * sign(x)) @ x + b)) + query.lam * l1
+    return RecoursePlan(x, l1, total, traces[0], saturated[0])
 
-    x = query.x0.copy()
-    cost_w = query.cost.weights
-    intercept = neighborhood.worst_intercept
 
+def optimal_robust_recourse_batch(
+    x0s: np.ndarray,
+    lam: float | np.ndarray,
+    neighborhood: Neighborhood | list,
+    loss: LossKind = LossKind.BCE,
+    cost: CostSpec | None = None,
+    immutable_mask: np.ndarray | None = None,
+) -> np.ndarray:
+    """The robust recourse of every row of ``x0s``, each bitwise its one-row call.
+
+    As in ``roar_recourse_batch``, ``lam``, ``neighborhood`` (a ball) and
+    ``immutable_mask`` are each shared or given per row; loss and cost
+    weights are shared.
+    """
+    x0s = np.asarray(x0s, dtype=float)
+    return _greedy_rows(x0s, *_row_stack(x0s, lam, neighborhood, cost, immutable_mask), loss)[0]
+
+
+def _row_stack(x0s, lam, neighborhood, cost, immutable_mask) -> tuple:
+    """Checked row arrays of a batch over the (m, d) starts ``x0s``.
+
+    Returns base weights (m, d), alpha (m,), worst intercepts (m,), lam (m,),
+    the free mask (m, d) and the cost weights (d,). A lam, ball or mask given
+    once serves every row; nothing is broadcast across features.
+    """
+    m, d = x0s.shape
+    balls = [neighborhood] if isinstance(neighborhood, Neighborhood) else list(neighborhood)
+    base_w = np.array([ball.base.weights for ball in balls])
+    if len(balls) not in (1, m) or base_w.shape[1] != d:
+        raise DimensionMismatchError(
+            f"{len(balls)} balls of {base_w.shape[1]} weights for starts of shape {(m, d)}"
+        )
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape not in ((), (m,)):
+        raise DimensionMismatchError(f"lam of shape {lam.shape} for {m} rows")
+    if not np.all((0.0 <= lam) & (lam < np.inf)):
+        raise ValueError("lam must be finite and nonnegative")
+    mask = np.asarray(np.zeros(d) if immutable_mask is None else immutable_mask, dtype=bool)
+    if mask.shape not in ((d,), (m, d)):
+        raise DimensionMismatchError(f"mask of shape {mask.shape} for starts of shape {(m, d)}")
+    cost_w = (cost or CostSpec.unit(d)).weights
+    if cost_w.shape != (d,):
+        raise DimensionMismatchError(f"cost has {cost_w.size} weights, starts have {d} features")
+    return (np.broadcast_to(base_w, (m, d)), np.broadcast_to([ball.alpha for ball in balls], (m,)),
+            np.broadcast_to([ball.worst_intercept for ball in balls], (m,)),
+            np.broadcast_to(lam, (m,)), ~np.broadcast_to(mask, (m, d)), cost_w)
+
+
+def _greedy_rows(x0s, base_w, alpha, b_eff, lam, free, cost_w, loss) -> tuple:
+    """Every row's greedy solve in lockstep: (x', traces, saturated flags).
+
+    A row ends at its first zero slope or sub-tolerance step, and runs at
+    most 2 d + 2 passes: one crossing plus one interior move per coordinate,
+    a final zero-length check, and one spare.
+    """
+    m, d = x0s.shape
+    x = x0s.copy()
     # Worst-case weights for the orthant each coordinate currently occupies.
-    adv = base.weights - alpha * sign(x)
-    active = ~query.immutable_mask
-    for i in range(d):
-        if not active[i]:
-            continue
-        if x[i] == 0.0:
-            if abs(base.weights[i]) > alpha:
-                # Zero start: the coordinate will move with the sign of its
-                # base weight, so the adversary shrinks that weight.
-                adv[i] = base.weights[i] - alpha * sign(base.weights[i])
-            else:
-                active[i] = False  # adversary can cancel any move outright
+    adv = base_w - alpha[:, None] * sign(x)
+    active = free.copy()
+    zero = active & (x == 0.0)
+    if zero.any():
+        # Zero start: the coordinate will move with the sign of its base
+        # weight, so the adversary shrinks that weight; where the adversary
+        # can cancel any move outright the coordinate never moves.
+        movable = np.abs(base_w) > alpha[:, None]
+        adv = np.where(zero & movable, base_w - alpha[:, None] * sign(base_w), adv)
+        active &= ~zero | movable
 
-    trace: list[TraceStep] = []
-    saturated = False
-
+    lams, alphas, costs = lam.tolist(), alpha.tolist(), cost_w.tolist()
+    traces = [[] for _ in range(m)]
+    saturated = [False] * m
+    live = list(range(m))
     for _ in range(2 * d + 2):
-        if not active.any():
+        if not live:
             break
-        slopes = np.where(active, np.abs(adv) / cost_w, -np.inf)
-        j = int(np.argmax(slopes))  # ties resolve to the lowest index
-        slope = float(slopes[j])
-        if slope <= 0.0:
-            break
-        s_cur = float(x @ adv + intercept)
-        t, sat = solve_coordinate_step(query.lam, s_cur, slope, query.loss)
-        if t <= STEP_TOLERANCE:
-            # All other active slopes are no larger, so their steps from this
-            # score are zero too; sub-tolerance steps are rounding noise.
-            break
-        direction = sign(adv[j])
-        move = t / cost_w[j]
-        toward_zero = x[j] * direction < 0.0
-        if toward_zero and move > abs(x[j]):
-            # Crossing: stop at zero and hand off to the far orthant.
-            delta = -x[j]
-            x[j] = 0.0
-            flipped = base.weights[j] + alpha * sign(query.x0[j])
-            if flipped != 0.0 and sign(flipped) == direction:
-                adv[j] = flipped
-            else:
-                active[j] = False  # far-orthant weight points backward
-            trace.append(TraceStep(j, float(delta), True))
+        if len(live) == m:
+            xs, advs, act, b = x, adv, active, b_eff
         else:
-            x[j] += direction * move
-            saturated = saturated or sat
-            trace.append(TraceStep(j, float(direction * move), False))
-            # An interior optimum kills every remaining coordinate: their
-            # slopes are no larger, so their best step from here is zero.
-
-    worst = best_response(neighborhood, x)
-    return RecoursePlan(
-        x_prime=x,
-        l1_cost=weighted_l1(query, x),
-        worst_case_total=eval_total_cost(query, x, worst),
-        trace=tuple(trace),
-        saturated=saturated,
-    )
+            xs, advs, act, b = x[live], adv[live], active[live], b_eff[live]
+        slopes = np.where(act, np.abs(advs) / cost_w, -np.inf)  # argmax takes the lowest tie
+        picks = zip(live, slopes.argmax(axis=1).tolist(), slopes.max(axis=1).tolist(),
+                    (np.matmul(xs[:, None, :], advs[:, :, None])[:, 0, 0] + b).tolist())
+        live = []
+        for r, j, slope, s_cur in picks:
+            if slope <= 0.0:
+                continue  # no active coordinate, or none that can help
+            t, sat = solve_coordinate_step(lams[r], s_cur, slope, loss)
+            if t <= STEP_TOLERANCE:
+                # All other active slopes are no larger, so their steps from
+                # this score are zero too; sub-tolerance steps are rounding noise.
+                continue
+            direction = 1.0 if adv[r, j] >= 0.0 else -1.0
+            move = t / costs[j]
+            xj = float(x[r, j])
+            if xj * direction < 0.0 and move > abs(xj):
+                # Crossing: stop at zero and hand off to the far orthant.
+                x[r, j] = 0.0
+                flipped = base_w[r, j] + alphas[r] * (1.0 if x0s[r, j] >= 0.0 else -1.0)
+                if flipped != 0.0 and (flipped > 0.0) == (direction > 0.0):
+                    adv[r, j] = flipped
+                else:
+                    active[r, j] = False  # far-orthant weight points backward
+                traces[r].append(TraceStep(j, -xj, True))
+            else:
+                # An interior optimum kills every remaining coordinate: their
+                # slopes are no larger, so the next pass ends the row.
+                x[r, j] = xj + direction * move
+                saturated[r] = saturated[r] or sat
+                traces[r].append(TraceStep(j, direction * move, False))
+            live.append(r)
+    return x, [tuple(t) for t in traces], saturated
 
 
 def consistent_recourse(

@@ -378,6 +378,75 @@ def test_validity_study_matches_per_cell_reference(tmp_path):
         assert (row["validity"], row["mean_cost"]) == (v / n, c / n)
 
 
+def _spy_batch(monkeypatch):
+    """Records each ``optimal_robust_recourse_batch`` call the runners make."""
+    calls = []
+
+    def spy(x0s, lam, balls, *args, **kwargs):
+        calls.append((np.array(x0s), np.array(lam), list(balls)))
+        return solver.optimal_robust_recourse_batch(x0s, lam, balls, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "optimal_robust_recourse_batch", spy)
+    return calls
+
+
+def _same_model(a, b):
+    return a.weights.tobytes() == b.weights.tobytes() and a.intercept == b.intercept
+
+
+def test_validity_study_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
+    # one stacked exact call per fold over every (cell, task) row; no one-row solve
+    alphas, lams = (0.05, 0.2), (0.05, 0.1, 0.3)
+    cfg = ExperimentConfig(n_points=40, k_folds=2, seed=3, validity_alphas=alphas,
+                           validity_lambdas=lams, roar=RoarConfig(max_iters=50),
+                           out_dir=str(tmp_path / "val"))
+    calls = _spy_batch(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("the validity study solved one row at a time")
+
+    monkeypatch.setattr(experiments, "optimal_robust_recourse", refuse)
+    run_validity_study(cfg)
+    ds = generate_synthetic(SyntheticSpec(n_points=40, seed=3))
+    plan = kfold(ds.n, 2, 3)
+    cells = [(a, l) for a in alphas for l in lams]
+    assert len(calls) == 2
+    for fold, (x0s, lam, balls) in enumerate(calls):
+        tasks = _prepare_fold(cfg, ds, plan, fold)[1]
+        assert x0s.tobytes() == np.tile([t.x0 for t in tasks], (len(cells), 1)).tobytes()
+        assert lam.tolist() == [l for _, l in cells for _ in tasks]
+        assert [b.alpha for b in balls] == [a for a, _ in cells for _ in tasks]
+        assert all(_same_model(b.base, tasks[0].base) for b in balls)
+
+
+def test_select_lambda_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
+    # one stacked consistent solve per fold over every (lambda, task) row, and
+    # the same choice as one consistent_recourse call per row
+    grid = (0.6, 0.05, 0.2)
+    cfg = ExperimentConfig(n_points=60, k_folds=3, seed=1, lambda_grid=grid,
+                           beta_grid=(0.0, 1.0), roar=RoarConfig(max_iters=50),
+                           out_dir=str(tmp_path / "out"))
+    calls = _spy_batch(monkeypatch)
+    res = run_tradeoff_study(cfg)
+    ds = generate_synthetic(SyntheticSpec(n_points=60, seed=1))
+    plan = kfold(ds.n, 3, 1)
+    assert len(calls) == 3
+    for fold, (x0s, lam, balls) in enumerate(calls):
+        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
+        assert x0s.tobytes() == np.tile([t.x0 for t in tasks], (3, 1)).tobytes()
+        assert lam.tolist() == [l for l in sorted(grid) for _ in tasks]
+        assert all(b.alpha == 0.0 and _same_model(b.base, t.base)
+                   for b, t in zip(balls, tasks * 3))
+        best_lam, best_val = None, -1.0
+        for l in sorted(grid):
+            hits = sum(predict_label(scorer, consistent_recourse(RecourseQuery(x0=t.x0, lam=l),
+                                                                 t.base).x_prime)
+                       for t in tasks)
+            if hits / len(tasks) >= best_val:
+                best_lam, best_val = l, hits / len(tasks)
+        assert res.extras["lambda_by_fold"][fold] == best_lam
+
+
 def _reference_folds(cfg):
     """Each fold's (fold, dataset, plan, lam, tasks), as the runners prepare them."""
     ds = generate_synthetic(SyntheticSpec(n_points=cfg.n_points, seed=cfg.seed))
@@ -602,8 +671,9 @@ def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
     for module in (experiments, tradeoff):
         monkeypatch.setattr(module, "optimal_robust_recourse",
                             counted("robust", solver.optimal_robust_recourse))
-        monkeypatch.setattr(module, "consistent_recourse",
-                            counted("consistent", solver.consistent_recourse))
+    # lambda selection solves its consistent plans in one batch call
+    monkeypatch.setattr(tradeoff, "consistent_recourse",
+                        counted("consistent", solver.consistent_recourse))
     (run_tradeoff_study if study == "pareto" else run_smoothness_study)(cfg)
     monkeypatch.undo()
 
@@ -788,6 +858,14 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# MLP weights files that are not a network, by the name a config gives them
+_BAD_MLP_FILES = {
+    "not-json.json": "not json\n",
+    "bad-shapes.json": json.dumps({"layers": [{"w": [[1, 2]], "b": [0, 0]}]}),
+    "no-layers.json": json.dumps({"net": []}),
+}
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -863,6 +941,9 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
              "n_points": 40, "k_folds": 2},
         ),
         (["smoothness"], {"smoothness_shift": 1e308, "n_points": 40, "k_folds": 2}),
+        (["pareto"], {"model_kind": "mlp", "mlp_weights": "not-json.json"}),
+        (["pareto"], {"model_kind": "mlp", "mlp_weights": "bad-shapes.json"}),
+        (["pareto"], {"model_kind": "mlp", "mlp_weights": "no-layers.json"}),
         (
             ["smoothness"],
             {"model_kind": "mlp", "mlp_weights": "net.json", "mlp_weights_shifted": "net.json",
@@ -896,6 +977,7 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
         "surrogate-text-stddev", "surrogate-nan-ridge", "surrogate-nan-width",
         "pareto-mlp-samples-below-features", "smoothness-mlp-samples-below-features",
         "mlp-weights-width", "mlp-weights-shifted-width", "shift-overflows-training",
+        "mlp-weights-not-json", "mlp-weights-bad-shapes", "mlp-weights-no-layers",
         "surrogate-zero-stddev", "surrogate-vanishing-width",
         "gen-data-one-point",
         "gen-data-negative-seed",
@@ -909,6 +991,9 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
             if name in ("net.json", "net3.json"):
                 path = _write_mlp(tmp_path / name, inputs=3 if name == "net3.json" else 2)
                 config = dict(config, **{key: path})
+            elif name in _BAD_MLP_FILES:
+                (tmp_path / name).write_text(_BAD_MLP_FILES[name], encoding="utf-8")
+                config = dict(config, **{key: str(tmp_path / name)})
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]

@@ -7,6 +7,7 @@ from robust_recourse import solver
 from robust_recourse.adversary import Neighborhood, best_response
 from robust_recourse.glm import (
     CostSpec,
+    DimensionMismatchError,
     LossKind,
     ModelParams,
     RecourseQuery,
@@ -23,6 +24,7 @@ from robust_recourse.solver import (
     consistent_recourse,
     minimax_oracle,
     optimal_robust_recourse,
+    optimal_robust_recourse_batch,
     solve_coordinate_step,
 )
 
@@ -268,6 +270,169 @@ def test_trace_properties_fuzz():
         # never worse than staying put
         stay = eval_total_cost(q, q.x0, best_response(n, q.x0))
         assert plan.worst_case_total <= stay + 1e-12
+
+
+# ----------------------------------------------------------- stacked rows
+
+
+def _reference_step(lam, s0, slope, loss):
+    """The 1-D step written out on its own, with the BCE logit in ``math.log``."""
+    if slope <= 0.0:
+        return 0.0, False
+    if loss is LossKind.BCE:
+        if s0 >= SCORE_CAP or lam >= slope * sigmoid(-s0):
+            return 0.0, False
+        if lam <= 0.0 or lam / slope < sigmoid(-SCORE_CAP):
+            return (SCORE_CAP - s0) / slope, True
+        p = 1.0 - lam / slope
+        return max(0.0, (math.log(p / (1.0 - p)) - s0) / slope), False
+    return solve_coordinate_step(lam, s0, slope, loss)  # the squared loss has no log
+
+
+def _reference_robust(q, n):
+    """One query solved by a scalar greedy loop with per-row ``x @ adv`` scores.
+
+    Returns (x', trace, saturated, l1 cost, worst-case total), the costs from
+    ``weighted_l1`` and ``eval_total_cost`` against ``best_response``.
+    """
+    base, alpha, d = n.base.weights, n.alpha, q.dim
+    x, cost_w = q.x0.copy(), q.cost.weights
+    adv = base - alpha * sign(x)
+    active = ~q.immutable_mask
+    for i in range(d):
+        if active[i] and x[i] == 0.0:
+            if abs(base[i]) > alpha:
+                adv[i] = base[i] - alpha * sign(base[i])
+            else:
+                active[i] = False
+    trace, saturated = [], False
+    for _ in range(2 * d + 2):
+        slopes = np.where(active, np.abs(adv) / cost_w, -np.inf)
+        j = int(np.argmax(slopes))
+        slope = float(slopes[j])
+        if slope <= 0.0:
+            break
+        t, sat = _reference_step(q.lam, float(x @ adv + n.worst_intercept), slope, q.loss)
+        if t <= solver.STEP_TOLERANCE:
+            break
+        direction, move = sign(adv[j]), t / cost_w[j]
+        if x[j] * direction < 0.0 and move > abs(x[j]):
+            trace.append((j, float(-x[j]), True))
+            x[j] = 0.0
+            flipped = base[j] + alpha * sign(q.x0[j])
+            if flipped != 0.0 and sign(flipped) == direction:
+                adv[j] = flipped
+            else:
+                active[j] = False
+        else:
+            x[j] += direction * move
+            saturated = saturated or sat
+            trace.append((j, float(direction * move), False))
+    total = eval_total_cost(q, x, best_response(n, x))
+    return x, tuple(trace), saturated, weighted_l1(q, x), total
+
+
+def _random_stack(rng, loss):
+    """A stack of rows with their own x0, lam, ball and mask and a shared cost."""
+    d = int(rng.choice([1, 2, 3, 5, 20, 200]))
+    m = int(rng.integers(1, 26 if d < 200 else 4))
+    x0s = rng.uniform(-2, 2, (m, d))
+    x0s[rng.random((m, d)) < 0.15] = 0.0
+    lam = rng.choice([0.0, 0.05, 0.3, 1.0], m)
+    balls = [
+        _nbhd(rng.uniform(-2, 2, d), float(rng.choice([0.0, 0.02, 0.3, 1.0])),
+              intercept=float(rng.uniform(-1, 1)), perturb_intercept=bool(rng.integers(2)))
+        for _ in range(m)
+    ]
+    masks = rng.random((m, d)) < 0.2
+    cost = CostSpec(rng.uniform(0.5, 2.0, d)) if rng.integers(2) else CostSpec.unit(d)
+    return x0s, lam, balls, masks, cost
+
+
+def test_stacked_rows_equal_one_row_calls_and_reference_bitwise():
+    # both losses; squared-loss rows keep the clamped loss's plans, stalls included
+    rng = np.random.default_rng(15)
+    seen = {"crossing": 0, "saturated": 0, "moves": 0}
+    for k in range(300):
+        loss = (LossKind.BCE, LossKind.SQUARED)[k % 2]
+        x0s, lam, balls, masks, cost = _random_stack(rng, loss)
+        got = optimal_robust_recourse_batch(x0s, lam, balls, loss, cost, masks)
+        assert got.shape == x0s.shape
+        for i, ball in enumerate(balls):
+            q = _query(x0s[i], lam[i], loss=loss, cost=cost, immutable_mask=masks[i])
+            x, trace, saturated, l1, total = _reference_robust(q, ball)
+            plan = optimal_robust_recourse(q, ball)
+            assert got[i].tobytes() == plan.x_prime.tobytes() == x.tobytes()
+            assert [(j, delta.hex(), up) for j, delta, up in plan.trace] == [
+                (j, delta.hex(), up) for j, delta, up in trace
+            ]
+            assert plan.saturated == saturated
+            assert (plan.l1_cost.hex(), plan.worst_case_total.hex()) == (l1.hex(), total.hex())
+            seen["crossing"] += any(up for _, _, up in trace)
+            seen["saturated"] += saturated
+            seen["moves"] += len(trace)
+    assert min(seen.values()) > 0
+    # the squared-loss worked case stays at x0 = 0 with total 1.537, as one row of a stack
+    worked = _query([1.834], 0.3, loss=LossKind.SQUARED, cost=CostSpec([0.976]))
+    ball = _nbhd([-0.395], 0.5, intercept=0.107)
+    stack = optimal_robust_recourse_batch(np.array([[1.834], [-1.0]]), 0.3, ball,
+                                          LossKind.SQUARED, CostSpec([0.976]))
+    plan = optimal_robust_recourse(worked, ball)
+    assert stack[0, 0] == plan.x_prime[0] == 0.0
+    assert plan.worst_case_total == pytest.approx(1.537, abs=1e-3)
+
+
+def test_stacked_bce_steps_keep_the_scalar_logit():
+    # thousands of interior BCE steps in one stack: a logit taken over an array
+    # (numpy's SIMD log) differs from math.log on about 0.15% of them
+    rng = np.random.default_rng(17)
+    m, d = 4000, 3
+    x0s = rng.uniform(-2, 2, (m, d))
+    lam = rng.uniform(0.02, 1.0, m)
+    balls = [_nbhd(rng.uniform(-3, 3, d), float(rng.uniform(0.0, 0.5)),
+                   intercept=float(rng.uniform(-2, 0))) for _ in range(m)]
+    got = optimal_robust_recourse_batch(x0s, lam, balls)
+    interior = 0
+    for i, ball in enumerate(balls):
+        x, trace, *_ = _reference_robust(_query(x0s[i], lam[i]), ball)
+        assert got[i].tobytes() == x.tobytes(), i
+        interior += any(not up for _, _, up in trace)
+    assert interior > 3000
+
+
+def test_batch_shares_or_stacks_each_argument():
+    # a shared lam, ball or mask gives the rows that giving it per row gives
+    rng = np.random.default_rng(16)
+    x0s = rng.uniform(-2, 2, (6, 3))
+    ball, mask = _nbhd([1.0, -0.5, 0.3], 0.2, intercept=-0.3), np.array([False, True, False])
+    shared = optimal_robust_recourse_batch(x0s, 0.1, ball, immutable_mask=mask)
+    stacked = optimal_robust_recourse_batch(x0s, [0.1] * 6, [ball] * 6, LossKind.BCE,
+                                            CostSpec.unit(3), np.tile(mask, (6, 1)))
+    assert shared.tobytes() == stacked.tobytes()
+    assert (shared[:, 1] == x0s[:, 1]).all()
+
+
+def test_batch_inputs_must_match_the_stack_shape():
+    starts, ball = np.zeros((3, 2)), _nbhd([1.0, 1.0], 0.1)
+    bad = [
+        (0.1, [ball] * 2, {}),
+        (0.1, [ball] * 4, {}),
+        (0.1, _nbhd([1.0, 1.0, 1.0], 0.1), {}),
+        ([0.1], ball, {}),
+        ([0.1, 0.1], ball, {}),
+        (np.full((3, 1), 0.1), ball, {}),
+        (0.1, ball, dict(immutable_mask=[True])),
+        (0.1, ball, dict(immutable_mask=np.zeros((2, 2), dtype=bool))),
+        (0.1, ball, dict(immutable_mask=np.zeros((3, 1), dtype=bool))),
+        (0.1, ball, dict(cost=CostSpec([1.0]))),
+        (0.1, ball, dict(cost=CostSpec([1.0, 1.0, 1.0]))),
+    ]
+    for lam, balls, kw in bad:
+        with pytest.raises(DimensionMismatchError):
+            optimal_robust_recourse_batch(starts, lam, balls, **kw)
+    for lam in (-0.1, [0.1, math.nan, 0.1], math.inf):
+        with pytest.raises(ValueError, match="lam must be finite and nonnegative"):
+            optimal_robust_recourse_batch(starts, lam, ball)
 
 
 # ----------------------------------------------------------------- oracle
