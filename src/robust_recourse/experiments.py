@@ -8,10 +8,12 @@ reruns produce byte-identical files. The three runners share one pipeline:
 ``_study_folds`` walks the folds (logging a skipped one on the
 ``robust_recourse`` logger), ``_add`` and ``_means`` keep each key's sums and
 averages, and ``_curves`` picks each chart series from the rows. The pareto
-and smoothness runners make one call per instance, over its whole
-prediction set, of ``tradeoff.pareto_frontier`` and ``tradeoff.smoothness``,
-which solve the instance's robust plan once and each prediction's
-consistent plan once.
+and smoothness runners make one call per fold, over every instance and its
+whole prediction set, of ``tradeoff._frontiers`` and ``tradeoff._regrets``
+(``pareto_frontier`` and ``smoothness`` are their one-instance cases). Each
+call solves the fold's robust plans in one batch call, each (instance,
+prediction)'s consistent plan in one more, and blends every row in one
+search.
 
 Every instance model comes from ``_local_model``. A fitted logistic model
 (the ``glm`` path's per-fold base, or a linear correct-prediction model) is
@@ -44,7 +46,7 @@ from .data import (
     kfold,
     shifted_synthetic,
 )
-from .glm import ModelParams, RecourseQuery, weighted_l1
+from .glm import ModelParams, RecourseQuery
 from .models import (
     BlackBoxScorer,
     GlmScorer,
@@ -59,7 +61,7 @@ from .solver import (GridSpec, minimax_oracle, optimal_robust_recourse,
                      optimal_robust_recourse_batch, solve_coordinate_step)
 from .surrogate import SurrogateConfig, fit_local_linear
 from .svgplot import line_chart
-from .tradeoff import consistency, pareto_frontier, robustness, smoothness, validity
+from .tradeoff import _baseline_metrics, _frontiers, _regrets, validity
 
 __all__ = [
     "ConfigError",
@@ -498,13 +500,14 @@ def _write_study(cfg: ExperimentConfig, study: str, columns: list, rows: list, s
 def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     """Robustness/consistency frontier per predicted model, plus the ROAR point.
 
-    Every fold is prepared first (scorer, tasks and chosen lambda), giving
-    one (lambda, task, ball) list in fold order. The ROAR baseline then runs
-    once over that list, one ``roar_recourse_batch`` call with each row's own
-    lambda and ball. No row's result depends on the others, so this gives the
-    points a call per fold would. One loop then scores the list in order.
-    Each ROAR row is scored against the two optima of its prediction's
-    ``Frontier``, so the study solves no optimum of its own.
+    Every fold is prepared first (scorer, tasks, chosen lambda and balls).
+    The ROAR baseline then runs once over every fold's instances, one
+    ``roar_recourse_batch`` call with each row's own lambda and ball. No
+    row's result depends on the others, so this gives the points a call per
+    fold would. Each fold's instances then go to ``tradeoff._frontiers`` in
+    one call, and its ROAR points are scored against the two optima of each
+    prediction's ``Frontier`` (``tradeoff._baseline_metrics``), so the study
+    solves no optimum of its own.
     """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
@@ -512,26 +515,30 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     lambda_by_fold = []
     pred_names: list = []
 
-    instances = []  # (lam, task, ball), in fold order
+    folds = []  # (lam, tasks, balls), in fold order
     for _, scorer, tasks in _study_folds(cfg, ds, plan):
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
-        instances += [(lam, t, Neighborhood(t.base, cfg.alpha)) for t in tasks]
-    lams, tasks, balls = zip(*instances)
-    roar_points = roar_recourse_batch(np.array([t.x0 for t in tasks]), np.array(lams),
-                                      list(balls), cfg.roar)
+        folds.append((lam, tasks, [Neighborhood(t.base, cfg.alpha) for t in tasks]))
+    roar_points = roar_recourse_batch(
+        np.array([t.x0 for _, tasks, _ in folds for t in tasks]),
+        np.array([lam for lam, tasks, _ in folds for _ in tasks]),
+        [ball for _, _, balls in folds for ball in balls], cfg.roar)
 
-    for (lam, task, nbhd), x_roar in zip(instances, roar_points):
-        q = RecourseQuery(x0=task.x0, lam=lam)
-        names, preds = zip(*generate_predictions(cfg.prediction, task.base, cfg.alpha))
-        pred_names = pred_names or list(names)
-        for pred_name, pred, front in zip(names, preds,
-                                          pareto_frontier(q, nbhd, preds, cfg.beta_grid)):
-            for pt in front.points:
-                _add(sums, ("blend", pred_name, pt.beta), pt.robustness, pt.consistency,
-                     pt.l1_cost)
-            _add(sums, ("roar", pred_name, 1.0), robustness(q, nbhd, x_roar, front.robust),
-                 consistency(q, pred, x_roar, front.consistent), weighted_l1(q, x_roar))
+    starts = np.cumsum([len(tasks) for _, tasks, _ in folds])[:-1]
+    for (lam, tasks, balls), x_roar in zip(folds, np.split(roar_points, starts)):
+        queries = [RecourseQuery(x0=t.x0, lam=lam) for t in tasks]
+        named = [generate_predictions(cfg.prediction, t.base, cfg.alpha) for t in tasks]
+        pred_names = pred_names or [name for name, _ in named[0]]
+        pred_sets = [[pred for _, pred in preds] for preds in named]
+        fronts = _frontiers(queries, balls, pred_sets, cfg.beta_grid)
+        roar = zip(*_baseline_metrics(queries, balls, pred_sets, fronts, x_roar))
+        for preds, instance in zip(named, fronts):
+            for (pred_name, _), front in zip(preds, instance):
+                for pt in front.points:
+                    _add(sums, ("blend", pred_name, pt.beta), pt.robustness, pt.consistency,
+                         pt.l1_cost)
+                _add(sums, ("roar", pred_name, 1.0), *next(roar))
 
     columns = [
         ("method", "str", "blend (beta-weighted solver) or roar (gradient baseline)"),
@@ -592,7 +599,8 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     correct-prediction source, clamped into the instance's ball. The
     predictions are that model and its epsilon perturbations
     (``_epsilon_predictions``), with ``cfg.epsilon`` as the step;
-    ``cfg.prediction`` is not read.
+    ``cfg.prediction`` is not read. Each fold's instances go to
+    ``tradeoff._regrets`` in one call.
     """
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
@@ -604,15 +612,17 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
         lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
         lambda_by_fold.append(lam)
         correct_src = _correct_prediction_models(cfg, ds, plan, fold)
-        for t_idx, task in enumerate(tasks):
-            nbhd = Neighborhood(task.base, cfg.smoothness_alpha)
-            correct = nbhd.clamp(_local_model(cfg, correct_src, task.x0, fold, t_idx, 7))
-            names, preds = zip(*_epsilon_predictions(nbhd, correct, cfg.epsilon))
-            pred_names = pred_names or list(names)
-            q = RecourseQuery(x0=task.x0, lam=lam)
-            for pred_name, regrets in zip(names, smoothness(q, nbhd, preds, correct,
-                                                            cfg.beta_grid)):
-                for beta, regret in zip(cfg.beta_grid, regrets):
+        balls = [Neighborhood(t.base, cfg.smoothness_alpha) for t in tasks]
+        corrects = [ball.clamp(_local_model(cfg, correct_src, t.x0, fold, t_idx, 7))
+                    for t_idx, (t, ball) in enumerate(zip(tasks, balls))]
+        named = [_epsilon_predictions(ball, c, cfg.epsilon) for ball, c in zip(balls, corrects)]
+        pred_names = pred_names or [name for name, _ in named[0]]
+        queries = [RecourseQuery(x0=t.x0, lam=lam) for t in tasks]
+        regrets = _regrets(queries, balls, [[pred for _, pred in preds] for preds in named],
+                           corrects, cfg.beta_grid)
+        for preds, instance in zip(named, regrets):
+            for (pred_name, _), row in zip(preds, instance):
+                for beta, regret in zip(cfg.beta_grid, row):
                     _add(sums, (pred_name, float(beta)), regret)
 
     columns = [

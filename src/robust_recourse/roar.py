@@ -113,9 +113,9 @@ def roar_recourse_batch(
     """
     cfg = cfg or RoarConfig()
     x0s = np.asarray(x0s, dtype=float)
-    m, d = x0s.shape
     base_w, alpha, b_eff, lam, free, cost_w = _row_stack(x0s, lam, neighborhood, cost,
                                                          immutable_mask)
+    m, d = x0s.shape
     lam_cost = lam[:, None] * cost_w
     # worst-case weights on each orthant side; sign convention +1 at zero, matching best_response
     w_pos, w_neg = base_w - alpha[:, None], base_w + alpha[:, None]

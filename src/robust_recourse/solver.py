@@ -238,8 +238,13 @@ def _row_stack(x0s, lam, neighborhood, cost, immutable_mask) -> tuple:
 
     Returns base weights (m, d), alpha (m,), worst intercepts (m,), lam (m,),
     the free mask (m, d) and the cost weights (d,). A lam, ball or mask given
-    once serves every row; nothing is broadcast across features.
+    once serves every row; nothing is broadcast across features. Starts must
+    be finite, as a ``RecourseQuery``'s x0 must.
     """
+    if x0s.ndim != 2:
+        raise DimensionMismatchError(f"starts of shape {x0s.shape} are not an (m, d) stack")
+    if not np.all(np.isfinite(x0s)):
+        raise ValueError("x0 must be finite")
     m, d = x0s.shape
     balls = [neighborhood] if isinstance(neighborhood, Neighborhood) else list(neighborhood)
     base_w = np.array([ball.base.weights for ball in balls])

@@ -7,25 +7,28 @@ model (weight ``1 - beta``). Its endpoints are the exact robust plan
 coordinate grid search, since mixing the two adversaries breaks the exact
 solver's selection rule, and restart from an endpoint plan that does better.
 
-The blended objective is written once. ``_coordinate_terms`` gives what
-coordinates add to its three sums (worst-case score, predicted score,
-weighted cost) and ``_mix`` turns the sums into the objective at one trust
-level or at a column of them. ``_blended_value`` mixes a point's summed
-terms; each search round mixes every candidate move's sums in one
-vectorised step.
+One path does all of it, over a row stack (``_Rows``): one row per
+(instance, prediction, beta), each with its own x0, cost weights, lam,
+mask, ball, prediction and beta. ``_coordinate_terms`` gives what
+coordinates add to the blend's three sums (worst-case score, predicted
+score, weighted cost) and ``_mix`` turns the sums into the objective.
+``_search`` blends every interior row in one search, ``_descend``, then
+restarts the rows an endpoint beats, each from its own endpoint.
+``_totals`` gives every row's L1 cost and total cost under a model. No
+sum runs across rows, so every plan is bitwise the one a one-row stack
+gives. The totals are ``np.matmul`` row dots, which equal the one-row
+``weighted_l1`` and ``eval_total_cost`` bit for bit on C-contiguous
+stacks only: ``np.array`` of a broadcast copies in Fortran order, and its
+strided rows drift by an ulp, so ``_stack`` builds every field by indexing.
 
-One private function, ``_blend``, blends a whole beta sweep from the two
-endpoint plans. Its interior betas share one search, ``_descend``, over a
-(B, d, 26) stack of moves, one row per beta; a row that stops improving is
-masked out for good, and two more stacked searches restart the rows an
-endpoint plan beats. No sum runs across rows, and each row's sums reduce
-over the coordinate axis as a lone row's would, so every plan is bitwise
-the one a one-beta sweep gives. ``blended_recourse`` is that one-beta case.
-An interior plan carries an empty trace, as a ROAR plan does: only the
-exact solver records its moves.
-``pareto_frontier`` and ``smoothness`` take one query and its whole
-prediction set: they solve the robust plan once, each prediction's
-consistent plan once, and blend each prediction's full ``betas``.
+``blended_recourse`` is one row, blended from endpoints that the one-row
+exact solvers solve (``_blend``). ``pareto_frontier`` and ``smoothness``
+are the one-instance cases of ``_frontiers`` and ``_regrets``, which the
+study runners call once per fold: ``_fold`` solves every robust endpoint
+in one ``optimal_robust_recourse_batch`` call and every consistent one in
+one zero-radius batch call, then blends every row in one ``_search``.
+Endpoint plans from a batch call carry an empty trace, as ROAR plans and
+interior blended plans do: only the one-row exact solvers record moves.
 
 Metrics:
 
@@ -36,6 +39,9 @@ Metrics:
 * ``smoothness``: realized regret when the recourse was computed from one
   prediction but a different model materializes, per prediction used.
 * ``validity``: fraction of recourse points classified desirable.
+
+``_metrics`` gives the first two and the L1 cost for a whole stack; the
+pareto study scores its blended plans and its ROAR points with it.
 """
 
 from __future__ import annotations
@@ -47,9 +53,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversary import Neighborhood, best_response
-from .glm import ModelParams, RecourseQuery, eval_loss, eval_total_cost, weighted_l1
+from .glm import LossKind, ModelParams, RecourseQuery, eval_loss, eval_total_cost, sign
 from .models import BlackBoxScorer, GlmScorer, predict_label
-from .solver import RecoursePlan, consistent_recourse, optimal_robust_recourse
+from .solver import (RecoursePlan, consistent_recourse, optimal_robust_recourse,
+                     optimal_robust_recourse_batch)
 
 __all__ = [
     "TradeoffQuery",
@@ -106,131 +113,230 @@ class Frontier(NamedTuple):
 _STEP_GRID = np.concatenate([-0.01 * 2.0 ** np.arange(12, -1, -1), 0.01 * 2.0 ** np.arange(13)])
 # The same moves after a zero one, so a round's first column holds the current terms.
 _STAY_OR_STEP = np.append(0.0, _STEP_GRID)
+# A search block holds at most this many (row, coordinate) entries of x, so a
+# round's (3, rows, d, 27) stacks stay near 3 MB each, whatever the fold size.
+_BLOCK_ENTRIES = 4096
 
 
-def _coordinate_terms(tq: TradeoffQuery, v, j=slice(None)) -> np.ndarray:
-    """What coordinates ``j`` at values ``v`` add to the blend's three sums.
+class _Rows(NamedTuple):
+    """A blend stack, one row per (instance, prediction, beta).
+
+    Vectors are (R, d) and per-row scalars (R, 1), so every field lines up
+    with (R, d) values, and with (R, d, k) values after ``columns``. Every
+    field is C-contiguous.
+    """
+
+    x0: np.ndarray
+    cost: np.ndarray
+    lam: np.ndarray
+    frozen: np.ndarray  # the immutable mask
+    base: np.ndarray  # the ball's centre weights
+    alpha: np.ndarray
+    worst_b: np.ndarray  # the ball's lowest intercept
+    pred_w: np.ndarray
+    pred_b: np.ndarray
+    beta: np.ndarray
+
+    def take(self, index) -> "_Rows":
+        return _Rows(*(field[index] for field in self))
+
+    def columns(self) -> "_Rows":
+        """Every field with a trailing unit axis: (R, d, 1) vectors, (R, 1, 1) scalars."""
+        return _Rows(*(field[:, :, None] for field in self))
+
+
+def _stack(queries, neighborhoods, prediction_sets, betas) -> tuple:
+    """Rows of every (instance, prediction, beta), instance-major, and each row's instance and pair.
+
+    A pair is an (instance, prediction), numbered in the same order. Each
+    field is indexed out of a per-instance or per-pair array, which copies
+    in C order. Every beta is checked.
+    """
+    for beta in betas:
+        _check_beta(beta)
+    d = queries[0].dim
+    preds = [p for ps in prediction_sets for p in ps]
+    inst = np.repeat(np.arange(len(queries)), [len(ps) * len(betas) for ps in prediction_sets])
+    pair = np.repeat(np.arange(len(preds)), len(betas))
+
+    def pick(values, index, width=d, dtype=float):
+        return np.array(values, dtype=dtype).reshape(-1, width)[index]
+
+    rows = _Rows(
+        pick([q.x0 for q in queries], inst),
+        pick([q.cost.weights for q in queries], inst),
+        pick([q.lam for q in queries], inst, 1),
+        pick([q.immutable_mask for q in queries], inst, dtype=bool),
+        pick([n.base.weights for n in neighborhoods], inst),
+        pick([n.alpha for n in neighborhoods], inst, 1),
+        pick([n.worst_intercept for n in neighborhoods], inst, 1),
+        pick([p.weights for p in preds], pair),
+        pick([p.intercept for p in preds], pair, 1),
+        np.tile(pick(betas, slice(None), 1), (len(preds), 1)),
+    )
+    return rows, inst, pair
+
+
+def _coordinate_terms(rows: _Rows, v) -> np.ndarray:
+    """What coordinates at values ``v`` add to each row's three blend sums.
 
     The sums are the worst-case score (each weight shifted by alpha against
     the sign of its input), the predicted score and the weighted L1 cost,
-    all without intercepts; ``v`` broadcasts against ``j``, and the three
-    terms stack along a new first axis.
+    all without intercepts. ``v`` broadcasts against the row fields, and
+    the three terms stack along a new first axis.
     """
-    q, n = tq.query, tq.neighborhood
     return np.stack([
-        n.base.weights[j] * v - n.alpha * np.abs(v),
-        tq.prediction.weights[j] * v,
-        q.cost.weights[j] * np.abs(v - q.x0[j]),
+        rows.base * v - rows.alpha * np.abs(v),
+        rows.pred_w * v,
+        rows.cost * np.abs(v - rows.x0),
     ])
 
 
-def _mix(tq: TradeoffQuery, beta, ws, ps, cost):
-    """The blended objective from the three sums: add the intercepts and weigh.
-
-    ``beta`` is a scalar or a column that broadcasts against the sums, one
-    trust level per row.
-    """
-    q = tq.query
+def _mix(rows: _Rows, loss: LossKind, ws, ps, cost):
+    """The blended objective from the three sums: add each row's intercepts, weigh by its beta."""
     return (
-        beta * eval_loss(q.loss, ws + tq.neighborhood.worst_intercept)
-        + (1.0 - beta) * eval_loss(q.loss, ps + tq.prediction.intercept)
-        + q.lam * cost
+        rows.beta * eval_loss(loss, ws + rows.worst_b)
+        + (1.0 - rows.beta) * eval_loss(loss, ps + rows.pred_b)
+        + rows.lam * cost
     )
+
+
+def _value(rows: _Rows, loss: LossKind, x) -> np.ndarray:
+    """Each row's blended objective at its row of the (R, d) points ``x``."""
+    return _mix(rows, loss, *_coordinate_terms(rows, x).sum(axis=-1, keepdims=True))[..., 0]
 
 
 def _blended_value(tq: TradeoffQuery, x):
     """The blended objective at one point, or at every row of a stack of points."""
-    return _mix(tq, tq.beta, *_coordinate_terms(tq, np.asarray(x, dtype=float)).sum(axis=-1))
+    x = np.asarray(x, dtype=float)
+    rows = _stack([tq.query], [tq.neighborhood], [[tq.prediction]], [tq.beta])[0]
+    return _value(rows, tq.query.loss, x).reshape(x.shape[:-1])
 
 
-def _descend(tq: TradeoffQuery, betas: np.ndarray, start: np.ndarray):
-    """Coordinate search from ``start`` at every trust level in ``betas`` at once.
+def _descend(rows: _Rows, loss: LossKind, start: np.ndarray):
+    """Coordinate search of every row of ``rows`` at once, each from its row of ``start``.
 
     Returns each row's final point and its blended value. A row leaves the
     search for good once no move improves it by more than 1e-9: its point
     and value are written back, and the rest of the search runs on the
     remaining rows only.
     """
-    q = tq.query
-    x = np.repeat(start[None], len(betas), axis=0)
-    current = _mix(tq, betas, *_coordinate_terms(tq, x).sum(axis=-1))
-    rows = np.arange(len(betas))  # the rows still searching, and their state
-    xs, bs, cur, at = x, betas[:, None, None], current, rows
-    for _ in range(4 * q.dim):
-        terms = _coordinate_terms(tq, xs[:, :, None] + _STAY_OR_STEP, np.s_[:, None])
+    d = start.shape[1]
+    x = start.copy()
+    current = _value(rows, loss, x)
+    live = np.arange(len(x))  # the rows still searching, and their state
+    cols, xs, cur, at = rows.columns(), x, current, live
+    for _ in range(4 * d):
+        terms = _coordinate_terms(cols, xs[:, :, None] + _STAY_OR_STEP)
         here = terms[..., :1]
-        vals = _mix(tq, bs, *(here.sum(axis=2, keepdims=True) - here + terms[..., 1:]))
-        vals[:, q.immutable_mask] = np.inf
-        vals = vals.reshape(rows.size, q.dim * _STEP_GRID.size)
+        vals = _mix(cols, loss, *(here.sum(axis=2, keepdims=True) - here + terms[..., 1:]))
+        vals[cols.frozen[..., 0]] = np.inf
+        vals = vals.reshape(live.size, d * _STEP_GRID.size)
         flat = np.argmin(vals, axis=1)
         best = vals[at, flat]
         stop = cur - best <= 1e-9
         stopped = np.count_nonzero(stop)
-        if stopped == rows.size:
+        if stopped == live.size:
             break
         if stopped:
-            x[rows], current[rows] = xs, cur
-            rows, xs, bs, flat, best = (a[~stop] for a in (rows, xs, bs, flat, best))
-            at = np.arange(rows.size)
+            x[live], current[live] = xs, cur
+            keep = ~stop
+            live, xs, flat, best = live[keep], xs[keep], flat[keep], best[keep]
+            cols = cols.take(keep)
+            at = np.arange(live.size)
         j, k = np.divmod(flat, _STEP_GRID.size)
         xs[at, j] += _STEP_GRID[k]
         cur = best
-    x[rows], current[rows] = xs, cur
+    x[live], current[live] = xs, cur
     return x, current
+
+
+def _search(rows: _Rows, loss: LossKind, robust_x: np.ndarray, consistent_x: np.ndarray):
+    """Each row's plan point: its robust endpoint at beta 1, its consistent one at 0, else a blend.
+
+    ``robust_x`` and ``consistent_x`` hold each row's endpoint points. The
+    interior rows share one search (in blocks of ``_BLOCK_ENTRIES`` entries
+    of x, to bound memory) over an (R, d, 26) stack of moves: from
+    x0, each round scores every (mutable coordinate, step) move of every
+    row, as the current point's sums minus the coordinate's old terms plus
+    its new ones (immutable coordinates score +inf), and each row takes its
+    first best move, lowest coordinate then lowest step. A row stops for
+    good when no move improves it by more than 1e-9, or after 4 d rounds.
+    Two more stacked searches then restart, first from the robust plan and
+    then from the consistent one, every row that endpoint already beats; a
+    restart is kept if it ends strictly better than the row's value.
+
+    Each row's sums reduce over its own coordinate axis in the order a lone
+    row's do, and a stopped row no longer moves, so every point is bit for
+    bit the one a one-row stack gives.
+    """
+    beta = rows.beta[:, 0]
+    x = np.where((beta == 1.0)[:, None], robust_x, consistent_x)
+    inner = np.flatnonzero((beta > 0.0) & (beta < 1.0))
+    size = max(1, _BLOCK_ENTRIES // x.shape[1])
+    for block in (inner[i:i + size] for i in range(0, inner.size, size)):
+        stack = rows if block.size == len(beta) else rows.take(block)
+        found, current = _descend(stack, loss, stack.x0)
+        # The step grid can stall short of a valley an exact endpoint solution
+        # sits in; restart every row that endpoint already beats, robust first.
+        for ends in (robust_x[block], consistent_x[block]):
+            redo = np.flatnonzero(_value(stack, loss, ends) < current - 1e-12)
+            if redo.size == 0:
+                continue
+            x2, val2 = _descend(stack.take(redo), loss, ends[redo])
+            better = val2 < current[redo] - 1e-12
+            found[redo[better]], current[redo[better]] = x2[better], val2[better]
+        x[block] = found
+    return x
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's ``a @ b``: bitwise the one-row dot when both stacks are C-contiguous."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _totals(rows: _Rows, loss: LossKind, x, weights, intercept) -> tuple:
+    """Each row's weighted L1 cost and total cost at ``x`` under the model (weights, intercept).
+
+    These are ``weighted_l1`` and ``eval_total_cost`` of every row, bit for bit.
+    """
+    l1 = _row_dots(rows.cost, np.abs(x - rows.x0))
+    return l1, eval_loss(loss, _row_dots(weights, x) + intercept) + rows.lam[:, 0] * l1
+
+
+def _worst(rows: _Rows, loss: LossKind, x) -> tuple:
+    """Each row's L1 cost and total cost at ``x`` under ``best_response`` of its ball."""
+    return _totals(rows, loss, x, rows.base - rows.alpha * sign(x), rows.worst_b[:, 0])
+
+
+def _metrics(rows: _Rows, loss: LossKind, x, robust_total, consistent_total) -> tuple:
+    """Each row's robustness, consistency and L1 cost at ``x``, against its optima's totals."""
+    l1, worst = _worst(rows, loss, x)
+    predicted = _totals(rows, loss, x, rows.pred_w, rows.pred_b[:, 0])[1]
+    return worst - robust_total, predicted - consistent_total, l1
+
+
+def _plans(x, l1, totals) -> list:
+    """One traceless plan per row of ``x``."""
+    return [RecoursePlan(xr, c, t, ()) for xr, c, t in zip(x, l1.tolist(), totals.tolist())]
 
 
 def _blend(tq: TradeoffQuery, betas, robust: RecoursePlan, consistent: RecoursePlan) -> list:
     """The blended plan for every beta in ``betas``, given the exact endpoint plans.
 
     ``tq.beta`` is ignored. beta = 1 gives ``robust``; beta = 0 gives
-    ``consistent`` with its worst-case total taken against the ball. The
-    interior betas share one search over a (B, d, 26) stack of moves: from
-    x0, each round scores every (mutable coordinate, step) move of every row
-    at once, as the current point's sums minus the coordinate's old terms
-    plus its new ones (immutable coordinates score +inf), and each row takes
-    its first best move, lowest coordinate then lowest step. A row stops for
-    good when no move improves it by more than 1e-9, or after 4 d rounds.
-    Two more stacked searches then restart, first from the robust plan and
-    then from the consistent one, every row that endpoint already beats; a
-    restart is kept if it ends strictly better than the row's current value.
-
-    Each row's arithmetic is that of a search run for its beta alone: no sum
-    runs across rows, each row's sums reduce over its own coordinate axis
-    in the order a lone row's do, and a stopped row no longer moves. So
-    every plan is bit for bit the one a one-beta call, and the per-beta
-    loop this search replaced, gives.
+    ``consistent`` with its worst-case total taken against the ball; the
+    interior betas are one ``_search``.
     """
-    q, n = tq.query, tq.neighborhood
-    betas = np.array(betas, dtype=float)
-    for beta in betas:
-        _check_beta(beta)
-    inner = betas[(betas > 0.0) & (betas < 1.0)]
-    x, current = _descend(tq, inner, q.x0)
-    # The step grid can stall short of a valley an exact endpoint solution
-    # sits in; restart every row that endpoint already beats, robust first.
-    for endpoint in (robust, consistent):
-        sums = _coordinate_terms(tq, endpoint.x_prime).sum(axis=-1)
-        rows = np.flatnonzero(_mix(tq, inner, *sums) < current - 1e-12)
-        if rows.size == 0:
-            continue
-        x2, val2 = _descend(tq, inner[rows], endpoint.x_prime)
-        better = val2 < current[rows] - 1e-12
-        x[rows[better]], current[rows[better]] = x2[better], val2[better]
-
-    if 0.0 in betas:
-        worst = eval_total_cost(q, consistent.x_prime, best_response(n, consistent.x_prime))
-        trusting = dataclasses.replace(consistent, worst_case_total=worst)
-    blended = (
-        RecoursePlan(
-            x_prime=xr,
-            l1_cost=weighted_l1(q, xr),
-            worst_case_total=eval_total_cost(q, xr, best_response(n, xr)),
-            trace=(),
-        )
-        for xr in x
-    )
+    q = tq.query
+    rows, inst, pair = _stack([q], [tq.neighborhood], [[tq.prediction]], betas)
+    x = _search(rows, q.loss, robust.x_prime[None][inst], consistent.x_prime[None][pair])
+    l1, worst = (a.tolist() for a in _worst(rows, q.loss, x))
     return [
-        robust if beta == 1.0 else trusting if beta == 0.0 else next(blended) for beta in betas
+        robust if beta == 1.0
+        else dataclasses.replace(consistent, worst_case_total=worst[r]) if beta == 0.0
+        else RecoursePlan(x[r], l1[r], worst[r], ())
+        for r, beta in enumerate(rows.beta[:, 0].tolist())
     ]
 
 
@@ -238,12 +344,101 @@ def blended_recourse(tq: TradeoffQuery) -> RecoursePlan:
     """Minimize beta-weighted worst-case plus prediction total cost.
 
     Solves both endpoint plans exactly, then blends; see ``_blend``. To sweep
-    beta for one query, ``pareto_frontier`` and ``smoothness`` solve each
-    endpoint once and blend every beta of a prediction in one search.
+    beta, ``pareto_frontier`` and ``smoothness`` solve each endpoint once
+    and blend every (prediction, beta) row in one search.
     """
     q = tq.query
     robust = optimal_robust_recourse(q, tq.neighborhood)
     return _blend(tq, [tq.beta], robust, consistent_recourse(q, tq.prediction))[0]
+
+
+def _fold(queries, neighborhoods, prediction_sets, betas, extra_sets=None) -> tuple:
+    """Every endpoint and blend of a fold's instances.
+
+    Instance i has query ``queries[i]``, ball ``neighborhoods[i]`` and the
+    predictions ``prediction_sets[i]``; the queries share loss and cost
+    weights. Each beta and each prediction is checked as a
+    ``TradeoffQuery`` checks it. One batch call solves every robust plan,
+    and one zero-radius batch call every pair's consistent plan and then
+    those of ``extra_sets[i]``, further models per instance.
+
+    Returns the robust plan per instance, the consistent plans (pairs, then
+    extra models), and the stack's rows, instances, pairs and points.
+    """
+    loss, cost = queries[0].loss, queries[0].cost
+    for q, n, preds in zip(queries, neighborhoods, prediction_sets):
+        for p in preds:
+            TradeoffQuery(q, n, p, 1.0)
+    masks = np.array([q.immutable_mask for q in queries])
+    robust_x = optimal_robust_recourse_batch(np.array([q.x0 for q in queries]),
+                                             [q.lam for q in queries], list(neighborhoods),
+                                             loss, cost, masks)
+    # a row per instance, its ball's centre standing in for a prediction
+    tops = _stack(queries, neighborhoods, [[n.base] for n in neighborhoods], [1.0])[0]
+    robust = _plans(robust_x, *_worst(tops, loss, robust_x))
+
+    # a row per (instance, model): every pair, then every extra model
+    models = [*prediction_sets, *(extra_sets or [[]] * len(queries))]
+    ends = _stack([*queries] * 2, [*neighborhoods] * 2, models, [1.0])[0]
+    balls = [Neighborhood(m, 0.0) for ms in models for m in ms]
+    consistent_x = ends.x0 if not balls else optimal_robust_recourse_batch(
+        ends.x0, ends.lam[:, 0], balls, loss, cost, ends.frozen)
+    consistent = _plans(consistent_x, *_totals(ends, loss, consistent_x, ends.pred_w,
+                                                ends.pred_b[:, 0]))
+
+    rows, inst, pair = _stack(queries, neighborhoods, prediction_sets, betas)
+    return robust, consistent, rows, inst, pair, _search(rows, loss, robust_x[inst],
+                                                          consistent_x[pair])
+
+
+def _frontiers(queries, neighborhoods, prediction_sets, betas) -> list:
+    """``pareto_frontier`` of every instance of a fold, from one ``_fold``."""
+    robust, consistent, rows, inst, pair, x = _fold(queries, neighborhoods, prediction_sets, betas)
+    robust_totals = np.array([p.worst_case_total for p in robust])
+    consistent_totals = np.array([p.worst_case_total for p in consistent])
+    metrics = _metrics(rows, queries[0].loss, x, robust_totals[inst], consistent_totals[pair])
+    points = iter(map(TradeoffPoint, rows.beta[:, 0].tolist(), *(m.tolist() for m in metrics)))
+    ends = iter(consistent)
+    return [[Frontier(plan, next(ends), [next(points) for _ in betas]) for _ in preds]
+            for plan, preds in zip(robust, prediction_sets)]
+
+
+def _baseline_metrics(queries, neighborhoods, prediction_sets, frontiers, points) -> tuple:
+    """Robustness, consistency and L1 cost of one point per instance, per (instance, prediction).
+
+    ``frontiers`` are the instances' ``_frontiers``; each pair is scored
+    against its frontier's two optima. Returns three lists in pair order.
+    """
+    rows, inst, _ = _stack(queries, neighborhoods, prediction_sets, [1.0])
+    fronts = [f for fs in frontiers for f in fs]
+    metrics = _metrics(rows, queries[0].loss, np.asarray(points, dtype=float)[inst],
+                       np.array([f.robust.worst_case_total for f in fronts]),
+                       np.array([f.consistent.worst_case_total for f in fronts]))
+    return tuple(m.tolist() for m in metrics)
+
+
+def _regrets(queries, neighborhoods, prediction_sets, corrects, betas) -> list:
+    """``smoothness`` of every instance of a fold, from one ``_fold``.
+
+    An instance's correct model takes its consistent plan from the first
+    prediction equal to it (same weights and intercept); only a correct
+    model equal to none is solved, as an extra model of the batch.
+    """
+    extra_sets, best = [], []  # best: the consistent plan each correct model takes
+    pair, spare = 0, sum(map(len, prediction_sets))
+    for preds, correct in zip(prediction_sets, corrects):
+        same = [k for k, p in enumerate(preds) if p.intercept == correct.intercept
+                and np.array_equal(p.weights, correct.weights)]
+        extra_sets.append([] if same else [correct])
+        best.append(pair + same[0] if same else spare)
+        pair, spare = pair + len(preds), spare + (not same)
+    _, consistent, rows, inst, _, x = _fold(queries, neighborhoods, prediction_sets, betas,
+                                            extra_sets)
+    best_totals = np.array([consistent[k].worst_case_total for k in best])
+    under = _totals(rows, queries[0].loss, x, np.array([c.weights for c in corrects])[inst],
+                    np.array([c.intercept for c in corrects])[inst])[1]
+    regrets = iter((under - best_totals[inst]).tolist())
+    return [[[next(regrets) for _ in betas] for _ in preds] for preds in prediction_sets]
 
 
 def robustness(
@@ -271,16 +466,11 @@ def smoothness(
     """Regret per beta under the model that materialized, one list per prediction used.
 
     Zero when the prediction was correct and fully trusted (beta = 0);
-    independent of the prediction at beta = 1. Each plan is solved once; a
-    prediction equal to the correct model lends it its consistent plan.
+    independent of the prediction at beta = 1. The one-instance case of
+    ``_regrets``: each plan is solved once, and a prediction equal to the
+    correct model lends it its consistent plan.
     """
-    robust = optimal_robust_recourse(query, neighborhood)
-    sweeps = list(_sweeps(query, neighborhood, predictions, betas, robust))
-    same = [c for p, c, _ in sweeps if p.intercept == correct_prediction.intercept
-            and np.array_equal(p.weights, correct_prediction.weights)]
-    best = (same or [consistent_recourse(query, correct_prediction)])[0].worst_case_total
-    return [[eval_total_cost(query, plan.x_prime, correct_prediction) - best for plan in plans]
-            for _, _, plans in sweeps]
+    return _regrets([query], [neighborhood], [list(predictions)], [correct_prediction], betas)[0]
 
 
 def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
@@ -292,36 +482,15 @@ def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
     return hits / len(recourses)
 
 
-def _sweeps(query, neighborhood, predictions, betas, robust):
-    """Yields (prediction, its consistent plan, its blended plan per beta) in turn."""
-    for prediction in predictions:
-        tq = TradeoffQuery(query, neighborhood, prediction, 1.0)
-        consistent = consistent_recourse(query, prediction)
-        yield prediction, consistent, _blend(tq, betas, robust, consistent)
-
-
 def pareto_frontier(
     query: RecourseQuery, neighborhood: Neighborhood, predictions: list, betas: list
 ) -> list[Frontier]:
     """One Frontier per prediction: a TradeoffPoint per beta and the two optima.
 
-    The robust plan is solved once for the query and each consistent plan
-    once per prediction; each serves both as an endpoint of that
-    prediction's sweep and as a metric's optimum. Each plan's
-    ``worst_case_total`` is the value ``robustness`` would compute for it,
-    by the same expression, so robustness is read from it.
+    The one-instance case of ``_frontiers``. The robust plan is solved once
+    for the query and each consistent plan once per prediction; each serves
+    both as an endpoint of that prediction's sweep and as a metric's
+    optimum. Every point's metrics come from ``_metrics``, which computes
+    what ``robustness`` and ``consistency`` compute, bit for bit.
     """
-    robust = optimal_robust_recourse(query, neighborhood)
-    sweeps = _sweeps(query, neighborhood, predictions, betas, robust)
-    return [
-        Frontier(robust, consistent, [
-            TradeoffPoint(
-                beta=float(beta),
-                robustness=plan.worst_case_total - robust.worst_case_total,
-                consistency=consistency(query, prediction, plan.x_prime, consistent),
-                l1_cost=plan.l1_cost,
-            )
-            for beta, plan in zip(betas, plans)
-        ])
-        for prediction, consistent, plans in sweeps
-    ]
+    return _frontiers([query], [neighborhood], [list(predictions)], betas)[0]

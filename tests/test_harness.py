@@ -643,37 +643,32 @@ def test_validity_study_rejects_mlp(tmp_path):
 @pytest.mark.parametrize("study", ["pareto", "smoothness"])
 def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
     # besides lambda selection, a study solves each instance's robust plan
-    # once and one consistent plan per (instance, prediction); smoothness's
-    # correct model is its "correct" prediction, so its plan is not solved again
+    # once and one consistent plan per (instance, prediction), as rows of the
+    # tradeoff module's batch calls; smoothness's correct model is its
+    # "correct" prediction, so its plan is not solved again
     cfg = ExperimentConfig(n_points=40, k_folds=2, seed=3, lambda_grid=(0.05, 0.1),
                            beta_grid=(0.0, 0.5, 1.0), roar=RoarConfig(max_iters=50),
                            out_dir=str(tmp_path / "out"))
-    solves, selecting = {"robust": [], "consistent": []}, []
+    solves = {"robust": [], "consistent": []}
 
-    def counted(kind, solve):
-        def spy(query, model):
-            if not selecting:
-                key = (query.x0.tobytes(), query.lam)
-                if kind == "consistent":
-                    key += (model.weights.tobytes(), model.intercept)
-                solves[kind].append(key)
-            return solve(query, model)
-        return spy
+    def batch(x0s, lam, balls, *args):
+        for x0, row_lam, ball in zip(x0s, np.broadcast_to(lam, len(x0s)), balls):
+            key = (x0.tobytes(), float(row_lam))
+            if ball.alpha == 0.0:
+                model = (ball.base.weights.tobytes(), ball.base.intercept)
+                solves["consistent"].append(key + model)
+            else:
+                solves["robust"].append(key)
+        return solver.optimal_robust_recourse_batch(x0s, lam, balls, *args)
 
-    def select(*args):
-        selecting.append(True)
-        try:
-            return _select_lambda(*args)
-        finally:
-            selecting.pop()
+    def one_row(query, model):
+        raise AssertionError("the study solved an optimum one row at a time")
 
-    monkeypatch.setattr(experiments, "_select_lambda", select)
+    # lambda selection solves its consistent plans through experiments' own binding
+    monkeypatch.setattr(tradeoff, "optimal_robust_recourse_batch", batch)
     for module in (experiments, tradeoff):
-        monkeypatch.setattr(module, "optimal_robust_recourse",
-                            counted("robust", solver.optimal_robust_recourse))
-    # lambda selection solves its consistent plans in one batch call
-    monkeypatch.setattr(tradeoff, "consistent_recourse",
-                        counted("consistent", solver.consistent_recourse))
+        monkeypatch.setattr(module, "optimal_robust_recourse", one_row)
+    monkeypatch.setattr(tradeoff, "consistent_recourse", one_row)
     (run_tradeoff_study if study == "pareto" else run_smoothness_study)(cfg)
     monkeypatch.undo()
 

@@ -435,6 +435,29 @@ def test_batch_inputs_must_match_the_stack_shape():
             optimal_robust_recourse_batch(starts, lam, ball)
 
 
+@pytest.mark.parametrize("batch", ["exact", "roar"])
+def test_batch_refuses_starts_a_query_refuses(batch):
+    # a non-finite start fails as RecourseQuery fails, and starts must be an (m, d) stack
+    from robust_recourse.roar import RoarConfig, roar_recourse_batch
+
+    ball = _nbhd([1.0, -0.5], 0.2)
+    if batch == "exact":
+        solve = optimal_robust_recourse_batch
+    else:
+        def solve(x0s, lam, nbhd):
+            return roar_recourse_batch(x0s, lam, nbhd, RoarConfig(max_iters=5))
+    for bad in (math.inf, -math.inf, math.nan):
+        starts = np.array([[0.5, 0.5], [bad, 0.5]])
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            RecourseQuery(x0=starts[1], lam=0.1)
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            solve(starts, 0.1, ball)
+    for starts in (np.array([0.5, 0.5]), np.zeros((2, 2, 1)), np.float64(0.5)):
+        with pytest.raises(DimensionMismatchError, match="not an \\(m, d\\) stack"):
+            solve(starts, 0.1, ball)
+    assert solve(np.array([[0.5, 0.5]]), 0.1, ball).shape == (1, 2)
+
+
 # ----------------------------------------------------------------- oracle
 
 

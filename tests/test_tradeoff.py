@@ -14,7 +14,8 @@ from robust_recourse.glm import (
     score,
     weighted_l1,
 )
-from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
+from robust_recourse.solver import (consistent_recourse, optimal_robust_recourse,
+                                    optimal_robust_recourse_batch)
 from robust_recourse import tradeoff
 from robust_recourse.tradeoff import (
     _STEP_GRID,
@@ -311,16 +312,30 @@ def _random_prediction(rng, n):
     )
 
 
+def _fold_draw(rng, template, n_instances):
+    """Instances sharing the template's d, loss, cost weights and mask; x0, lam and ball vary."""
+    q0, d = template.query, template.query.dim
+    queries, balls = [q0], [template.neighborhood]
+    for _ in range(n_instances - 1):
+        queries.append(_query(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 0.8)), loss=q0.loss,
+                              cost=q0.cost, immutable_mask=q0.immutable_mask))
+        balls.append(_nbhd(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 0.6)),
+                           intercept=float(rng.uniform(-1, 1)),
+                           perturb_intercept=bool(rng.random() < 0.5)))
+    return queries, balls
+
+
 def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
-    # pareto_frontier and smoothness sweep a query's whole prediction set,
-    # blending every beta of a prediction in one stacked search from endpoints
-    # solved once; each value must be the one a one-beta blend of that
-    # prediction from freshly solved endpoints gives
+    # A fold's stack blends every (instance, prediction, beta) row in one
+    # search, from endpoints solved in two batch calls. Each value must be the
+    # one a one-beta blend of that instance and prediction gives from freshly
+    # solved endpoints, and the one a per-coordinate loop gives; each
+    # instance's values must be those of its own one-instance call.
     descend, searches = tradeoff._descend, []
 
-    def spy(tq, betas, start):  # records each stacked search's prediction, start and row count
-        searches.append((tq.prediction, start, len(betas)))
-        return descend(tq, betas, start)
+    def spy(rows, loss, start):  # records each stacked search's rows and starts
+        searches.append((rows, start.copy()))
+        return descend(rows, loss, start)
 
     pinned = [
         # At beta = 0.5 the robust restart ends below the consistent plan's
@@ -342,60 +357,94 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
         ),
     ]
     rng = np.random.default_rng(27)
-    losses, dims, sizes, staggered = set(), set(), set(), 0
+    losses, dims, sizes, folds, staggered, mixed_modes, reused = set(), set(), set(), set(), 0, 0, 0
     restarts = {"robust": 0, "consistent": 0}
-    for i in range(62):
-        tq = pinned[i] if i < len(pinned) else _random_problem(rng)
-        q, n = tq.query, tq.neighborhood
-        losses.add(q.loss)
-        dims.add(q.dim)
-        preds = [tq.prediction] + [_random_prediction(rng, n) for _ in range(i % 3)]
-        sizes.add(len(preds))
+    for i in range(32):
+        template = pinned[i] if i < len(pinned) else _random_problem(rng)
+        size = 1 if i < len(pinned) else int(rng.integers(1, 4))
+        queries, balls = _fold_draw(rng, template, size)
+        pred_sets = [[template.prediction if k == 0 else _random_prediction(rng, n)]
+                     + [_random_prediction(rng, n) for _ in range((i + k) % 3)]
+                     for k, n in enumerate(balls)]
+        # a correct model equal to a prediction lends it its plan; others are solved
+        corrects = [ModelParams(ps[-1].weights.copy(), ps[-1].intercept) if rng.random() < 0.3
+                    else _random_prediction(rng, n) for ps, n in zip(pred_sets, balls)]
         inner = [0.5, *rng.uniform(0.01, 0.99, 7)]
         betas = [inner[0]] + inner + [0.0, 1.0]  # 9 interior rows, one beta twice
         rng.shuffle(betas)
-        correct = _random_prediction(rng, n)
+        loss, d = queries[0].loss, queries[0].dim
+        losses.add(loss)
+        dims.add(d)
+        folds.add(len(queries))
+        sizes.update(len(ps) for ps in pred_sets)
+        mixed_modes += len({n.perturb_intercept for n in balls}) > 1
         searches.clear()
         monkeypatch.setattr(tradeoff, "_descend", spy)
-        frontiers = pareto_frontier(q, n, preds, betas)
+        fronts = tradeoff._frontiers(queries, balls, pred_sets, betas)
         monkeypatch.undo()
-        regrets = smoothness(q, n, preds, correct, betas)
-        assert len(frontiers) == len(regrets) == len(preds)
-        robust = optimal_robust_recourse(q, n)
-        best = consistent_recourse(q, correct).worst_case_total
-        for pred, front, regret_list in zip(preds, frontiers, regrets):
-            consistent = consistent_recourse(q, pred)
-            assert front.robust is frontiers[0].robust  # one robust solve per query
-            for got, want in ((front.robust, robust), (front.consistent, consistent)):
-                np.testing.assert_array_equal(got.x_prime, want.x_prime)
-                assert got.worst_case_total == want.worst_case_total
-            # each prediction's searches: from x0, then the restarts that have
-            # rows, the robust plan's first
-            (start, rows), *ends = [(st, r) for p, st, r in searches if p is pred]
-            assert rows == 9 and (start == q.x0).all()
-            for i_end, (start, rows) in enumerate(ends):
-                name = "robust" if i_end == 0 and (start == robust.x_prime).all() else "consistent"
-                assert name == "robust" or (start == consistent.x_prime).all()
-                restarts[name] += rows
-            assert len(front.points) == len(regret_list) == len(betas)
-            counts = []  # moves of each interior beta's search from x0
-            for beta, pt, regret in zip(betas, front.points, regret_list):
-                tq_beta = TradeoffQuery(q, n, pred, beta)
-                (plan,) = _blend(tq_beta, [beta], robust, consistent)
-                if 0.0 < beta < 1.0:  # and the one a per-coordinate loop gives
-                    x_ref, _, steps = _reference_blend(tq_beta, robust, consistent)
-                    np.testing.assert_array_equal(plan.x_prime, x_ref)
-                    counts.append(steps)
-                assert pt.beta == beta
-                assert pt.robustness == robustness(q, n, plan.x_prime, robust)
-                assert pt.consistency == consistency(q, pred, plan.x_prime, consistent)
-                assert pt.l1_cost == plan.l1_cost
-                assert regret == eval_total_cost(q, plan.x_prime, correct) - best
-            staggered += len({k for k in counts if k < 4 * q.dim}) > 1  # rows stop in different rounds
+        regrets = tradeoff._regrets(queries, balls, pred_sets, corrects, betas)
+        assert len(fronts) == len(regrets) == len(queries)
+        monkeypatch.setattr(tradeoff, "_BLOCK_ENTRIES", 4 * d)  # search blocks of 4 rows
+        blocked = tradeoff._frontiers(queries, balls, pred_sets, betas)
+        monkeypatch.undo()
+        assert [f.points for fs in blocked for f in fs] == [f.points for fs in fronts for f in fs]
+
+        # one search from x0 over every interior row of the fold, then the
+        # restarts that have rows, the robust plan's first
+        robust = [optimal_robust_recourse(q, n) for q, n in zip(queries, balls)]
+        consistent = {(k, j): consistent_recourse(q, p) for k, (q, ps)
+                      in enumerate(zip(queries, pred_sets)) for j, p in enumerate(ps)}
+        (rows, start), *ends = searches
+        assert len(rows.x0) == 9 * len(consistent) and (start == rows.x0).all()
+        assert len(ends) <= 2
+
+        def pair_of(rows, r):  # the (instance, prediction) a stacked row belongs to
+            k = next(k for k, q in enumerate(queries) if (q.x0 == rows.x0[r]).all())
+            j = next(j for j, p in enumerate(pred_sets[k]) if (p.weights == rows.pred_w[r]).all()
+                     and p.intercept == rows.pred_b[r, 0])
+            return k, j
+
+        for i_end, (rows, start) in enumerate(ends):
+            owners = [pair_of(rows, r) for r in range(len(start))]
+            from_robust = all((s == robust[k].x_prime).all() for s, (k, _) in zip(start, owners))
+            name = "robust" if i_end == 0 and from_robust else "consistent"
+            assert name == "robust" or all((s == consistent[o].x_prime).all()
+                                           for s, o in zip(start, owners))
+            restarts[name] += len(start)
+
+        for k, (q, n, preds, correct) in enumerate(zip(queries, balls, pred_sets, corrects)):
+            one = pareto_frontier(q, n, preds, betas)
+            assert regrets[k] == smoothness(q, n, preds, correct, betas)
+            best = consistent_recourse(q, correct).worst_case_total
+            reused += any(p.intercept == correct.intercept and (p.weights == correct.weights).all()
+                          for p in preds)
+            for j, (pred, front, regret_list) in enumerate(zip(preds, fronts[k], regrets[k])):
+                assert front.robust is fronts[k][0].robust  # one robust solve per instance
+                for got, want in ((front.robust, robust[k]), (front.consistent, consistent[k, j])):
+                    np.testing.assert_array_equal(got.x_prime, want.x_prime)
+                    assert got.worst_case_total == want.worst_case_total
+                    assert got.l1_cost == want.l1_cost
+                assert front.points == one[j].points
+                assert len(front.points) == len(regret_list) == len(betas)
+                counts = []  # moves of each interior beta's search from x0
+                for beta, pt, regret in zip(betas, front.points, regret_list):
+                    tq_beta = TradeoffQuery(q, n, pred, beta)
+                    (plan,) = _blend(tq_beta, [beta], robust[k], consistent[k, j])
+                    if 0.0 < beta < 1.0:  # and the one a per-coordinate loop gives
+                        x_ref, _, steps = _reference_blend(tq_beta, robust[k], consistent[k, j])
+                        np.testing.assert_array_equal(plan.x_prime, x_ref)
+                        counts.append(steps)
+                    assert pt.beta == beta
+                    assert pt.robustness == robustness(q, n, plan.x_prime, robust[k])
+                    assert pt.consistency == consistency(q, pred, plan.x_prime, consistent[k, j])
+                    assert pt.l1_cost == plan.l1_cost
+                    assert regret == eval_total_cost(q, plan.x_prime, correct) - best
+                # rows that stop in different rounds
+                staggered += len({c for c in counts if c < 4 * q.dim}) > 1
     assert losses == {LossKind.BCE, LossKind.SQUARED}
     assert dims == {1, 2, 3, 5, 20}
-    assert sizes == {1, 2, 3}
-    assert staggered > 0
+    assert sizes == folds == {1, 2, 3}
+    assert staggered > 0 and mixed_modes > 0 and reused > 0
     assert min(restarts.values()) > 0
 
 
@@ -462,27 +511,29 @@ def test_smoothness_nonnegative_random():
 def test_smoothness_reuses_the_plan_of_a_prediction_equal_to_the_correct_model(monkeypatch):
     rng = np.random.default_rng(27)
     tq = _random_tq(rng)
-    base, alpha = tq.neighborhood.base, tq.neighborhood.alpha
+    q, n = tq.query, tq.neighborhood
+    base, alpha = n.base, n.alpha
     correct = ModelParams(weights=base.weights + alpha / 2, intercept=base.intercept - alpha / 2)
     equal = ModelParams(weights=correct.weights.copy(), intercept=correct.intercept)
     nearby = ModelParams(weights=correct.weights, intercept=np.nextafter(correct.intercept, 0.0))
     betas = [0.0, 0.4, 1.0]
-    best = consistent_recourse(tq.query, correct).worst_case_total
-    calls = []
+    best = consistent_recourse(q, correct).worst_case_total
+    solved = []  # each consistent plan the batch solves: one zero-radius row per model
 
-    def spy(query, model):
-        calls.append(model)
-        return consistent_recourse(query, model)
+    def spy(x0s, lam, balls, *args):
+        solved.extend(b.base for b in balls if b.alpha == 0.0)
+        return optimal_robust_recourse_batch(x0s, lam, balls, *args)
 
-    monkeypatch.setattr(tradeoff, "consistent_recourse", spy)
+    monkeypatch.setattr(tradeoff, "optimal_robust_recourse_batch", spy)
     for preds, n_solves in (([tq.prediction, equal], 2), ([tq.prediction, nearby], 3)):
-        calls.clear()
-        got = smoothness(tq.query, tq.neighborhood, preds, correct, betas)
-        assert len(calls) == n_solves
-        robust = optimal_robust_recourse(tq.query, tq.neighborhood)
-        sweeps = tradeoff._sweeps(tq.query, tq.neighborhood, preds, betas, robust)
-        for regrets, (_, _, plans) in zip(got, sweeps):
-            assert regrets == [eval_total_cost(tq.query, x.x_prime, correct) - best for x in plans]
+        solved.clear()
+        got = smoothness(q, n, preds, correct, betas)
+        assert len(solved) == n_solves
+        robust = optimal_robust_recourse(q, n)
+        for regrets, pred in zip(got, preds):
+            tq_pred = TradeoffQuery(q, n, pred, 1.0)
+            plans = _blend(tq_pred, betas, robust, consistent_recourse(q, pred))
+            assert regrets == [eval_total_cost(q, x.x_prime, correct) - best for x in plans]
 
 
 # ---------------------------------------------------------------- validity
