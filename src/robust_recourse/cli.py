@@ -58,6 +58,8 @@ def _cmd_gen_data(args) -> int:
         spec = SyntheticSpec(n_points=args.n, seed=args.seed)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    if not np.isfinite(args.shift):
+        raise ConfigError(f"--shift must be finite, got {args.shift}")
     ds = shifted_synthetic(spec, args.shift)
     _emit(ds.to_json(), args.out)
     return 0

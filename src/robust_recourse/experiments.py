@@ -11,9 +11,9 @@ averages, and ``_curves`` picks each chart series from the rows. The pareto
 and smoothness runners make one call per fold, over every instance and its
 whole prediction set, of ``tradeoff._frontiers`` and ``tradeoff._regrets``
 (``pareto_frontier`` and ``smoothness`` are their one-instance cases). Each
-call solves the fold's robust plans in one batch call, each (instance,
-prediction)'s consistent plan in one more, and blends every row in one
-search.
+call solves the fold's robust plans in one run of the exact loop, each
+(instance, prediction)'s consistent plan in one more, and blends every row
+in one search.
 
 Every instance model comes from ``_local_model``. A fitted logistic model
 (the ``glm`` path's per-fold base, or a linear correct-prediction model) is

@@ -112,13 +112,13 @@ def roar_recourse_batch(
     step drops below tolerance are frozen while the rest continue.
     """
     cfg = cfg or RoarConfig()
-    x0s = np.asarray(x0s, dtype=float)
-    base_w, alpha, b_eff, lam, free, cost_w = _row_stack(x0s, lam, neighborhood, cost,
-                                                         immutable_mask)
+    stack = _row_stack(x0s, lam, neighborhood, cost, immutable_mask)
+    x0s, cost_w, free = stack.x0, stack.cost, ~stack.frozen
+    lam, b_eff = stack.lam[:, 0], stack.worst_b[:, 0]
     m, d = x0s.shape
-    lam_cost = lam[:, None] * cost_w
+    lam_cost = stack.lam * cost_w
     # worst-case weights on each orthant side; sign convention +1 at zero, matching best_response
-    w_pos, w_neg = base_w - alpha[:, None], base_w + alpha[:, None]
+    w_pos, w_neg = stack.base - stack.alpha, stack.base + stack.alpha
 
     def scored(pts: np.ndarray) -> tuple:
         weights = np.where(pts >= 0.0, w_pos, w_neg)

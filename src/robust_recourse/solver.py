@@ -22,6 +22,11 @@ row sum do not. So every row is bitwise its one-row call.
 ``consistent_recourse`` is the same procedure with a zero-radius ball, which
 minimizes the total cost under a single predicted model exactly.
 
+``_Rows`` is the package's one row layout. The exact loop and ROAR's batch
+loop read it from ``_row_stack``; the blend in ``tradeoff`` builds its own
+and hands it to the loop. ``_worst`` and ``_totals`` total every row in
+``np.matmul`` row dots, bitwise the one-row dots on C-contiguous rows.
+
 ``minimax_oracle`` certifies the solver on small instances by exhaustive
 grid search over inputs, with the inner maximum taken over the corners of
 the model ball, independent of the closed-form adversary. Both losses are
@@ -193,22 +198,51 @@ def solve_coordinate_step(
     raise ValueError(f"unknown loss {loss!r}")  # pragma: no cover
 
 
+class _Rows(NamedTuple):
+    """A row stack: one recourse per row, each with its own query, ball, prediction and beta.
+
+    Vectors are (R, d) and per-row scalars (R, 1), so every field lines up
+    with (R, d) values, and with (R, d, k) values after ``columns``. Every
+    field is C-contiguous.
+    """
+
+    x0: np.ndarray
+    cost: np.ndarray
+    lam: np.ndarray
+    frozen: np.ndarray  # the immutable mask
+    base: np.ndarray  # the ball's centre weights
+    alpha: np.ndarray
+    worst_b: np.ndarray  # the ball's lowest intercept
+    pred_w: np.ndarray
+    pred_b: np.ndarray
+    beta: np.ndarray
+
+    def take(self, index) -> "_Rows":
+        return _Rows(*(field[index] for field in self))
+
+    def columns(self) -> "_Rows":
+        """Every field with a trailing unit axis: (R, d, 1) vectors, (R, 1, 1) scalars."""
+        return _Rows(*(field[:, :, None] for field in self))
+
+
 def optimal_robust_recourse(
     query: RecourseQuery,
     neighborhood: Neighborhood,
 ) -> RecoursePlan:
     """Recourse minimizing the worst-case total cost over the model ball; one row of the loop.
 
-    The costs are ``weighted_l1`` and ``eval_total_cost`` against
-    ``best_response``, written out on the row arrays so no model is re-validated.
+    Its costs are ``_worst`` of one row, written out on purpose: this is the
+    library's one-query path, and the stacked totals made a solve about 10% slower.
     """
     base, x0 = neighborhood.base.weights, query.x0
     if base.size != x0.size:
         raise DimensionMismatchError(f"model has {base.size} weights, query has {x0.size} features")
     alpha, b, cost_w = neighborhood.alpha, neighborhood.worst_intercept, query.cost.weights
-    xs, traces, saturated = _greedy_rows(x0[None, :], base[None, :], np.array([alpha]),
-                                         np.array([b]), np.array([query.lam]),
-                                         ~query.immutable_mask[None, :], cost_w, query.loss)
+    lam, a, wb, pb, beta = np.array([query.lam, alpha, b, neighborhood.base.intercept, 1.0]
+                                    ).reshape(5, 1, 1)  # the (1, 1) row scalars from one array
+    rows = _Rows(x0[None], cost_w[None], lam, query.immutable_mask[None], base[None], a, wb,
+                 base[None], pb, beta)
+    xs, traces, saturated = _greedy_rows(rows, query.loss)
     x = xs[0]
     l1 = float(cost_w @ np.abs(x - x0))
     total = eval_loss(query.loss, float((base - alpha * sign(x)) @ x + b)) + query.lam * l1
@@ -229,29 +263,26 @@ def optimal_robust_recourse_batch(
     ``immutable_mask`` are each shared or given per row; loss and cost
     weights are shared.
     """
-    x0s = np.asarray(x0s, dtype=float)
-    return _greedy_rows(x0s, *_row_stack(x0s, lam, neighborhood, cost, immutable_mask), loss)[0]
+    return _greedy_rows(_row_stack(x0s, lam, neighborhood, cost, immutable_mask), loss)[0]
 
 
-def _row_stack(x0s, lam, neighborhood, cost, immutable_mask) -> tuple:
-    """Checked row arrays of a batch over the (m, d) starts ``x0s``.
+def _row_stack(x0s, lam, neighborhood, cost, immutable_mask) -> _Rows:
+    """Checked rows of a batch over the (m, d) starts ``x0s``, one per start.
 
-    Returns base weights (m, d), alpha (m,), worst intercepts (m,), lam (m,),
-    the free mask (m, d) and the cost weights (d,). A lam, ball or mask given
-    once serves every row; nothing is broadcast across features. Starts must
-    be finite, as a ``RecourseQuery``'s x0 must.
+    A lam, ball or mask given once serves every row, as do the cost weights.
+    Each row's prediction is its ball's centre and its beta is 1. Starts
+    must be finite, as a ``RecourseQuery``'s x0 must.
     """
+    x0s = np.asarray(x0s, dtype=float)
     if x0s.ndim != 2:
         raise DimensionMismatchError(f"starts of shape {x0s.shape} are not an (m, d) stack")
     if not np.all(np.isfinite(x0s)):
         raise ValueError("x0 must be finite")
     m, d = x0s.shape
     balls = [neighborhood] if isinstance(neighborhood, Neighborhood) else list(neighborhood)
-    base_w = np.array([ball.base.weights for ball in balls])
-    if len(balls) not in (1, m) or base_w.shape[1] != d:
-        raise DimensionMismatchError(
-            f"{len(balls)} balls of {base_w.shape[1]} weights for starts of shape {(m, d)}"
-        )
+    if len(balls) not in (1, m) or any(ball.base.dim != d for ball in balls):
+        raise DimensionMismatchError(f"{len(balls)} balls for starts of shape {(m, d)}: "
+                                     f"need 1 or {m}, each of {d} weights")
     lam = np.asarray(lam, dtype=float)
     if lam.shape not in ((), (m,)):
         raise DimensionMismatchError(f"lam of shape {lam.shape} for {m} rows")
@@ -263,33 +294,41 @@ def _row_stack(x0s, lam, neighborhood, cost, immutable_mask) -> tuple:
     cost_w = (cost or CostSpec.unit(d)).weights
     if cost_w.shape != (d,):
         raise DimensionMismatchError(f"cost has {cost_w.size} weights, starts have {d} features")
-    return (np.broadcast_to(base_w, (m, d)), np.broadcast_to([ball.alpha for ball in balls], (m,)),
-            np.broadcast_to([ball.worst_intercept for ball in balls], (m,)),
-            np.broadcast_to(lam, (m,)), ~np.broadcast_to(mask, (m, d)), cost_w)
+
+    def per_row(values, width=1, dtype=float):  # a C-contiguous (m, width) copy
+        return np.ascontiguousarray(np.broadcast_to(
+            np.asarray(values, dtype=dtype).reshape(-1, width), (m, width)))
+
+    base = per_row([ball.base.weights for ball in balls], d)
+    return _Rows(per_row(x0s, d), per_row(cost_w, d), per_row(lam), per_row(mask, d, bool), base,
+                 per_row([ball.alpha for ball in balls]),
+                 per_row([ball.worst_intercept for ball in balls]), base,
+                 per_row([ball.base.intercept for ball in balls]), np.ones((m, 1)))
 
 
-def _greedy_rows(x0s, base_w, alpha, b_eff, lam, free, cost_w, loss) -> tuple:
+def _greedy_rows(rows: _Rows, loss: LossKind) -> tuple:
     """Every row's greedy solve in lockstep: (x', traces, saturated flags).
 
     A row ends at its first zero slope or sub-tolerance step, and runs at
     most 2 d + 2 passes: one crossing plus one interior move per coordinate,
     a final zero-length check, and one spare.
     """
-    m, d = x0s.shape
-    x = x0s.copy()
+    m, d = rows.x0.shape
+    x, base, alpha = rows.x0.copy(), rows.base, rows.alpha
     # Worst-case weights for the orthant each coordinate currently occupies.
-    adv = base_w - alpha[:, None] * sign(x)
-    active = free.copy()
+    adv = base - alpha * sign(x)
+    active = ~rows.frozen
     zero = active & (x == 0.0)
     if zero.any():
         # Zero start: the coordinate will move with the sign of its base
         # weight, so the adversary shrinks that weight; where the adversary
         # can cancel any move outright the coordinate never moves.
-        movable = np.abs(base_w) > alpha[:, None]
-        adv = np.where(zero & movable, base_w - alpha[:, None] * sign(base_w), adv)
+        movable = np.abs(base) > alpha
+        adv = np.where(zero & movable, base - alpha * sign(base), adv)
         active &= ~zero | movable
 
-    lams, alphas, costs = lam.tolist(), alpha.tolist(), cost_w.tolist()
+    b_eff = rows.worst_b.ravel()
+    lams, alphas, costs = rows.lam.ravel().tolist(), alpha.ravel().tolist(), rows.cost.tolist()
     traces = [[] for _ in range(m)]
     saturated = [False] * m
     live = list(range(m))
@@ -297,12 +336,13 @@ def _greedy_rows(x0s, base_w, alpha, b_eff, lam, free, cost_w, loss) -> tuple:
         if not live:
             break
         if len(live) == m:
-            xs, advs, act, b = x, adv, active, b_eff
+            xs, advs, act, b, cost_w = x, adv, active, b_eff, rows.cost
         else:
-            xs, advs, act, b = x[live], adv[live], active[live], b_eff[live]
+            xs, advs, act = x[live], adv[live], active[live]
+            b, cost_w = b_eff[live], rows.cost[live]
         slopes = np.where(act, np.abs(advs) / cost_w, -np.inf)  # argmax takes the lowest tie
         picks = zip(live, slopes.argmax(axis=1).tolist(), slopes.max(axis=1).tolist(),
-                    (np.matmul(xs[:, None, :], advs[:, :, None])[:, 0, 0] + b).tolist())
+                    (_row_dots(xs, advs) + b).tolist())
         live = []
         for r, j, slope, s_cur in picks:
             if slope <= 0.0:
@@ -313,12 +353,12 @@ def _greedy_rows(x0s, base_w, alpha, b_eff, lam, free, cost_w, loss) -> tuple:
                 # this score are zero too; sub-tolerance steps are rounding noise.
                 continue
             direction = 1.0 if adv[r, j] >= 0.0 else -1.0
-            move = t / costs[j]
+            move = t / costs[r][j]
             xj = float(x[r, j])
             if xj * direction < 0.0 and move > abs(xj):
                 # Crossing: stop at zero and hand off to the far orthant.
                 x[r, j] = 0.0
-                flipped = base_w[r, j] + alphas[r] * (1.0 if x0s[r, j] >= 0.0 else -1.0)
+                flipped = base[r, j] + alphas[r] * (1.0 if rows.x0[r, j] >= 0.0 else -1.0)
                 if flipped != 0.0 and (flipped > 0.0) == (direction > 0.0):
                     adv[r, j] = flipped
                 else:
@@ -332,6 +372,30 @@ def _greedy_rows(x0s, base_w, alpha, b_eff, lam, free, cost_w, loss) -> tuple:
                 traces[r].append(TraceStep(j, direction * move, False))
             live.append(r)
     return x, [tuple(t) for t in traces], saturated
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's ``a @ b``: bitwise the one-row dot when both stacks are C-contiguous."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def _totals(rows: _Rows, loss: LossKind, x, weights, intercept) -> tuple:
+    """Each row's weighted L1 cost and total cost at ``x`` under the model (weights, intercept).
+
+    These are ``weighted_l1`` and ``eval_total_cost`` of every row, bit for bit.
+    """
+    l1 = _row_dots(rows.cost, np.abs(x - rows.x0))
+    return l1, eval_loss(loss, _row_dots(weights, x) + intercept) + rows.lam[:, 0] * l1
+
+
+def _worst(rows: _Rows, loss: LossKind, x) -> tuple:
+    """Each row's L1 cost and total cost at ``x`` under ``best_response`` of its ball."""
+    return _totals(rows, loss, x, rows.base - rows.alpha * sign(x), rows.worst_b[:, 0])
+
+
+def _plans(x, l1, totals) -> list:
+    """One traceless plan per row of ``x``."""
+    return [RecoursePlan(xr, c, t, ()) for xr, c, t in zip(x, l1.tolist(), totals.tolist())]
 
 
 def consistent_recourse(

@@ -7,27 +7,24 @@ model (weight ``1 - beta``). Its endpoints are the exact robust plan
 coordinate grid search, since mixing the two adversaries breaks the exact
 solver's selection rule, and restart from an endpoint plan that does better.
 
-One path does all of it, over a row stack (``_Rows``): one row per
-(instance, prediction, beta), each with its own x0, cost weights, lam,
-mask, ball, prediction and beta. ``_coordinate_terms`` gives what
+One path does all of it, over the solver's row layout (``solver._Rows``),
+one row per (instance, prediction, beta). ``_coordinate_terms`` gives what
 coordinates add to the blend's three sums (worst-case score, predicted
 score, weighted cost) and ``_mix`` turns the sums into the objective.
 ``_search`` blends every interior row in one search, ``_descend``, then
-restarts the rows an endpoint beats, each from its own endpoint.
-``_totals`` gives every row's L1 cost and total cost under a model. No
-sum runs across rows, so every plan is bitwise the one a one-row stack
-gives. The totals are ``np.matmul`` row dots, which equal the one-row
-``weighted_l1`` and ``eval_total_cost`` bit for bit on C-contiguous
-stacks only: ``np.array`` of a broadcast copies in Fortran order, and its
-strided rows drift by an ulp, so ``_stack`` builds every field by indexing.
+restarts the rows an endpoint beats, each from its own endpoint. The
+solver's ``_totals`` give every row's L1 cost and total cost under a
+model. No sum runs across rows, so every plan is bitwise the one a
+one-row stack gives, on C-contiguous rows: ``_stack`` builds every field
+by indexing.
 
 ``blended_recourse`` is one row, blended from endpoints that the one-row
 exact solvers solve (``_blend``). ``pareto_frontier`` and ``smoothness``
 are the one-instance cases of ``_frontiers`` and ``_regrets``, which the
-study runners call once per fold: ``_fold`` solves every robust endpoint
-in one ``optimal_robust_recourse_batch`` call and every consistent one in
-one zero-radius batch call, then blends every row in one ``_search``.
-Endpoint plans from a batch call carry an empty trace, as ROAR plans and
+study runners call once per fold: ``_fold`` hands its own rows to the
+solver's exact loop for the robust endpoints and, on zero-radius balls,
+for the consistent ones, then blends every row in one ``_search``.
+Endpoint plans from the fold path carry an empty trace, as ROAR plans and
 interior blended plans do: only the one-row exact solvers record moves.
 
 Metrics:
@@ -53,10 +50,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversary import Neighborhood, best_response
-from .glm import LossKind, ModelParams, RecourseQuery, eval_loss, eval_total_cost, sign
+from .glm import LossKind, ModelParams, RecourseQuery, eval_loss, eval_total_cost
 from .models import BlackBoxScorer, GlmScorer, predict_label
-from .solver import (RecoursePlan, consistent_recourse, optimal_robust_recourse,
-                     optimal_robust_recourse_batch)
+from .solver import (RecoursePlan, _greedy_rows, _plans, _Rows, _totals, _worst,
+                     consistent_recourse, optimal_robust_recourse)
 
 __all__ = [
     "TradeoffQuery",
@@ -116,33 +113,6 @@ _STAY_OR_STEP = np.append(0.0, _STEP_GRID)
 # A search block holds at most this many (row, coordinate) entries of x, so a
 # round's (3, rows, d, 27) stacks stay near 3 MB each, whatever the fold size.
 _BLOCK_ENTRIES = 4096
-
-
-class _Rows(NamedTuple):
-    """A blend stack, one row per (instance, prediction, beta).
-
-    Vectors are (R, d) and per-row scalars (R, 1), so every field lines up
-    with (R, d) values, and with (R, d, k) values after ``columns``. Every
-    field is C-contiguous.
-    """
-
-    x0: np.ndarray
-    cost: np.ndarray
-    lam: np.ndarray
-    frozen: np.ndarray  # the immutable mask
-    base: np.ndarray  # the ball's centre weights
-    alpha: np.ndarray
-    worst_b: np.ndarray  # the ball's lowest intercept
-    pred_w: np.ndarray
-    pred_b: np.ndarray
-    beta: np.ndarray
-
-    def take(self, index) -> "_Rows":
-        return _Rows(*(field[index] for field in self))
-
-    def columns(self) -> "_Rows":
-        """Every field with a trailing unit axis: (R, d, 1) vectors, (R, 1, 1) scalars."""
-        return _Rows(*(field[:, :, None] for field in self))
 
 
 def _stack(queries, neighborhoods, prediction_sets, betas) -> tuple:
@@ -290,35 +260,11 @@ def _search(rows: _Rows, loss: LossKind, robust_x: np.ndarray, consistent_x: np.
     return x
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's ``a @ b``: bitwise the one-row dot when both stacks are C-contiguous."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _totals(rows: _Rows, loss: LossKind, x, weights, intercept) -> tuple:
-    """Each row's weighted L1 cost and total cost at ``x`` under the model (weights, intercept).
-
-    These are ``weighted_l1`` and ``eval_total_cost`` of every row, bit for bit.
-    """
-    l1 = _row_dots(rows.cost, np.abs(x - rows.x0))
-    return l1, eval_loss(loss, _row_dots(weights, x) + intercept) + rows.lam[:, 0] * l1
-
-
-def _worst(rows: _Rows, loss: LossKind, x) -> tuple:
-    """Each row's L1 cost and total cost at ``x`` under ``best_response`` of its ball."""
-    return _totals(rows, loss, x, rows.base - rows.alpha * sign(x), rows.worst_b[:, 0])
-
-
 def _metrics(rows: _Rows, loss: LossKind, x, robust_total, consistent_total) -> tuple:
     """Each row's robustness, consistency and L1 cost at ``x``, against its optima's totals."""
     l1, worst = _worst(rows, loss, x)
     predicted = _totals(rows, loss, x, rows.pred_w, rows.pred_b[:, 0])[1]
     return worst - robust_total, predicted - consistent_total, l1
-
-
-def _plans(x, l1, totals) -> list:
-    """One traceless plan per row of ``x``."""
-    return [RecoursePlan(xr, c, t, ()) for xr, c, t in zip(x, l1.tolist(), totals.tolist())]
 
 
 def _blend(tq: TradeoffQuery, betas, robust: RecoursePlan, consistent: RecoursePlan) -> list:
@@ -358,31 +304,27 @@ def _fold(queries, neighborhoods, prediction_sets, betas, extra_sets=None) -> tu
     Instance i has query ``queries[i]``, ball ``neighborhoods[i]`` and the
     predictions ``prediction_sets[i]``; the queries share loss and cost
     weights. Each beta and each prediction is checked as a
-    ``TradeoffQuery`` checks it. One batch call solves every robust plan,
-    and one zero-radius batch call every pair's consistent plan and then
-    those of ``extra_sets[i]``, further models per instance.
+    ``TradeoffQuery`` checks it. One exact loop solves every robust plan,
+    and one more, on zero-radius balls, every pair's consistent plan and
+    then those of ``extra_sets[i]``, further models per instance.
 
     Returns the robust plan per instance, the consistent plans (pairs, then
     extra models), and the stack's rows, instances, pairs and points.
     """
-    loss, cost = queries[0].loss, queries[0].cost
+    loss = queries[0].loss
     for q, n, preds in zip(queries, neighborhoods, prediction_sets):
         for p in preds:
             TradeoffQuery(q, n, p, 1.0)
-    masks = np.array([q.immutable_mask for q in queries])
-    robust_x = optimal_robust_recourse_batch(np.array([q.x0 for q in queries]),
-                                             [q.lam for q in queries], list(neighborhoods),
-                                             loss, cost, masks)
     # a row per instance, its ball's centre standing in for a prediction
     tops = _stack(queries, neighborhoods, [[n.base] for n in neighborhoods], [1.0])[0]
+    robust_x = _greedy_rows(tops, loss)[0]
     robust = _plans(robust_x, *_worst(tops, loss, robust_x))
 
     # a row per (instance, model): every pair, then every extra model
     models = [*prediction_sets, *(extra_sets or [[]] * len(queries))]
     ends = _stack([*queries] * 2, [*neighborhoods] * 2, models, [1.0])[0]
-    balls = [Neighborhood(m, 0.0) for ms in models for m in ms]
-    consistent_x = ends.x0 if not balls else optimal_robust_recourse_batch(
-        ends.x0, ends.lam[:, 0], balls, loss, cost, ends.frozen)
+    consistent_x = _greedy_rows(ends._replace(base=ends.pred_w, alpha=np.zeros_like(ends.alpha),
+                                              worst_b=ends.pred_b), loss)[0]
     consistent = _plans(consistent_x, *_totals(ends, loss, consistent_x, ends.pred_w,
                                                 ends.pred_b[:, 0]))
 
@@ -420,21 +362,11 @@ def _baseline_metrics(queries, neighborhoods, prediction_sets, frontiers, points
 def _regrets(queries, neighborhoods, prediction_sets, corrects, betas) -> list:
     """``smoothness`` of every instance of a fold, from one ``_fold``.
 
-    An instance's correct model takes its consistent plan from the first
-    prediction equal to it (same weights and intercept); only a correct
-    model equal to none is solved, as an extra model of the batch.
+    Each instance's correct model is solved as its extra model, one more zero-radius row.
     """
-    extra_sets, best = [], []  # best: the consistent plan each correct model takes
-    pair, spare = 0, sum(map(len, prediction_sets))
-    for preds, correct in zip(prediction_sets, corrects):
-        same = [k for k, p in enumerate(preds) if p.intercept == correct.intercept
-                and np.array_equal(p.weights, correct.weights)]
-        extra_sets.append([] if same else [correct])
-        best.append(pair + same[0] if same else spare)
-        pair, spare = pair + len(preds), spare + (not same)
     _, consistent, rows, inst, _, x = _fold(queries, neighborhoods, prediction_sets, betas,
-                                            extra_sets)
-    best_totals = np.array([consistent[k].worst_case_total for k in best])
+                                            [[c] for c in corrects])
+    best_totals = np.array([plan.worst_case_total for plan in consistent[-len(queries):]])
     under = _totals(rows, queries[0].loss, x, np.array([c.weights for c in corrects])[inst],
                     np.array([c.intercept for c in corrects])[inst])[1]
     regrets = iter((under - best_totals[inst]).tolist())
@@ -467,8 +399,8 @@ def smoothness(
 
     Zero when the prediction was correct and fully trusted (beta = 0);
     independent of the prediction at beta = 1. The one-instance case of
-    ``_regrets``: each plan is solved once, and a prediction equal to the
-    correct model lends it its consistent plan.
+    ``_regrets``: the robust plan and each model's consistent plan, the
+    correct model's included, are solved once.
     """
     return _regrets([query], [neighborhood], [list(predictions)], [correct_prediction], betas)[0]
 

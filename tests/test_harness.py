@@ -643,49 +643,53 @@ def test_validity_study_rejects_mlp(tmp_path):
 @pytest.mark.parametrize("study", ["pareto", "smoothness"])
 def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
     # besides lambda selection, a study solves each instance's robust plan
-    # once and one consistent plan per (instance, prediction), as rows of the
-    # tradeoff module's batch calls; smoothness's correct model is its
-    # "correct" prediction, so its plan is not solved again
+    # once and one consistent plan per (instance, model), as rows of the exact
+    # loop that the tradeoff module runs; rows with alpha = 0 are the
+    # consistent solves, and smoothness solves its correct model as one more
     cfg = ExperimentConfig(n_points=40, k_folds=2, seed=3, lambda_grid=(0.05, 0.1),
                            beta_grid=(0.0, 0.5, 1.0), roar=RoarConfig(max_iters=50),
                            out_dir=str(tmp_path / "out"))
     solves = {"robust": [], "consistent": []}
+    greedy = tradeoff._greedy_rows
 
-    def batch(x0s, lam, balls, *args):
-        for x0, row_lam, ball in zip(x0s, np.broadcast_to(lam, len(x0s)), balls):
-            key = (x0.tobytes(), float(row_lam))
-            if ball.alpha == 0.0:
-                model = (ball.base.weights.tobytes(), ball.base.intercept)
+    def loop(rows, loss):
+        for r in range(len(rows.x0)):
+            key = (rows.x0[r].tobytes(), float(rows.lam[r, 0]))
+            if rows.alpha[r, 0] == 0.0:
+                model = (rows.base[r].tobytes(), float(rows.worst_b[r, 0]))
                 solves["consistent"].append(key + model)
             else:
                 solves["robust"].append(key)
-        return solver.optimal_robust_recourse_batch(x0s, lam, balls, *args)
+        return greedy(rows, loss)
 
     def one_row(query, model):
         raise AssertionError("the study solved an optimum one row at a time")
 
-    # lambda selection solves its consistent plans through experiments' own binding
-    monkeypatch.setattr(tradeoff, "optimal_robust_recourse_batch", batch)
+    # lambda selection solves its consistent plans through the solver's own loop
+    monkeypatch.setattr(tradeoff, "_greedy_rows", loop)
     for module in (experiments, tradeoff):
         monkeypatch.setattr(module, "optimal_robust_recourse", one_row)
     monkeypatch.setattr(tradeoff, "consistent_recourse", one_row)
     (run_tradeoff_study if study == "pareto" else run_smoothness_study)(cfg)
     monkeypatch.undo()
 
-    tasks = [(t, lam) for _, _, _, lam, fold_tasks in _reference_folds(cfg) for t in fold_tasks]
-    instances = sorted((t.x0.tobytes(), lam) for t, lam in tasks)
+    instances, models = [], []
+    for fold, ds, plan, lam, tasks in _reference_folds(cfg):
+        correct_raw = _correct_prediction_models(cfg, ds, plan, fold)
+        for t in tasks:
+            instances.append((t.x0.tobytes(), lam))
+            if study == "pareto":
+                preds = [p for _, p in generate_predictions(cfg.prediction, t.base, cfg.alpha)]
+            else:  # the five epsilon predictions, then the correct model
+                nbhd = Neighborhood(t.base, cfg.smoothness_alpha)
+                correct = nbhd.clamp(correct_raw)
+                preds = [p for _, p in _epsilon_predictions(nbhd, correct, cfg.epsilon)]
+                preds.append(correct)
+            models += [(t.x0.tobytes(), lam, p.weights.tobytes(), p.intercept) for p in preds]
     assert len(set(instances)) == len(instances) > 0
-    assert sorted(solves["robust"]) == instances
-    if study == "pareto":
-        models = [
-            (t.x0.tobytes(), lam, pred.weights.tobytes(), pred.intercept)
-            for t, lam in tasks
-            for _, pred in generate_predictions(cfg.prediction, t.base, cfg.alpha)
-        ]
-        assert sorted(solves["consistent"]) == sorted(models)
-    else:  # the five epsilon predictions, each model solved once
-        assert sorted(key[:2] for key in solves["consistent"]) == sorted(instances * 5)
-        assert len(set(solves["consistent"])) == len(solves["consistent"])
+    assert sorted(solves["robust"]) == sorted(instances)
+    assert sorted(solves["consistent"]) == sorted(models)
+    assert len(models) == len(instances) * (5 if study == "pareto" else 6)
 
 
 # -------------------------------------------------------------- mlp path
@@ -950,6 +954,8 @@ _BAD_MLP_FILES = {
              "n_points": 40, "k_folds": 2},
         ),
         (["gen-data", "--n", "1"], None),
+        (["gen-data", "--n", "10", "--shift", "nan"], None),
+        (["gen-data", "--n", "10", "--shift", "inf"], None),
         (["gen-data", "--seed", "-1"], None),
         (["oracle-check", "--n", "-1"], None),
         (["oracle-check", "--n", "0"], None),
@@ -975,6 +981,8 @@ _BAD_MLP_FILES = {
         "mlp-weights-not-json", "mlp-weights-bad-shapes", "mlp-weights-no-layers",
         "surrogate-zero-stddev", "surrogate-vanishing-width",
         "gen-data-one-point",
+        "gen-data-nan-shift",
+        "gen-data-inf-shift",
         "gen-data-negative-seed",
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
     ],

@@ -418,6 +418,7 @@ def test_batch_inputs_must_match_the_stack_shape():
         (0.1, [ball] * 2, {}),
         (0.1, [ball] * 4, {}),
         (0.1, _nbhd([1.0, 1.0, 1.0], 0.1), {}),
+        (0.1, [ball, ball, _nbhd([1.0, 1.0, 1.0], 0.1)], {}),
         ([0.1], ball, {}),
         ([0.1, 0.1], ball, {}),
         (np.full((3, 1), 0.1), ball, {}),
@@ -437,7 +438,8 @@ def test_batch_inputs_must_match_the_stack_shape():
 
 @pytest.mark.parametrize("batch", ["exact", "roar"])
 def test_batch_refuses_starts_a_query_refuses(batch):
-    # a non-finite start fails as RecourseQuery fails, and starts must be an (m, d) stack
+    # a non-finite start fails as RecourseQuery fails, starts must be an (m, d)
+    # stack, and the ball count must match the rows
     from robust_recourse.roar import RoarConfig, roar_recourse_batch
 
     ball = _nbhd([1.0, -0.5], 0.2)
@@ -455,6 +457,8 @@ def test_batch_refuses_starts_a_query_refuses(batch):
     for starts in (np.array([0.5, 0.5]), np.zeros((2, 2, 1)), np.float64(0.5)):
         with pytest.raises(DimensionMismatchError, match="not an \\(m, d\\) stack"):
             solve(starts, 0.1, ball)
+    with pytest.raises(DimensionMismatchError, match="0 balls"):  # an empty ball list
+        solve(np.zeros((2, 2)), 0.1, [])
     assert solve(np.array([[0.5, 0.5]]), 0.1, ball).shape == (1, 2)
 
 

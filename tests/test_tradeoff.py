@@ -14,8 +14,7 @@ from robust_recourse.glm import (
     score,
     weighted_l1,
 )
-from robust_recourse.solver import (consistent_recourse, optimal_robust_recourse,
-                                    optimal_robust_recourse_batch)
+from robust_recourse.solver import consistent_recourse, optimal_robust_recourse
 from robust_recourse import tradeoff
 from robust_recourse.tradeoff import (
     _STEP_GRID,
@@ -312,8 +311,12 @@ def _random_prediction(rng, n):
     )
 
 
-def _fold_draw(rng, template, n_instances):
-    """Instances sharing the template's d, loss, cost weights and mask; x0, lam and ball vary."""
+def _fold_draw(rng, template, n_instances, draw):
+    """Instances sharing the template's d, loss, cost weights and mask; x0, lam and ball vary.
+
+    Each instance has 1-3 predictions, the first instance's led by the
+    template's; in every third draw of several instances, the last has none.
+    """
     q0, d = template.query, template.query.dim
     queries, balls = [q0], [template.neighborhood]
     for _ in range(n_instances - 1):
@@ -322,12 +325,17 @@ def _fold_draw(rng, template, n_instances):
         balls.append(_nbhd(rng.uniform(-2, 2, d), float(rng.uniform(0.05, 0.6)),
                            intercept=float(rng.uniform(-1, 1)),
                            perturb_intercept=bool(rng.random() < 0.5)))
-    return queries, balls
+    pred_sets = [[template.prediction if k == 0 else _random_prediction(rng, n)]
+                 + [_random_prediction(rng, n) for _ in range((draw + k) % 3)]
+                 for k, n in enumerate(balls)]
+    if n_instances > 1 and draw % 3 == 0:
+        pred_sets[-1] = []
+    return queries, balls, pred_sets
 
 
 def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
     # A fold's stack blends every (instance, prediction, beta) row in one
-    # search, from endpoints solved in two batch calls. Each value must be the
+    # search, from endpoints solved in two exact loops. Each value must be the
     # one a one-beta blend of that instance and prediction gives from freshly
     # solved endpoints, and the one a per-coordinate loop gives; each
     # instance's values must be those of its own one-instance call.
@@ -357,18 +365,17 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
         ),
     ]
     rng = np.random.default_rng(27)
-    losses, dims, sizes, folds, staggered, mixed_modes, reused = set(), set(), set(), set(), 0, 0, 0
+    losses, dims, sizes, folds = set(), set(), set(), set()
+    staggered, mixed_modes, equal_correct = 0, 0, 0
     restarts = {"robust": 0, "consistent": 0}
     for i in range(32):
         template = pinned[i] if i < len(pinned) else _random_problem(rng)
         size = 1 if i < len(pinned) else int(rng.integers(1, 4))
-        queries, balls = _fold_draw(rng, template, size)
-        pred_sets = [[template.prediction if k == 0 else _random_prediction(rng, n)]
-                     + [_random_prediction(rng, n) for _ in range((i + k) % 3)]
-                     for k, n in enumerate(balls)]
-        # a correct model equal to a prediction lends it its plan; others are solved
-        corrects = [ModelParams(ps[-1].weights.copy(), ps[-1].intercept) if rng.random() < 0.3
-                    else _random_prediction(rng, n) for ps, n in zip(pred_sets, balls)]
+        queries, balls, pred_sets = _fold_draw(rng, template, size, i)
+        # some correct models equal a prediction; each is solved as its own row
+        corrects = [ModelParams(ps[-1].weights.copy(), ps[-1].intercept)
+                    if ps and rng.random() < 0.3 else _random_prediction(rng, n)
+                    for ps, n in zip(pred_sets, balls)]
         inner = [0.5, *rng.uniform(0.01, 0.99, 7)]
         betas = [inner[0]] + inner + [0.0, 1.0]  # 9 interior rows, one beta twice
         rng.shuffle(betas)
@@ -416,8 +423,8 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
             one = pareto_frontier(q, n, preds, betas)
             assert regrets[k] == smoothness(q, n, preds, correct, betas)
             best = consistent_recourse(q, correct).worst_case_total
-            reused += any(p.intercept == correct.intercept and (p.weights == correct.weights).all()
-                          for p in preds)
+            equal_correct += any(p.intercept == correct.intercept
+                                 and (p.weights == correct.weights).all() for p in preds)
             for j, (pred, front, regret_list) in enumerate(zip(preds, fronts[k], regrets[k])):
                 assert front.robust is fronts[k][0].robust  # one robust solve per instance
                 for got, want in ((front.robust, robust[k]), (front.consistent, consistent[k, j])):
@@ -443,8 +450,8 @@ def test_beta_sweeps_equal_per_beta_blends_exactly(monkeypatch):
                 staggered += len({c for c in counts if c < 4 * q.dim}) > 1
     assert losses == {LossKind.BCE, LossKind.SQUARED}
     assert dims == {1, 2, 3, 5, 20}
-    assert sizes == folds == {1, 2, 3}
-    assert staggered > 0 and mixed_modes > 0 and reused > 0
+    assert folds == {1, 2, 3} and sizes == {0, 1, 2, 3}
+    assert staggered > 0 and mixed_modes > 0 and equal_correct > 0
     assert min(restarts.values()) > 0
 
 
@@ -508,7 +515,9 @@ def test_smoothness_nonnegative_random():
         assert min(got) >= -1e-9
 
 
-def test_smoothness_reuses_the_plan_of_a_prediction_equal_to_the_correct_model(monkeypatch):
+def test_smoothness_solves_the_correct_model_as_one_more_zero_radius_row(monkeypatch):
+    # the correct model's plan is solved as its own zero-radius row, whether
+    # or not a prediction equals it, and the regrets stay exact either way
     rng = np.random.default_rng(27)
     tq = _random_tq(rng)
     q, n = tq.query, tq.neighborhood
@@ -518,17 +527,18 @@ def test_smoothness_reuses_the_plan_of_a_prediction_equal_to_the_correct_model(m
     nearby = ModelParams(weights=correct.weights, intercept=np.nextafter(correct.intercept, 0.0))
     betas = [0.0, 0.4, 1.0]
     best = consistent_recourse(q, correct).worst_case_total
-    solved = []  # each consistent plan the batch solves: one zero-radius row per model
+    greedy, solved = tradeoff._greedy_rows, []  # the models of the exact loop's zero-radius rows
 
-    def spy(x0s, lam, balls, *args):
-        solved.extend(b.base for b in balls if b.alpha == 0.0)
-        return optimal_robust_recourse_batch(x0s, lam, balls, *args)
+    def spy(rows, loss):
+        solved.extend((w.tobytes(), float(b)) for w, b, a
+                      in zip(rows.base, rows.worst_b[:, 0], rows.alpha[:, 0]) if a == 0.0)
+        return greedy(rows, loss)
 
-    monkeypatch.setattr(tradeoff, "optimal_robust_recourse_batch", spy)
-    for preds, n_solves in (([tq.prediction, equal], 2), ([tq.prediction, nearby], 3)):
+    monkeypatch.setattr(tradeoff, "_greedy_rows", spy)
+    for preds in ([tq.prediction, equal], [tq.prediction, nearby]):
         solved.clear()
         got = smoothness(q, n, preds, correct, betas)
-        assert len(solved) == n_solves
+        assert solved == [(m.weights.tobytes(), m.intercept) for m in (*preds, correct)]
         robust = optimal_robust_recourse(q, n)
         for regrets, pred in zip(got, preds):
             tq_pred = TradeoffQuery(q, n, pred, 1.0)
