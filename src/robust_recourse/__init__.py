@@ -46,7 +46,6 @@ from .models import (
     GlmScorer,
     MlpScorer,
     MlpWeights,
-    TrainConfig,
     TrainingDataError,
     fit_logistic,
     mlp_forward,

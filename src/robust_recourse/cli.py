@@ -25,7 +25,7 @@ from .experiments import (
     run_validity_study,
 )
 from .glm import LossKind, ModelParams, RecourseQuery
-from .models import TrainConfig, TrainingDataError, train_logistic
+from .models import TrainingDataError, train_logistic
 from .solver import optimal_robust_recourse
 
 __all__ = ["main"]
@@ -68,7 +68,7 @@ def _cmd_gen_data(args) -> int:
 def _cmd_train(args) -> int:
     with open(args.data, encoding="utf-8") as fh:
         ds = Dataset.from_json(fh.read())
-    params = train_logistic(ds.features, ds.labels, TrainConfig())
+    params = train_logistic(ds.features, ds.labels)
     _emit(params.to_json(), args.out)
     return 0
 
@@ -104,13 +104,10 @@ def _load_config(args) -> ExperimentConfig:
     return cfg
 
 
-def _cmd_study(runner, label):
-    def run(args) -> int:
-        result = runner(_load_config(args))
-        print(f"{label}: wrote {result.csv_path}")
-        return 0
-
-    return run
+def _cmd_study(args) -> int:
+    result = args.runner(_load_config(args))
+    print(f"{args.command}: wrote {result.csv_path}")
+    return 0
 
 
 def _cmd_oracle_check(args) -> int:
@@ -165,16 +162,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_recourse)
 
-    for name, runner, label in (
-        ("pareto", run_tradeoff_study, "pareto"),
-        ("smoothness", run_smoothness_study, "smoothness"),
-        ("validity", run_validity_study, "validity"),
+    for name, runner in (
+        ("pareto", run_tradeoff_study),
+        ("smoothness", run_smoothness_study),
+        ("validity", run_validity_study),
     ):
-        p = sub.add_parser(name, help=f"run the {label} study")
+        p = sub.add_parser(name, help=f"run the {name} study")
         p.add_argument("--config", default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out", default=None)
-        p.set_defaults(func=_cmd_study(runner, label))
+        p.set_defaults(func=_cmd_study, runner=runner)
 
     p = sub.add_parser("oracle-check", help="certify the solver against the grid oracle")
     p.add_argument("--n", type=int, default=200)

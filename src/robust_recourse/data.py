@@ -74,8 +74,8 @@ class Dataset:
     def __post_init__(self) -> None:
         feats = np.asarray(self.features, dtype=float)
         labs = np.asarray(self.labels)
-        if feats.ndim != 2:
-            raise DataError("features must be a 2-D matrix")
+        if feats.ndim != 2 or feats.shape[1] == 0:
+            raise DataError("features must be a 2-D matrix with at least one column")
         if labs.shape != (feats.shape[0],):
             raise DataError("labels must align with feature rows")
         if not np.isfinite(feats).all():

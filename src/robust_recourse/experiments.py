@@ -169,6 +169,7 @@ class ExperimentConfig:
         if self.smoothness_shift is not None and not np.isfinite(self.smoothness_shift):
             raise ConfigError(f"smoothness_shift must be finite, got {self.smoothness_shift}")
         for name in _GRIDS:
+            object.__setattr__(self, name, tuple(getattr(self, name)))
             if not getattr(self, name):
                 raise ConfigError(f"{name} must be non-empty")
             if any(isinstance(v, bool) or not (isinstance(v, numbers.Real) and 0.0 <= v < np.inf)
@@ -191,10 +192,9 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        for key in ("prediction", "surrogate", "roar", *_GRIDS):
-            typ, what = (list, "a list") if key in _GRIDS else (dict, "an object")
-            if key in kwargs and not isinstance(kwargs[key], typ):
-                raise ConfigError(f"{key} must be {what}, got {kwargs[key]!r}")
+        for key in ("prediction", "surrogate", "roar"):
+            if key in kwargs and not isinstance(kwargs[key], dict):
+                raise ConfigError(f"{key} must be an object, got {kwargs[key]!r}")
         if "prediction" in kwargs:
             p = dict(kwargs["prediction"])
             try:
@@ -220,9 +220,6 @@ class ExperimentConfig:
                     kwargs[key] = typ(**kwargs[key])
                 except (TypeError, ValueError) as exc:
                     raise ConfigError(f"{key}: {exc}") from None
-        for key in _GRIDS:
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -294,13 +291,11 @@ def _corner_patterns(d: int) -> list:
 
 def generate_predictions(spec: PredictionSetSpec, base: ModelParams, alpha: float) -> list:
     """The pareto study's named predicted models, each inside the ball around ``base``."""
+    if spec.mode is PredictionMode.CORNER:  # base + alpha * (a +/-1 pattern) is on the boundary
+        return [("base", base)] + [
+            (f"corner{i}", ModelParams(base.weights + alpha * pat, base.intercept))
+            for i, pat in enumerate(_corner_patterns(base.dim))]
     ball = Neighborhood(base, alpha)
-    if spec.mode is PredictionMode.CORNER:
-        preds = [("base", base)]
-        for i, pat in enumerate(_corner_patterns(base.dim)):
-            cand = ModelParams(weights=base.weights + alpha * pat, intercept=base.intercept)
-            preds.append((f"corner{i}", ball.clamp(cand)))
-        return preds
     preds = []
     for i, (weights, intercept) in enumerate(spec.explicit):
         cand = ModelParams(weights=np.asarray(weights, dtype=float), intercept=intercept)
@@ -317,12 +312,6 @@ def generate_predictions(spec: PredictionSetSpec, base: ModelParams, alpha: floa
 
 # ---------------------------------------------------------------------------
 # fold preparation
-
-
-@dataclass(frozen=True)
-class _InstanceTask:
-    x0: np.ndarray
-    base: ModelParams  # per-instance base model (shared for glm, surrogate for mlp)
 
 
 def _derived_seed(seed: int, *parts: int) -> int:
@@ -372,7 +361,10 @@ def _local_model(cfg: ExperimentConfig, source, x0: np.ndarray, *seed_parts: int
 
 
 def _prepare_fold(cfg: ExperimentConfig, ds: Dataset, plan, fold: int):
-    """Returns (scorer, tasks) where tasks cover undesirably-labeled test rows."""
+    """(scorer, x0s, bases): the fold's undesirably-labeled test rows and their base models.
+
+    A surrogate base is seeded by its row's index among the fold's test rows.
+    """
     x_train, y_train, x_test = _fold_features(cfg, ds, plan, fold)
     if cfg.model_kind == "glm":
         source = train_logistic(x_train, y_train)
@@ -382,25 +374,24 @@ def _prepare_fold(cfg: ExperimentConfig, ds: Dataset, plan, fold: int):
             raise ConfigError(f"surrogate.n_samples must be at least {ds.dim + 1} for {ds.dim} "
                               f"features, got {cfg.surrogate.n_samples}")
         source = scorer = MlpScorer(_load_mlp(cfg.mlp_weights, ds.dim))
-    tasks = [_InstanceTask(x0=x, base=_local_model(cfg, source, x, fold, i))
-             for i, x in enumerate(x_test) if predict_label(scorer, x) == 0]
-    return scorer, tasks
+    keep = [i for i, x in enumerate(x_test) if predict_label(scorer, x) == 0]
+    return scorer, x_test[keep], [_local_model(cfg, source, x_test[i], fold, i) for i in keep]
 
 
 def _study_folds(cfg: ExperimentConfig, ds: Dataset, plan):
-    """Yields (fold, scorer, tasks) for every fold with undesirable test rows.
+    """Yields (fold, scorer, x0s, bases) for every fold with undesirable test rows.
 
-    A fold without any is logged and skipped; when no fold has any, the
-    study has nothing to average and a ConfigError ends it.
+    As ``_prepare_fold`` gives them. A fold without any such row is logged
+    and skipped; when no fold has any, a ConfigError ends the study.
     """
     produced = False
     for fold in range(plan.k):
-        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
-        if not tasks:
+        scorer, x0s, bases = _prepare_fold(cfg, ds, plan, fold)
+        if not bases:
             _log.warning("fold %d has no undesirable instances; skipped", fold)
             continue
         produced = True
-        yield fold, scorer, tasks
+        yield fold, scorer, x0s, bases
     if not produced:
         raise ConfigError("no fold produced undesirable instances")
 
@@ -421,19 +412,18 @@ def _load_mlp(path: str, dim: int) -> MlpWeights:
     return weights
 
 
-def _select_lambda(scorer: BlackBoxScorer, tasks: list, grid: tuple) -> float:
+def _select_lambda(scorer: BlackBoxScorer, x0s: np.ndarray, bases: list, grid: tuple) -> float:
     """Largest lambda maximizing consistent-recourse validity under the base scorer.
 
-    One batch solve over every (lambda, task) row, with a zero-radius ball per task.
+    One batch solve over every (lambda, instance) row, on zero-radius balls.
     """
     lams = sorted(grid)
-    x0s = np.array([t.x0 for t in tasks])
-    balls = [Neighborhood(t.base, 0.0) for t in tasks]
+    balls = [Neighborhood(base, 0.0) for base in bases]
     plans = optimal_robust_recourse_batch(np.tile(x0s, (len(lams), 1)),
-                                          np.repeat(lams, len(tasks)), balls * len(lams))
+                                          np.repeat(lams, len(bases)), balls * len(lams))
     best_lam, best_val = None, -1.0
     for lam, pts in zip(lams, plans.reshape(len(lams), *x0s.shape)):
-        val = sum(predict_label(scorer, x) for x in pts) / len(tasks)
+        val = validity(scorer, pts)
         if val >= best_val:
             best_lam, best_val = lam, val
     return best_lam
@@ -500,7 +490,7 @@ def _write_study(cfg: ExperimentConfig, study: str, columns: list, rows: list, s
 def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     """Robustness/consistency frontier per predicted model, plus the ROAR point.
 
-    Every fold is prepared first (scorer, tasks, chosen lambda and balls).
+    Every fold is prepared first (its instances, chosen lambda and balls).
     The ROAR baseline then runs once over every fold's instances, one
     ``roar_recourse_batch`` call with each row's own lambda and ball. No
     row's result depends on the others, so this gives the points a call per
@@ -515,20 +505,20 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     lambda_by_fold = []
     pred_names: list = []
 
-    folds = []  # (lam, tasks, balls), in fold order
-    for _, scorer, tasks in _study_folds(cfg, ds, plan):
-        lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
+    folds = []  # (lam, x0s, bases, balls), in fold order
+    for _, scorer, x0s, bases in _study_folds(cfg, ds, plan):
+        lam = _select_lambda(scorer, x0s, bases, cfg.lambda_grid)
         lambda_by_fold.append(lam)
-        folds.append((lam, tasks, [Neighborhood(t.base, cfg.alpha) for t in tasks]))
+        folds.append((lam, x0s, bases, [Neighborhood(base, cfg.alpha) for base in bases]))
     roar_points = roar_recourse_batch(
-        np.array([t.x0 for _, tasks, _ in folds for t in tasks]),
-        np.array([lam for lam, tasks, _ in folds for _ in tasks]),
-        [ball for _, _, balls in folds for ball in balls], cfg.roar)
+        np.concatenate([x0s for _, x0s, _, _ in folds]),
+        np.array([lam for lam, x0s, _, _ in folds for _ in x0s]),
+        [ball for *_, balls in folds for ball in balls], cfg.roar)
 
-    starts = np.cumsum([len(tasks) for _, tasks, _ in folds])[:-1]
-    for (lam, tasks, balls), x_roar in zip(folds, np.split(roar_points, starts)):
-        queries = [RecourseQuery(x0=t.x0, lam=lam) for t in tasks]
-        named = [generate_predictions(cfg.prediction, t.base, cfg.alpha) for t in tasks]
+    starts = np.cumsum([len(x0s) for _, x0s, _, _ in folds])[:-1]
+    for (lam, x0s, bases, balls), x_roar in zip(folds, np.split(roar_points, starts)):
+        queries = [RecourseQuery(x0=x0, lam=lam) for x0 in x0s]
+        named = [generate_predictions(cfg.prediction, base, cfg.alpha) for base in bases]
         pred_names = pred_names or [name for name, _ in named[0]]
         pred_sets = [[pred for _, pred in preds] for preds in named]
         fronts = _frontiers(queries, balls, pred_sets, cfg.beta_grid)
@@ -608,16 +598,16 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     pred_names: list = []
     lambda_by_fold = []
 
-    for fold, scorer, tasks in _study_folds(cfg, ds, plan):
-        lam = _select_lambda(scorer, tasks, cfg.lambda_grid)
+    for fold, scorer, x0s, bases in _study_folds(cfg, ds, plan):
+        lam = _select_lambda(scorer, x0s, bases, cfg.lambda_grid)
         lambda_by_fold.append(lam)
         correct_src = _correct_prediction_models(cfg, ds, plan, fold)
-        balls = [Neighborhood(t.base, cfg.smoothness_alpha) for t in tasks]
-        corrects = [ball.clamp(_local_model(cfg, correct_src, t.x0, fold, t_idx, 7))
-                    for t_idx, (t, ball) in enumerate(zip(tasks, balls))]
+        balls = [Neighborhood(base, cfg.smoothness_alpha) for base in bases]
+        corrects = [ball.clamp(_local_model(cfg, correct_src, x0, fold, i, 7))
+                    for i, (x0, ball) in enumerate(zip(x0s, balls))]
         named = [_epsilon_predictions(ball, c, cfg.epsilon) for ball, c in zip(balls, corrects)]
         pred_names = pred_names or [name for name, _ in named[0]]
-        queries = [RecourseQuery(x0=t.x0, lam=lam) for t in tasks]
+        queries = [RecourseQuery(x0=x0, lam=lam) for x0 in x0s]
         regrets = _regrets(queries, balls, [[pred for _, pred in preds] for preds in named],
                            corrects, cfg.beta_grid)
         for preds, instance in zip(named, regrets):
@@ -654,11 +644,10 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
     sums: dict = {}  # (method, alpha, lam) -> [validity, mean cost, count]
     cells = [(float(a), float(lam)) for a in cfg.validity_alphas for lam in cfg.validity_lambdas]
 
-    for _, _, tasks in _study_folds(cfg, ds, plan):
-        x0s = np.array([t.x0 for t in tasks])
-        balls = [Neighborhood(tasks[0].base, alpha) for alpha, _ in cells]
-        rows = (np.tile(x0s, (len(cells), 1)), np.repeat([lam for _, lam in cells], len(tasks)),
-                [nbhd for nbhd in balls for _ in tasks])
+    for _, _, x0s, bases in _study_folds(cfg, ds, plan):
+        balls = [Neighborhood(bases[0], alpha) for alpha, _ in cells]
+        rows = (np.tile(x0s, (len(cells), 1)), np.repeat([lam for _, lam in cells], len(x0s)),
+                [nbhd for nbhd in balls for _ in x0s])
         recs_alg = optimal_robust_recourse_batch(*rows).reshape(len(cells), *x0s.shape)
         recs_roar = roar_recourse_batch(*rows, cfg.roar).reshape(len(cells), *x0s.shape)
         for cell, nbhd, alg, roar in zip(cells, balls, recs_alg, recs_roar):

@@ -187,7 +187,7 @@ def eval_loss(loss: LossKind, s):
         out = np.logaddexp(0.0, -s_arr)
     elif loss is LossKind.SQUARED:
         out = np.square(np.clip(s_arr, 0.0, 1.0) - 1.0)
-    else:  # pragma: no cover - enum is closed
+    else:
         raise ValueError(f"unknown loss {loss!r}")
     if s_arr.ndim == 0:
         return float(out)
@@ -201,7 +201,7 @@ def loss_derivative(loss: LossKind, s):
         out = -sigmoid(-s_arr)
     elif loss is LossKind.SQUARED:
         out = np.where((s_arr > 0.0) & (s_arr < 1.0), 2.0 * (s_arr - 1.0), 0.0)
-    else:  # pragma: no cover
+    else:
         raise ValueError(f"unknown loss {loss!r}")
     if s_arr.ndim == 0:
         return float(out)

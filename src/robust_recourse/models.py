@@ -10,7 +10,7 @@ is out of scope.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -22,7 +22,6 @@ __all__ = [
     "GlmScorer",
     "MlpWeights",
     "MlpScorer",
-    "TrainConfig",
     "TrainingDataError",
     "mlp_forward",
     "predict_label",
@@ -125,12 +124,9 @@ def predict_label(scorer: BlackBoxScorer, x) -> int:
     return 1 if scorer.probability(x) >= 0.5 else 0
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    max_epochs: int = 500
-    l2_penalty: float = 1e-4
-    tolerance: float = 1e-6
+# The logistic fit's first step size, epoch cap, L2 penalty on the weights and
+# gradient tolerance (largest absolute component) at which it stops.
+LEARNING_RATE, MAX_EPOCHS, L2_PENALTY, TOLERANCE = 0.1, 500, 1e-4, 1e-6
 
 
 def _mean_bce_loss(theta: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> float:
@@ -140,11 +136,13 @@ def _mean_bce_loss(theta: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) 
     return float(per_row.mean() + 0.5 * l2 * np.dot(theta[:-1], theta[:-1]))
 
 
-def fit_logistic(features, labels, cfg: TrainConfig = TrainConfig()):
-    """Full-batch gradient descent on mean BCE with an L2 penalty on weights.
+def fit_logistic(features, labels):
+    """Full-batch gradient descent on mean BCE with an L2 penalty (``L2_PENALTY``) on weights.
 
-    The step is halved whenever a proposed update would increase the loss, so
-    the recorded per-epoch losses are non-increasing. Returns the fitted
+    The step starts at ``LEARNING_RATE`` and is halved whenever a proposed
+    update would increase the loss, so the recorded per-epoch losses are
+    non-increasing. The descent stops after ``MAX_EPOCHS`` epochs, or once
+    no gradient component exceeds ``TOLERANCE``. Returns the fitted
     parameters together with that loss history. Features so large that the
     fit overflows raise TrainingDataError.
     """
@@ -162,19 +160,19 @@ def fit_logistic(features, labels, cfg: TrainConfig = TrainConfig()):
     n, d = x.shape
     xb = np.hstack([x, np.ones((n, 1))])  # last column carries the intercept
     theta = np.zeros(d + 1)
-    lr = cfg.learning_rate
+    lr = LEARNING_RATE
     try:
         with np.errstate(over="raise", invalid="raise"):
-            losses = [_mean_bce_loss(theta, xb, y, cfg.l2_penalty)]
-            for _ in range(cfg.max_epochs):
+            losses = [_mean_bce_loss(theta, xb, y, L2_PENALTY)]
+            for _ in range(MAX_EPOCHS):
                 s = xb @ theta
                 grad = xb.T @ (sigmoid(s) - y) / n
-                grad[:-1] += cfg.l2_penalty * theta[:-1]
-                if float(np.max(np.abs(grad))) <= cfg.tolerance:
+                grad[:-1] += L2_PENALTY * theta[:-1]
+                if float(np.max(np.abs(grad))) <= TOLERANCE:
                     break
                 while True:
                     candidate = theta - lr * grad
-                    cand_loss = _mean_bce_loss(candidate, xb, y, cfg.l2_penalty)
+                    cand_loss = _mean_bce_loss(candidate, xb, y, L2_PENALTY)
                     if cand_loss <= losses[-1] + 1e-12 or lr < 1e-12:
                         break
                     lr *= 0.5
@@ -186,7 +184,7 @@ def fit_logistic(features, labels, cfg: TrainConfig = TrainConfig()):
     return ModelParams(theta[:-1], theta[-1]), np.asarray(losses)
 
 
-def train_logistic(features, labels, cfg: TrainConfig = TrainConfig()) -> ModelParams:
+def train_logistic(features, labels) -> ModelParams:
     """Deterministic logistic-regression fit; see fit_logistic for details."""
-    params, _ = fit_logistic(features, labels, cfg)
+    params, _ = fit_logistic(features, labels)
     return params

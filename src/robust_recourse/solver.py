@@ -195,7 +195,7 @@ def solve_coordinate_step(
                 best_t = t
         return best_t, False
 
-    raise ValueError(f"unknown loss {loss!r}")  # pragma: no cover
+    raise ValueError(f"unknown loss {loss!r}")
 
 
 class _Rows(NamedTuple):

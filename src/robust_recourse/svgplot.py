@@ -35,13 +35,7 @@ def _span(values: list) -> tuple[float, float]:
     return lo - pad, hi + pad
 
 
-def line_chart(
-    path: str,
-    series: list,
-    title: str = "",
-    x_label: str = "",
-    y_label: str = "",
-) -> None:
+def line_chart(path: str, series: list, title: str, x_label: str, y_label: str) -> None:
     """Write a polyline chart; ``series`` is a list of (name, xs, ys) triples."""
     if not series:
         raise ValueError("need at least one series")
@@ -62,11 +56,8 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-size="15">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{WIDTH // 2}" y="22" text-anchor="middle" font-size="15">{title}</text>'
-        )
 
     ax_b, ax_l = HEIGHT - MARGIN_B, MARGIN_L
     parts.append(
@@ -86,16 +77,12 @@ def line_chart(
         parts.append(
             f'<text x="{ax_l - 8}" y="{yp + 4:.2f}" text-anchor="end">{_fmt(yv)}</text>'
         )
-    if x_label:
-        parts.append(
-            f'<text x="{(ax_l + WIDTH - MARGIN_R) // 2}" y="{HEIGHT - 12}" '
-            f'text-anchor="middle">{x_label}</text>'
-        )
-    if y_label:
-        parts.append(
-            f'<text x="18" y="{(MARGIN_T + ax_b) // 2}" text-anchor="middle" '
-            f'transform="rotate(-90 18 {(MARGIN_T + ax_b) // 2})">{y_label}</text>'
-        )
+    parts += [
+        f'<text x="{(ax_l + WIDTH - MARGIN_R) // 2}" y="{HEIGHT - 12}" '
+        f'text-anchor="middle">{x_label}</text>',
+        f'<text x="18" y="{(MARGIN_T + ax_b) // 2}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {(MARGIN_T + ax_b) // 2})">{y_label}</text>',
+    ]
 
     for idx, (name, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]

@@ -50,7 +50,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversary import Neighborhood, best_response
-from .glm import LossKind, ModelParams, RecourseQuery, eval_loss, eval_total_cost
+from .glm import (DimensionMismatchError, LossKind, ModelParams, RecourseQuery, eval_loss,
+                  eval_total_cost)
 from .models import BlackBoxScorer, GlmScorer, predict_label
 from .solver import (RecoursePlan, _greedy_rows, _plans, _Rows, _totals, _worst,
                      consistent_recourse, optimal_robust_recourse)
@@ -303,10 +304,11 @@ def _fold(queries, neighborhoods, prediction_sets, betas, extra_sets=None) -> tu
 
     Instance i has query ``queries[i]``, ball ``neighborhoods[i]`` and the
     predictions ``prediction_sets[i]``; the queries share loss and cost
-    weights. Each beta and each prediction is checked as a
-    ``TradeoffQuery`` checks it. One exact loop solves every robust plan,
-    and one more, on zero-radius balls, every pair's consistent plan and
-    then those of ``extra_sets[i]``, further models per instance.
+    weights. Each beta and each prediction is checked as a ``TradeoffQuery``
+    checks it, and each extra model's width as the query's. One exact loop
+    solves every robust plan, and one more, on zero-radius balls, every
+    pair's consistent plan and then those of ``extra_sets[i]``, further
+    models per instance.
 
     Returns the robust plan per instance, the consistent plans (pairs, then
     extra models), and the stack's rows, instances, pairs and points.
@@ -315,6 +317,10 @@ def _fold(queries, neighborhoods, prediction_sets, betas, extra_sets=None) -> tu
     for q, n, preds in zip(queries, neighborhoods, prediction_sets):
         for p in preds:
             TradeoffQuery(q, n, p, 1.0)
+    for q, extras in zip(queries, extra_sets or ()):
+        for m in extras:
+            if m.dim != q.dim:
+                raise DimensionMismatchError(f"model has {m.dim} weights, query has {q.dim}")
     # a row per instance, its ball's centre standing in for a prediction
     tops = _stack(queries, neighborhoods, [[n.base] for n in neighborhoods], [1.0])[0]
     robust_x = _greedy_rows(tops, loss)[0]

@@ -94,6 +94,9 @@ def test_corner_oracle_edges():
     np.testing.assert_array_equal(intercepts, [0.25] * 4)
     with pytest.raises(ValueError):
         corner_oracle(_nbhd(np.zeros(25), 0.1), np.zeros(25))
+    for oracle in (best_response, corner_oracle):
+        with pytest.raises(DimensionMismatchError, match="2 weights, input has 3"):
+            oracle(Neighborhood(base, 0.5), np.zeros(3))
 
 
 def test_neighborhood_validation():

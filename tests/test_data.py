@@ -64,6 +64,18 @@ def test_dataset_validation():
         Dataset(features=np.array([[np.nan, 0.0]]), labels=np.array([1]))
     with pytest.raises(DataError):
         Dataset(features=np.zeros((2, 2)), labels=np.array([0, 3]))
+    with pytest.raises(DataError, match="at least one column"):
+        Dataset(features=np.zeros((2, 0)), labels=np.array([0, 1]))
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(mu0=(0.0, 0.0, 0.0)), "equal dimension"),
+    (dict(sigma=0.0), "sigma must be positive"),
+    (dict(sigma=-0.5), "sigma must be positive"),
+])
+def test_synthetic_spec_validation(kw, message):
+    with pytest.raises(ValueError, match=message):
+        SyntheticSpec(**kw)
 
 
 def test_dataset_json_round_trip():
@@ -120,6 +132,12 @@ def test_ingest_empty_file(tmp_path):
     header_only = _write_csv(tmp_path, "a,label\n", name="h.csv")
     with pytest.raises(DataError, match="no data rows"):
         ingest_csv(header_only, "label", "yes")
+
+
+def test_ingest_label_only_file_is_a_data_error(tmp_path):
+    path = _write_csv(tmp_path, "label\nyes\nno\nyes\nno\n")
+    with pytest.raises(DataError, match="at least one column"):
+        ingest_csv(path, "label", "yes")
 
 
 # ---------------------------------------------------------- normalization

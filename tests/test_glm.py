@@ -54,6 +54,12 @@ def test_eval_loss_monotone_decreasing():
         assert (np.diff(vals) <= 1e-15).all()
 
 
+@pytest.mark.parametrize("fn", [eval_loss, loss_derivative])
+def test_loss_functions_refuse_what_is_not_a_loss_kind(fn):
+    with pytest.raises(ValueError, match="unknown loss 'bce'"):
+        fn("bce", 0.5)
+
+
 def test_eval_total_cost_examples():
     q = RecourseQuery(x0=np.array([0.0, 0.0]), lam=0.1)
     theta = ModelParams(weights=np.array([1.0, 0.0]))
@@ -139,6 +145,8 @@ def test_cost_spec_and_query_validation():
         RecourseQuery(x0=np.array([np.inf]), lam=0.1)
     with pytest.raises(ValueError):
         RecourseQuery(x0=np.array([0.0, 1.0]), lam=0.1, immutable_mask=np.array([True]))
+    with pytest.raises(DimensionMismatchError, match="cost has 3 weights, x0 has 2"):
+        RecourseQuery(x0=np.array([0.0, 1.0]), lam=0.1, cost=CostSpec(weights=np.ones(3)))
     q = RecourseQuery(x0=np.array([1.0, 2.0]), lam=0.3)
     np.testing.assert_array_equal(q.cost.weights, [1.0, 1.0])
     assert not q.immutable_mask.any()
@@ -149,3 +157,5 @@ def test_weighted_l1():
         x0=np.array([1.0, -1.0]), lam=0.5, cost=CostSpec(weights=np.array([2.0, 3.0]))
     )
     assert weighted_l1(q, np.array([2.0, 1.0])) == pytest.approx(2.0 * 1 + 3.0 * 2)
+    with pytest.raises(DimensionMismatchError, match="query has 2 features, x' has 3"):
+        weighted_l1(q, np.zeros(3))

@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import logging
+import math
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +42,7 @@ from robust_recourse.solver import (
     optimal_robust_recourse,
 )
 from robust_recourse.surrogate import SurrogateConfig, fit_local_linear
+from robust_recourse.svgplot import line_chart
 from robust_recourse.tradeoff import (
     TradeoffQuery,
     blended_recourse,
@@ -412,11 +416,11 @@ def test_validity_study_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
     cells = [(a, l) for a in alphas for l in lams]
     assert len(calls) == 2
     for fold, (x0s, lam, balls) in enumerate(calls):
-        tasks = _prepare_fold(cfg, ds, plan, fold)[1]
-        assert x0s.tobytes() == np.tile([t.x0 for t in tasks], (len(cells), 1)).tobytes()
-        assert lam.tolist() == [l for _, l in cells for _ in tasks]
-        assert [b.alpha for b in balls] == [a for a, _ in cells for _ in tasks]
-        assert all(_same_model(b.base, tasks[0].base) for b in balls)
+        _, starts, bases = _prepare_fold(cfg, ds, plan, fold)
+        assert x0s.tobytes() == np.tile(starts, (len(cells), 1)).tobytes()
+        assert lam.tolist() == [l for _, l in cells for _ in bases]
+        assert [b.alpha for b in balls] == [a for a, _ in cells for _ in bases]
+        assert all(_same_model(b.base, bases[0]) for b in balls)
 
 
 def test_select_lambda_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
@@ -432,28 +436,32 @@ def test_select_lambda_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
     plan = kfold(ds.n, 3, 1)
     assert len(calls) == 3
     for fold, (x0s, lam, balls) in enumerate(calls):
-        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
-        assert x0s.tobytes() == np.tile([t.x0 for t in tasks], (3, 1)).tobytes()
-        assert lam.tolist() == [l for l in sorted(grid) for _ in tasks]
-        assert all(b.alpha == 0.0 and _same_model(b.base, t.base)
-                   for b, t in zip(balls, tasks * 3))
+        scorer, starts, bases = _prepare_fold(cfg, ds, plan, fold)
+        assert x0s.tobytes() == np.tile(starts, (3, 1)).tobytes()
+        assert lam.tolist() == [l for l in sorted(grid) for _ in bases]
+        assert all(b.alpha == 0.0 and _same_model(b.base, base)
+                   for b, base in zip(balls, bases * 3))
         best_lam, best_val = None, -1.0
         for l in sorted(grid):
-            hits = sum(predict_label(scorer, consistent_recourse(RecourseQuery(x0=t.x0, lam=l),
-                                                                 t.base).x_prime)
-                       for t in tasks)
-            if hits / len(tasks) >= best_val:
-                best_lam, best_val = l, hits / len(tasks)
+            hits = sum(predict_label(scorer, consistent_recourse(RecourseQuery(x0=x0, lam=l),
+                                                                 base).x_prime)
+                       for x0, base in zip(starts, bases))
+            if hits / len(bases) >= best_val:
+                best_lam, best_val = l, hits / len(bases)
         assert res.extras["lambda_by_fold"][fold] == best_lam
 
 
 def _reference_folds(cfg):
-    """Each fold's (fold, dataset, plan, lam, tasks), as the runners prepare them."""
+    """Each fold's (fold, dataset, plan, lam, tasks), as the runners prepare them.
+
+    A task is one instance: its start ``x0`` and its ``base`` model.
+    """
     ds = generate_synthetic(SyntheticSpec(n_points=cfg.n_points, seed=cfg.seed))
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
     for fold in range(plan.k):
-        scorer, tasks = _prepare_fold(cfg, ds, plan, fold)
-        yield fold, ds, plan, _select_lambda(scorer, tasks, cfg.lambda_grid), tasks
+        scorer, x0s, bases = _prepare_fold(cfg, ds, plan, fold)
+        tasks = [SimpleNamespace(x0=x0, base=base) for x0, base in zip(x0s, bases)]
+        yield fold, ds, plan, _select_lambda(scorer, x0s, bases, cfg.lambda_grid), tasks
 
 
 def _add(sums, key, *values):
@@ -609,25 +617,26 @@ def test_tradeoff_study_makes_one_roar_call(tmp_path, monkeypatch, case):
     res = run_tradeoff_study(cfg)
     ds = _load_base_dataset(cfg)
     plan = kfold(ds.n, cfg.k_folds, cfg.seed)
-    tasks, lams, fold_lams = [], [], []
+    starts, bases, lams, fold_lams = [], [], [], []
     for fold in range(plan.k):
-        scorer, fold_tasks = _prepare_fold(cfg, ds, plan, fold)
-        if fold_tasks:
-            fold_lams.append(_select_lambda(scorer, fold_tasks, cfg.lambda_grid))
-            tasks += fold_tasks
-            lams += [fold_lams[-1]] * len(fold_tasks)
+        scorer, fold_x0s, fold_bases = _prepare_fold(cfg, ds, plan, fold)
+        if fold_bases:
+            fold_lams.append(_select_lambda(scorer, fold_x0s, fold_bases, cfg.lambda_grid))
+            starts += list(fold_x0s)
+            bases += fold_bases
+            lams += [fold_lams[-1]] * len(fold_bases)
     assert res.extras["lambda_by_fold"] == fold_lams
     if case == "synthetic":
         assert len(set(fold_lams)) > 1  # the folds chose different lambdas
     assert len(calls) == 1
     x0s, lam, balls = calls[0]
-    assert x0s.tobytes() == np.array([t.x0 for t in tasks]).tobytes()
+    assert x0s.tobytes() == np.array(starts).tobytes()
     assert lam.tolist() == lams
-    assert len(balls) == len(tasks)
-    for ball, task in zip(balls, tasks):
+    assert len(balls) == len(bases)
+    for ball, base in zip(balls, bases):
         assert ball.alpha == cfg.alpha
-        assert ball.base.weights.tobytes() == task.base.weights.tobytes()
-        assert ball.base.intercept == task.base.intercept
+        assert ball.base.weights.tobytes() == base.weights.tobytes()
+        assert ball.base.intercept == base.intercept
 
 
 def test_validity_study_rejects_mlp(tmp_path):
@@ -784,7 +793,8 @@ def test_smoothness_study_mlp_matches_per_beta_reference(tmp_path):
                  for i, x in enumerate(ds.features[plan.test_indices(fold)])
                  if predict_label(net, x) == 0]
         assert tasks
-        lam = _select_lambda(net, tasks, cfg.lambda_grid)
+        lam = _select_lambda(net, np.array([t.x0 for t in tasks]), [t.base for t in tasks],
+                             cfg.lambda_grid)
         for t, task in enumerate(tasks):
             q = RecourseQuery(x0=task.x0, lam=lam)
             nbhd = Neighborhood(task.base, cfg.smoothness_alpha)
@@ -857,11 +867,13 @@ def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-# MLP weights files that are not a network, by the name a config gives them
+# MLP weights files that are not a network, by the name a config gives them;
+# a file whose text is None is not written
 _BAD_MLP_FILES = {
     "not-json.json": "not json\n",
     "bad-shapes.json": json.dumps({"layers": [{"w": [[1, 2]], "b": [0, 0]}]}),
     "no-layers.json": json.dumps({"net": []}),
+    "missing.json": None,
 }
 
 
@@ -911,6 +923,7 @@ _BAD_MLP_FILES = {
         (["pareto"], {"dataset": 5}),
         (["pareto"], {"model_kind": "mlp", "mlp_weights": 5}),
         (["smoothness"], {"shifted_dataset": 5}),
+        (["smoothness"], {"dataset": "data.csv", "k_folds": 2}),
         (["pareto"], {"out_dir": ["o"]}),
         (["pareto"], {"alpha": True}),
         (["smoothness"], {"smoothness_alpha": True}),
@@ -943,6 +956,7 @@ _BAD_MLP_FILES = {
         (["pareto"], {"model_kind": "mlp", "mlp_weights": "not-json.json"}),
         (["pareto"], {"model_kind": "mlp", "mlp_weights": "bad-shapes.json"}),
         (["pareto"], {"model_kind": "mlp", "mlp_weights": "no-layers.json"}),
+        (["pareto"], {"model_kind": "mlp", "mlp_weights": "missing.json"}),
         (
             ["smoothness"],
             {"model_kind": "mlp", "mlp_weights": "net.json", "mlp_weights_shifted": "net.json",
@@ -972,13 +986,15 @@ _BAD_MLP_FILES = {
         "prediction-epsilon", "smoothness-epsilon-mode", "pareto-epsilon-mode", "epsilon-text",
         "epsilon-nan", "epsilon-overflow", "epsilon-negative", "shift-text", "shift-nan",
         "beta-grid-number", "lambda-grid-null", "beta-grid-bools", "dataset-number",
-        "mlp-weights-number", "shifted-dataset-number", "out-dir-list", "alpha-bool",
+        "mlp-weights-number", "shifted-dataset-number", "csv-without-shifted-dataset",
+        "out-dir-list", "alpha-bool",
         "smoothness-alpha-bool", "surrogate-seed", "surrogate-text-samples",
         "surrogate-fractional-samples", "surrogate-zero-samples", "surrogate-nan-stddev",
         "surrogate-text-stddev", "surrogate-nan-ridge", "surrogate-nan-width",
         "pareto-mlp-samples-below-features", "smoothness-mlp-samples-below-features",
         "mlp-weights-width", "mlp-weights-shifted-width", "shift-overflows-training",
         "mlp-weights-not-json", "mlp-weights-bad-shapes", "mlp-weights-no-layers",
+        "mlp-weights-missing",
         "surrogate-zero-stddev", "surrogate-vanishing-width",
         "gen-data-one-point",
         "gen-data-nan-shift",
@@ -995,8 +1011,15 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
                 path = _write_mlp(tmp_path / name, inputs=3 if name == "net3.json" else 2)
                 config = dict(config, **{key: path})
             elif name in _BAD_MLP_FILES:
-                (tmp_path / name).write_text(_BAD_MLP_FILES[name], encoding="utf-8")
+                if _BAD_MLP_FILES[name] is not None:
+                    (tmp_path / name).write_text(_BAD_MLP_FILES[name], encoding="utf-8")
                 config = dict(config, **{key: str(tmp_path / name)})
+        if config.get("dataset") == "data.csv":
+            ds = generate_synthetic(SyntheticSpec(n_points=40, seed=0))
+            rows = [f"{a},{b},{y}" for (a, b), y in zip(ds.features, ds.labels)]
+            (tmp_path / "data.csv").write_text("\n".join(["a,b,label", *rows]) + "\n",
+                                               encoding="utf-8")
+            config = dict(config, dataset=str(tmp_path / "data.csv"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config), encoding="utf-8")
         argv = argv + ["--config", str(cfg_path), "--out", str(tmp_path / "out")]
@@ -1013,17 +1036,21 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
         "not json\n",
         "[1, 2]\n",
         json.dumps({"features": [[0.0, 1.0], [1.0, 0.0]], "labels": [1, 1]}),
+        json.dumps({"features": [[], [], [], []], "labels": [0, 1, 0, 1]}),
+        None,
     ],
-    ids=["train-not-json", "train-not-a-dataset", "train-single-class"],
+    ids=["train-not-json", "train-not-a-dataset", "train-single-class", "train-no-columns",
+         "train-missing-file"],
 )
 def test_cli_bad_data_exits_3_with_one_line(tmp_path, capsys, data):
     path = tmp_path / "data.json"
-    path.write_text(data, encoding="utf-8")
+    if data is not None:  # else the file does not exist
+        path.write_text(data, encoding="utf-8")
     assert main(["train", "--data", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("data error: ")
+    assert captured.err.startswith("error: " if data is None else "data error: ")
 
 
 def test_cli_gen_data_train_round_trip(tmp_path, capsys):
@@ -1059,6 +1086,26 @@ def test_cli_usage_errors():
     with pytest.raises(SystemExit) as exc:
         main(["recourse", "--theta", "a,b", "--x0", "0.0"])
     assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["recourse", "--theta", "1,1", "--x0", "0,0", "--immutable", "1,x"])
+    assert exc.value.code == 2
+    # the module's own entry point, with no subcommand
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.dirname(os.path.dirname(experiments.__file__)), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-m", "robust_recourse.cli"], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert "required: command" in run.stderr
+
+
+def test_cli_study_without_undesirable_instances_exits_2(tmp_path, capsys, monkeypatch):
+    # every test row labeled desirable: no fold has an instance to average
+    monkeypatch.setattr(experiments, "predict_label", lambda scorer, x: 1)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n_points": 40, "k_folds": 2}), encoding="utf-8")
+    assert main(["pareto", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "config error: no fold produced undesirable instances\n"
 
 
 def test_cli_validity_mlp_config_exits_2(tmp_path, capsys):
@@ -1091,6 +1138,19 @@ def test_cli_validity_runs_with_config(tmp_path, capsys):
     assert code == 0
     assert "wrote" in capsys.readouterr().out
     assert os.path.exists(out_dir / "validity" / "synthetic_glm.csv")
+
+
+@pytest.mark.parametrize("series, message", [
+    ([("a", [0.0, 1.0], [0.0, math.inf])], "must be finite"),
+    ([("a", [math.nan, 1.0], [0.0, 1.0])], "must be finite"),
+    ([], "at least one series"),
+    ([("a", [], []), ("b", [], [])], "no points"),
+])
+def test_line_chart_refuses_what_it_cannot_draw(tmp_path, series, message):
+    path = tmp_path / "chart.svg"
+    with pytest.raises(ValueError, match=message):
+        line_chart(str(path), series, title="t", x_label="x", y_label="y")
+    assert not path.exists()
 
 
 # ----------------------------------------------------------- certification

@@ -5,11 +5,11 @@ import pytest
 
 from robust_recourse.data import SyntheticSpec, generate_synthetic
 from robust_recourse.glm import ModelParams, score, sigmoid
+from robust_recourse import models
 from robust_recourse.models import (
     GlmScorer,
     MlpScorer,
     MlpWeights,
-    TrainConfig,
     TrainingDataError,
     fit_logistic,
     mlp_forward,
@@ -37,6 +37,17 @@ def test_train_logistic_errors():
         train_logistic(np.array([[1.0], [2.0]]), np.array([1, 1]))
     with pytest.raises(TrainingDataError):
         train_logistic(np.array([[np.nan], [2.0]]), np.array([0, 1]))
+    with pytest.raises(TrainingDataError, match="3 rows of features but 2 labels"):
+        train_logistic(np.array([[1.0], [2.0], [3.0]]), np.array([0, 1]))
+
+
+def test_fit_logistic_reads_1d_features_as_one_column():
+    feats, labs = _repeated([[-1.0], [1.0], [0.5]], [0, 1, 0], times=3)
+    params, losses = fit_logistic(feats[:, 0], labs)
+    column, column_losses = fit_logistic(feats, labs)
+    assert np.array_equal(params.weights, column.weights)
+    assert params.intercept == column.intercept
+    assert np.array_equal(losses, column_losses)
 
 
 def test_train_logistic_synthetic_accuracy():
@@ -55,8 +66,27 @@ def test_fit_logistic_overflow_is_training_data_error():
 
 def test_fit_logistic_loss_monotone():
     ds = generate_synthetic(SyntheticSpec(n_points=200, seed=6))
-    _, losses = fit_logistic(ds.features, ds.labels, TrainConfig(max_epochs=200))
+    _, losses = fit_logistic(ds.features, ds.labels)
+    assert losses.size == models.MAX_EPOCHS + 1
     assert (np.diff(losses) <= 1e-12).all()
+
+
+def test_fit_logistic_halves_a_step_that_raises_the_loss(monkeypatch):
+    # at this scale a full first step overshoots on overlapping classes
+    feats, labs = np.array([[1.0], [2.0], [3.0], [4.0]]) * 100.0, np.array([0, 1, 0, 1])
+    evaluated = []
+    loss = models._mean_bce_loss
+    monkeypatch.setattr(models, "_mean_bce_loss", lambda *a: evaluated.append(1) or loss(*a))
+    _, losses = fit_logistic(feats, labs)
+    assert len(evaluated) > losses.size  # a rejected candidate costs one more evaluation
+    assert (np.diff(losses) <= 1e-12).all()
+
+
+def test_fit_logistic_stops_once_the_gradient_is_within_tolerance():
+    # the start point is already stationary: every gradient component is 0
+    params, losses = fit_logistic(np.array([[1.0], [-1.0], [1.0], [-1.0]]), np.array([1, 1, 0, 0]))
+    assert losses.tolist() == [np.log(2.0)]
+    assert params.weights.tolist() == [0.0] and params.intercept == 0.0
 
 
 def test_mlp_forward_hand_values():
@@ -98,6 +128,8 @@ def test_mlp_single_layer_matches_glm():
 
 
 def test_mlp_weights_validation_and_json():
+    with pytest.raises(ValueError, match="at least one layer"):
+        MlpWeights(())
     with pytest.raises(ValueError):
         MlpWeights(layers=((np.array([[1.0, 2.0]]), np.array([0.0, 0.0])),))
     with pytest.raises(ValueError):  # chained dims broken

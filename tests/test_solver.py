@@ -64,6 +64,11 @@ def test_step_already_past_cap():
     assert solve_coordinate_step(0.1, SCORE_CAP + 1.0, 0.5) == (0.0, False)
 
 
+def test_step_refuses_what_is_not_a_loss_kind():
+    with pytest.raises(ValueError, match="unknown loss 'bce'"):
+        solve_coordinate_step(0.1, 0.0, 0.5, "bce")
+
+
 def test_step_bce_stationarity():
     # an interior step zeroes the derivative: slope * sigmoid(-(s0 + slope t)) = lam;
     # t = 0 exactly when the marginal gain at the start, slope * sigmoid(-s0), is at most lam
@@ -490,6 +495,12 @@ def test_oracle_large_lam_sits_at_start():
     assert val == pytest.approx(
         eval_total_cost(q, q.x0, best_response(n, q.x0)), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("solve", [optimal_robust_recourse, minimax_oracle])
+def test_one_query_solvers_refuse_a_ball_of_another_width(solve):
+    with pytest.raises(DimensionMismatchError, match="model has 3 weights, query has 2 features"):
+        solve(_query([0.0, 0.0], 0.1), _nbhd([1.0] * 3, 0.1))
 
 
 def test_oracle_rejects_high_dim():

@@ -6,6 +6,7 @@ import pytest
 from robust_recourse.adversary import Neighborhood, best_response
 from robust_recourse.glm import (
     CostSpec,
+    DimensionMismatchError,
     LossKind,
     ModelParams,
     RecourseQuery,
@@ -499,6 +500,15 @@ def test_smoothness_prediction_independent_at_full_caution():
     correct = tq.prediction
     a, b = smoothness(tq.query, tq.neighborhood, [tq.prediction, other], correct, [1.0])
     assert a == b
+
+
+@pytest.mark.parametrize("width", [4, 1])
+def test_smoothness_refuses_a_correct_model_of_another_width(width):
+    # a 2-feature query: the correct model is checked as each prediction is
+    query = _query([-1.0, -1.0], 0.1)
+    ball = Neighborhood(ModelParams(weights=np.array([1.0, 1.0])), 0.5)
+    with pytest.raises(DimensionMismatchError, match=f"model has {width} weights, query has 2"):
+        smoothness(query, ball, [ball.base], ModelParams(np.ones(width)), [0.0, 0.5, 1.0])
 
 
 def test_smoothness_nonnegative_random():
