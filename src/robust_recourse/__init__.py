@@ -12,14 +12,11 @@ from .data import (
     generate_synthetic,
     ingest_csv,
     kfold,
-    shifted_synthetic,
 )
 from .experiments import (
     ConfigError,
     ExperimentConfig,
     OracleReport,
-    PredictionMode,
-    PredictionSetSpec,
     StudyResult,
     generate_predictions,
     oracle_check,

@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from .adversary import Neighborhood
-from .data import DataError, Dataset, SyntheticSpec, shifted_synthetic
+from .data import DataError, Dataset, SyntheticSpec, generate_synthetic
 from .experiments import (
     ConfigError,
     ExperimentConfig,
@@ -55,13 +55,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_gen_data(args) -> int:
     try:
-        spec = SyntheticSpec(n_points=args.n, seed=args.seed)
+        spec = SyntheticSpec(n_points=args.n, seed=args.seed, shift=args.shift)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not np.isfinite(args.shift):
-        raise ConfigError(f"--shift must be finite, got {args.shift}")
-    ds = shifted_synthetic(spec, args.shift)
-    _emit(ds.to_json(), args.out)
+    _emit(generate_synthetic(spec).to_json(), args.out)
     return 0
 
 
@@ -127,8 +124,15 @@ def _cmd_oracle_check(args) -> int:
     return 0 if report.all_pass else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 2; subparsers are of this class."""
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="robust-recourse",
         description="Recourse generation for linear models under bounded model shift.",
     )

@@ -1,9 +1,9 @@
 """Dataset synthesis, CSV ingestion, normalization, and fold splitting.
 
 The synthetic generator draws labels uniformly and then one Gaussian block
-for the features, so two specs differing only in class means consume the
-random stream identically; a zero mean shift reproduces the unshifted data
-bit for bit.
+for the features around the class means ``MU0`` and ``MU1`` (variance
+``SIGMA``), so two specs differing only in ``shift`` consume the random
+stream identically; a zero shift reproduces the unshifted data bit for bit.
 
 Normalization is a z-score: the studies compute the statistics on each
 fold's training rows (``compute_norm_stats``) and apply them to that fold's
@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .glm import _check_json_types
+
 __all__ = [
     "DataError",
     "SyntheticSpec",
@@ -25,7 +27,6 @@ __all__ = [
     "Dataset",
     "FoldPlan",
     "generate_synthetic",
-    "shifted_synthetic",
     "ingest_csv",
     "compute_norm_stats",
     "apply_norm",
@@ -37,23 +38,25 @@ class DataError(ValueError):
     """Malformed input data or an infeasible split request."""
 
 
+MU0, MU1, SIGMA = (-2.0, -2.0), (2.0, 2.0), 0.5  # the class means and the per-feature variance
+
+
 @dataclass(frozen=True)
 class SyntheticSpec:
+    """A synthetic draw; ``shift`` moves the class-0 mean along axis 0."""
+
     n_points: int = 1000
-    mu0: tuple = (-2.0, -2.0)
-    mu1: tuple = (2.0, 2.0)
-    sigma: float = 0.5
     seed: int = 0
+    shift: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_json_types(self)
         if self.n_points < 2:
             raise ValueError("n_points must be at least 2")
-        if len(self.mu0) != len(self.mu1):
-            raise ValueError("class means must have equal dimension")
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if not np.isfinite(self.shift):
+            raise ValueError(f"shift must be finite, got {self.shift}")
 
 
 @dataclass(frozen=True)
@@ -135,21 +138,10 @@ class FoldPlan:
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     """Uniform labels, then Gaussian features around the labeled class mean."""
     rng = np.random.default_rng(spec.seed)
-    n = spec.n_points
-    mu = np.vstack([spec.mu0, spec.mu1])
-    d = mu.shape[1]
-    labels = rng.integers(0, 2, size=n)
-    noise = rng.standard_normal((n, d)) * np.sqrt(spec.sigma)
+    mu = np.vstack([(MU0[0] + spec.shift, *MU0[1:]), MU1])
+    labels = rng.integers(0, 2, size=spec.n_points)
+    noise = rng.standard_normal((spec.n_points, mu.shape[1])) * np.sqrt(SIGMA)
     return Dataset(features=mu[labels] + noise, labels=labels)
-
-
-def shifted_synthetic(spec: SyntheticSpec, alpha_shift: float) -> Dataset:
-    """Same draw as generate_synthetic with the class-0 mean moved along axis 0."""
-    mu0 = (spec.mu0[0] + alpha_shift,) + tuple(spec.mu0[1:])
-    shifted = SyntheticSpec(
-        n_points=spec.n_points, mu0=mu0, mu1=spec.mu1, sigma=spec.sigma, seed=spec.seed
-    )
-    return generate_synthetic(shifted)
 
 
 def ingest_csv(path: str, label_column: str, positive_label: str) -> Dataset:
@@ -167,6 +159,8 @@ def ingest_csv(path: str, label_column: str, positive_label: str) -> Dataset:
         rows = list(reader)
     if label_column not in header:
         raise DataError(f"{path}: no column named {label_column!r}")
+    if len(header) < 2:
+        raise DataError(f"{path}: no feature column besides {label_column!r}")
     if not rows:
         raise DataError(f"{path}: no data rows")
 

@@ -25,7 +25,6 @@ parameters and model ball.
 from __future__ import annotations
 
 import dataclasses
-import enum
 import json
 import logging
 import numbers
@@ -44,9 +43,8 @@ from .data import (
     generate_synthetic,
     ingest_csv,
     kfold,
-    shifted_synthetic,
 )
-from .glm import ModelParams, RecourseQuery
+from .glm import ModelParams, RecourseQuery, _check_json_types
 from .models import (
     BlackBoxScorer,
     GlmScorer,
@@ -65,8 +63,6 @@ from .tradeoff import _baseline_metrics, _frontiers, _regrets, validity
 
 __all__ = [
     "ConfigError",
-    "PredictionMode",
-    "PredictionSetSpec",
     "ExperimentConfig",
     "StudyResult",
     "OracleReport",
@@ -84,25 +80,14 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown keys, invalid values, missing files)."""
 
 
-class PredictionMode(enum.Enum):
-    CORNER = "corner"
-    EXPLICIT = "explicit"
-
-
-@dataclass(frozen=True)
-class PredictionSetSpec:
-    """How the pareto study builds its set of predicted models."""
-
-    mode: PredictionMode = PredictionMode.CORNER
-    explicit: tuple = ()
-
-
 def _explicit_model(item: dict) -> tuple:
-    """(weights, intercept) of one explicit prediction, from its config object."""
-    weights = np.asarray(item["weights"], dtype=float)
-    if weights.ndim != 1:
-        raise ValueError("weights must be a flat list")
-    return tuple(weights.tolist()), float(item.get("intercept", 0.0))
+    """(weights, intercept) of one listed prediction, from its config object."""
+    values = [*item["weights"], item.get("intercept", 0.0)]
+    if set(item) - {"weights", "intercept"} or any(
+            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+        raise ValueError("not a model")
+    model = ModelParams(np.array(values[:-1], dtype=float), values[-1])
+    return tuple(model.weights.tolist()), model.intercept
 
 
 DEFAULT_BETAS = tuple(round(0.1 * i, 1) for i in range(11))
@@ -110,12 +95,6 @@ DEFAULT_LAMBDAS = (0.05, 0.1, 0.2, 0.5, 0.7, 1.0)
 DEFAULT_VALIDITY_ALPHAS = tuple(round(0.02 * i, 2) for i in range(1, 11))
 DEFAULT_VALIDITY_LAMBDAS = (0.05, 0.1, 0.2)
 _GRIDS = ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas")
-
-# The JSON value each config field takes, by its annotation (a string, as
-# annotations are postponed here); one ending in "| None" also admits null.
-# A number is never a boolean.
-_FIELD_KINDS = {"str": (str, "a string"), "float": (numbers.Real, "a number"),
-                "int": (numbers.Integral, "an integer"), "tuple": ((tuple, list), "a list")}
 _MAX_EPSILON = np.finfo(float).max / 2.0
 
 
@@ -124,7 +103,9 @@ class ExperimentConfig:
     """A study configuration; building one checks each field's JSON type and range.
 
     A bad value raises ConfigError. ``surrogate.n_samples`` is checked against
-    the feature count when the first fold is prepared.
+    the feature count when the first fold is prepared. ``predictions`` lists
+    the pareto study's predicted models as (weights, intercept) pairs; empty,
+    the study takes each base model and its four corner models.
     """
 
     dataset: str = "synthetic"
@@ -134,7 +115,7 @@ class ExperimentConfig:
     beta_grid: tuple = DEFAULT_BETAS
     validity_alphas: tuple = DEFAULT_VALIDITY_ALPHAS
     validity_lambdas: tuple = DEFAULT_VALIDITY_LAMBDAS
-    prediction: PredictionSetSpec = PredictionSetSpec()
+    predictions: tuple = ()
     epsilon: float | None = None
     smoothness_alpha: float = 1.0
     smoothness_shift: float | None = None
@@ -151,14 +132,7 @@ class ExperimentConfig:
     roar: RoarConfig = RoarConfig()
 
     def __post_init__(self) -> None:
-        for f in dataclasses.fields(self):
-            kind, _, optional = f.type.partition(" | ")
-            value = getattr(self, f.name)
-            if kind in _FIELD_KINDS and not (optional and value is None):
-                typ, what = _FIELD_KINDS[kind]
-                if isinstance(value, bool) or not isinstance(value, typ):
-                    raise ConfigError(f"{f.name} must be {what}{' or null' if optional else ''}"
-                                      f", got {value!r}")
+        _check_json_types(self, ConfigError)
         if self.model_kind not in ("glm", "mlp"):
             raise ConfigError(f"model_kind must be 'glm' or 'mlp', got {self.model_kind!r}")
         if not (0.0 <= self.alpha < np.inf and 0.0 <= self.smoothness_alpha < np.inf):
@@ -192,34 +166,25 @@ class ExperimentConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(raw)
-        for key in ("prediction", "surrogate", "roar"):
-            if key in kwargs and not isinstance(kwargs[key], dict):
-                raise ConfigError(f"{key} must be an object, got {kwargs[key]!r}")
-        if "prediction" in kwargs:
-            p = dict(kwargs["prediction"])
+        if isinstance(kwargs.get("predictions"), list):  # else the type check refuses it
             try:
-                mode = PredictionMode(p.pop("mode", "corner"))
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
-            try:
-                explicit = tuple(_explicit_model(item) for item in p.pop("explicit", []))
-            except (AttributeError, KeyError, TypeError, ValueError):
+                kwargs["predictions"] = tuple(_explicit_model(m) for m in kwargs["predictions"])
+            except (KeyError, TypeError, ValueError, OverflowError):
                 raise ConfigError(
-                    "prediction: each explicit model must be an object with a 'weights' list "
-                    "of numbers and an optional numeric 'intercept'"
+                    "predictions: each model must be an object with a non-empty 'weights' list "
+                    "of finite numbers, an optional finite 'intercept' and no other key"
                 ) from None
-            if p:
-                raise ConfigError(f"unknown prediction keys: {sorted(p)}")
-            kwargs["prediction"] = PredictionSetSpec(mode=mode, explicit=explicit)
-        if "seed" in kwargs.get("surrogate", {}):
-            raise ConfigError("surrogate.seed is not read: each instance's fit derives its seed "
-                              "from the config seed")
         for key, typ in (("surrogate", SurrogateConfig), ("roar", RoarConfig)):
-            if key in kwargs:
-                try:
-                    kwargs[key] = typ(**kwargs[key])
-                except (TypeError, ValueError) as exc:
-                    raise ConfigError(f"{key}: {exc}") from None
+            given = kwargs.get(key, {})
+            if not isinstance(given, dict):
+                raise ConfigError(f"{key} must be an object, got {given!r}")
+            if key == "surrogate" and "seed" in given:
+                raise ConfigError("surrogate.seed is not read: each instance's fit derives its "
+                                  "seed from the config seed")
+            try:
+                kwargs[key] = typ(**given)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{key}: {exc}") from None
         try:
             return cls(**kwargs)
         except TypeError as exc:
@@ -289,24 +254,25 @@ def _corner_patterns(d: int) -> list:
     return [np.ones(d), -np.ones(d), alt, -alt]
 
 
-def generate_predictions(spec: PredictionSetSpec, base: ModelParams, alpha: float) -> list:
-    """The pareto study's named predicted models, each inside the ball around ``base``."""
-    if spec.mode is PredictionMode.CORNER:  # base + alpha * (a +/-1 pattern) is on the boundary
+def generate_predictions(explicit: tuple, base: ModelParams, alpha: float) -> list:
+    """The pareto study's named predictions: ``explicit``, or ``base`` and its four corners.
+
+    Each listed (weights, intercept) pair must lie in the ball around ``base``.
+    """
+    if not explicit:  # base + alpha * (a +/-1 pattern) is on the boundary
         return [("base", base)] + [
             (f"corner{i}", ModelParams(base.weights + alpha * pat, base.intercept))
             for i, pat in enumerate(_corner_patterns(base.dim))]
     ball = Neighborhood(base, alpha)
     preds = []
-    for i, (weights, intercept) in enumerate(spec.explicit):
+    for i, (weights, intercept) in enumerate(explicit):
         cand = ModelParams(weights=np.asarray(weights, dtype=float), intercept=intercept)
         if cand.dim != base.dim:
-            raise ConfigError(f"explicit prediction {i} has {cand.dim} weights, "
+            raise ConfigError(f"prediction {i} has {cand.dim} weights, "
                               f"the data have {base.dim} features")
         if not ball.contains(cand):
-            raise ConfigError(f"explicit prediction {i} lies outside the model ball")
+            raise ConfigError(f"prediction {i} lies outside the model ball")
         preds.append((f"pred{i}", cand))
-    if not preds:
-        raise ConfigError("explicit prediction mode needs at least one model")
     return preds
 
 
@@ -518,7 +484,7 @@ def run_tradeoff_study(cfg: ExperimentConfig) -> StudyResult:
     starts = np.cumsum([len(x0s) for _, x0s, _, _ in folds])[:-1]
     for (lam, x0s, bases, balls), x_roar in zip(folds, np.split(roar_points, starts)):
         queries = [RecourseQuery(x0=x0, lam=lam) for x0 in x0s]
-        named = [generate_predictions(cfg.prediction, base, cfg.alpha) for base in bases]
+        named = [generate_predictions(cfg.predictions, base, cfg.alpha) for base in bases]
         pred_names = pred_names or [name for name, _ in named[0]]
         pred_sets = [[pred for _, pred in preds] for preds in named]
         fronts = _frontiers(queries, balls, pred_sets, cfg.beta_grid)
@@ -567,8 +533,8 @@ def _correct_prediction_models(cfg: ExperimentConfig, ds: Dataset, plan, fold: i
         return MlpScorer(_load_mlp(cfg.mlp_weights_shifted, ds.dim))
     if cfg.dataset == "synthetic":
         shift = cfg.smoothness_shift if cfg.smoothness_shift is not None else cfg.smoothness_alpha
-        spec = SyntheticSpec(n_points=cfg.n_points, seed=cfg.seed)
-        shifted = shifted_synthetic(spec, shift)
+        shifted = generate_synthetic(SyntheticSpec(n_points=cfg.n_points, seed=cfg.seed,
+                                                   shift=shift))
         x_train = shifted.features[plan.train_indices(fold)]
         y_train = shifted.labels[plan.train_indices(fold)]
         try:  # the shift is a config value, so a fit it breaks is a config error
@@ -589,7 +555,7 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     correct-prediction source, clamped into the instance's ball. The
     predictions are that model and its epsilon perturbations
     (``_epsilon_predictions``), with ``cfg.epsilon`` as the step;
-    ``cfg.prediction`` is not read. Each fold's instances go to
+    ``cfg.predictions`` is not read. Each fold's instances go to
     ``tradeoff._regrets`` in one call.
     """
     ds = _load_base_dataset(cfg)

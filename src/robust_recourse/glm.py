@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -40,6 +41,25 @@ __all__ = [
 
 class DimensionMismatchError(ValueError):
     """A vector's length does not match the model or query dimension."""
+
+
+# The JSON value a field of a settings class takes, by its annotation (a
+# string, as annotations are postponed); one ending in "| None" also admits
+# null. A number is never a boolean. Every settings class checks this first.
+_JSON_KINDS = {"str": (str, "a string"), "float": (numbers.Real, "a number"),
+               "int": (numbers.Integral, "an integer"), "tuple": ((tuple, list), "a list")}
+
+
+def _check_json_types(settings, error=ValueError) -> None:
+    """Raise ``error`` naming the first field of ``settings`` its annotation does not admit."""
+    for f in fields(settings):
+        kind, _, optional = f.type.partition(" | ")
+        value = getattr(settings, f.name)
+        if kind in _JSON_KINDS and not (optional and value is None):
+            typ, what = _JSON_KINDS[kind]
+            if isinstance(value, bool) or not isinstance(value, typ):
+                raise error(f"{f.name} must be {what}{' or null' if optional else ''}"
+                            f", got {value!r}")
 
 
 class LossKind(Enum):

@@ -38,7 +38,6 @@ against a loop that does all of it every iteration:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +47,7 @@ from .glm import (
     CostSpec,
     LossKind,
     RecourseQuery,
+    _check_json_types,
     eval_loss,
     eval_total_cost,
     loss_derivative,
@@ -69,10 +69,10 @@ class RoarConfig:
     tolerance: float = 1e-7
 
     def __post_init__(self) -> None:
+        _check_json_types(self)
         if not 0.0 < self.learning_rate < np.inf:
             raise ValueError("learning_rate must be finite and positive")
-        if (isinstance(self.max_iters, bool) or not isinstance(self.max_iters, numbers.Integral)
-                or self.max_iters < 1):
+        if self.max_iters < 1:
             raise ValueError("max_iters must be an integer of at least 1")
         if not 0.0 <= self.tolerance < np.inf:
             raise ValueError("tolerance must be finite and nonnegative")

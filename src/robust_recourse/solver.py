@@ -56,6 +56,7 @@ from .glm import (
     LossKind,
     ModelParams,
     RecourseQuery,
+    _check_json_types,
     eval_loss,
     logit,
     sigmoid,
@@ -96,6 +97,7 @@ class GridSpec:
     refine_levels: int = 0
 
     def __post_init__(self) -> None:
+        _check_json_types(self)
         if not 0.0 < self.half_range < math.inf:
             raise ValueError("half_range must be finite and positive")
         if self.step is not None and not 0.0 < self.step < math.inf:

@@ -8,12 +8,11 @@ of exactly 0 or 1 clamp to logits of -15 / +15.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .glm import ModelParams
+from .glm import ModelParams, _check_json_types
 from .models import BlackBoxScorer, TrainingDataError
 
 __all__ = ["SurrogateConfig", "fit_local_linear"]
@@ -32,11 +31,10 @@ class SurrogateConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if (isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral)
-                or self.n_samples < 1):
+        _check_json_types(self)
+        if self.n_samples < 1:
             raise ValueError("n_samples must be an integer of at least 1")
-        if isinstance(self.stddev, bool) or not (isinstance(self.stddev, numbers.Real)
-                                                 and np.isfinite(self.stddev)):
+        if not np.isfinite(self.stddev):
             raise ValueError("stddev must be a finite number")
         if self.width is not None and not 0.0 < self.width < np.inf:
             raise ValueError("kernel width must be finite and positive")

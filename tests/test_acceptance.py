@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from robust_recourse.adversary import Neighborhood, best_response, corner_oracle
-from robust_recourse.data import SyntheticSpec, generate_synthetic
+from robust_recourse.data import MU0, MU1, SIGMA, SyntheticSpec, generate_synthetic
 from robust_recourse.experiments import ExperimentConfig, oracle_check, run_smoothness_study, \
     run_tradeoff_study, run_validity_study
 from robust_recourse.glm import (
@@ -112,10 +112,10 @@ def test_criterion_5_worst_case_validity(validity_result):
 def test_criterion_6_synthetic_statistics():
     spec = SyntheticSpec(n_points=100_000, seed=0)
     ds = generate_synthetic(spec)
-    for label, mu in ((0, spec.mu0), (1, spec.mu1)):
+    for label, mu in ((0, MU0), (1, MU1)):
         block = ds.features[ds.labels == label]
         mean_err = np.abs(block.mean(axis=0) - np.asarray(mu)).max()
-        var_err = np.abs(block.var(axis=0) - spec.sigma).max()
+        var_err = np.abs(block.var(axis=0) - SIGMA).max()
         print(f"class {label}: mean error {mean_err:.4f}, variance error {var_err:.4f}")
         assert mean_err <= 0.02
         assert var_err <= 0.02

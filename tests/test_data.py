@@ -1,9 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from robust_recourse.data import (
+    MU0,
+    MU1,
+    SIGMA,
     DataError,
     Dataset,
     SyntheticSpec,
@@ -12,7 +16,6 @@ from robust_recourse.data import (
     generate_synthetic,
     ingest_csv,
     kfold,
-    shifted_synthetic,
 )
 
 
@@ -20,10 +23,10 @@ def test_synthetic_class_statistics():
     spec = SyntheticSpec(n_points=20000, seed=3)
     ds = generate_synthetic(spec)
     assert ds.n == 20000 and ds.dim == 2
-    for label, mu in ((0, spec.mu0), (1, spec.mu1)):
+    for label, mu in ((0, MU0), (1, MU1)):
         block = ds.features[ds.labels == label]
         np.testing.assert_allclose(block.mean(axis=0), mu, atol=0.05)
-        np.testing.assert_allclose(block.var(axis=0), spec.sigma, atol=0.05)
+        np.testing.assert_allclose(block.var(axis=0), SIGMA, atol=0.05)
     # labels roughly balanced
     assert abs(ds.labels.mean() - 0.5) < 0.02
 
@@ -38,13 +41,16 @@ def test_synthetic_deterministic():
 
 def test_shifted_zero_is_identity():
     spec = SyntheticSpec(n_points=500, seed=4)
-    assert shifted_synthetic(spec, 0.0).to_json() == generate_synthetic(spec).to_json()
+    assert spec.shift == 0.0
+    for zero in (0.0, -0.0, 0):
+        shifted = SyntheticSpec(n_points=500, seed=4, shift=zero)
+        assert generate_synthetic(shifted).to_json() == generate_synthetic(spec).to_json()
 
 
 def test_shifted_moves_only_class_zero_axis_zero():
     spec = SyntheticSpec(n_points=4000, seed=5)
     base = generate_synthetic(spec)
-    moved = shifted_synthetic(spec, 0.7)
+    moved = generate_synthetic(SyntheticSpec(n_points=4000, seed=5, shift=0.7))
     np.testing.assert_array_equal(base.labels, moved.labels)
     ones = base.labels == 1
     np.testing.assert_array_equal(base.features[ones], moved.features[ones])
@@ -69,9 +75,11 @@ def test_dataset_validation():
 
 
 @pytest.mark.parametrize("kw, message", [
-    (dict(mu0=(0.0, 0.0, 0.0)), "equal dimension"),
-    (dict(sigma=0.0), "sigma must be positive"),
-    (dict(sigma=-0.5), "sigma must be positive"),
+    (dict(shift=float("inf")), "shift must be finite"),
+    (dict(shift=float("nan")), "shift must be finite"),
+    (dict(shift="0.5"), "shift must be a number"),
+    (dict(n_points=True), "n_points must be an integer"),
+    (dict(seed=1.0), "seed must be an integer"),
 ])
 def test_synthetic_spec_validation(kw, message):
     with pytest.raises(ValueError, match=message):
@@ -136,7 +144,7 @@ def test_ingest_empty_file(tmp_path):
 
 def test_ingest_label_only_file_is_a_data_error(tmp_path):
     path = _write_csv(tmp_path, "label\nyes\nno\nyes\nno\n")
-    with pytest.raises(DataError, match="at least one column"):
+    with pytest.raises(DataError, match=f"^{re.escape(path)}: no feature column besides 'label'$"):
         ingest_csv(path, "label", "yes")
 
 

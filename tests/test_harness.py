@@ -17,8 +17,6 @@ from robust_recourse import experiments, solver, tradeoff
 from robust_recourse.experiments import (
     ConfigError,
     ExperimentConfig,
-    PredictionMode,
-    PredictionSetSpec,
     _correct_prediction_models,
     _derived_seed,
     _epsilon_predictions,
@@ -57,10 +55,11 @@ from robust_recourse.tradeoff import (
 def test_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"alpa": 0.5})
-    with pytest.raises(ConfigError, match="unknown prediction keys"):
-        ExperimentConfig.from_dict({"prediction": {"mode": "corner", "bogus": 1}})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict({"prediction": {"mode": "cornr"}})
+    # the mode switch is gone: an empty prediction list means the corner models
+    with pytest.raises(ConfigError, match=r"unknown config keys: \['prediction'\]"):
+        ExperimentConfig.from_dict({"prediction": {"mode": "corner"}})
+    with pytest.raises(ConfigError, match="no other key"):
+        ExperimentConfig.from_dict({"predictions": [{"weights": [1.0], "bogus": 1}]})
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"surrogate": {"n_sample": 10}})
 
@@ -89,25 +88,28 @@ def test_config_from_dict_nested():
     cfg = ExperimentConfig.from_dict(
         {
             "beta_grid": [0.0, 1.0],
-            "prediction": {"mode": "corner"},
+            "predictions": [],
             "surrogate": {"n_samples": 64},
             "roar": {"max_iters": 100},
         }
     )
-    assert cfg.prediction.mode is PredictionMode.CORNER
+    assert cfg.predictions == ()
     assert cfg.surrogate.n_samples == 64
     assert cfg.roar.max_iters == 100
     assert cfg.beta_grid == (0.0, 1.0)
     explicit = ExperimentConfig.from_dict(
-        {"prediction": {"mode": "explicit", "explicit": [{"weights": [1, 2], "intercept": 0.5}]}}
+        {"predictions": [{"weights": [1, 2], "intercept": 0.5}, {"weights": [0.5, 1]}]}
     )
-    assert explicit.prediction.explicit == (((1.0, 2.0), 0.5),)
+    assert explicit.predictions == (((1.0, 2.0), 0.5), ((0.5, 1.0), 0.0))
     # no study reads a prediction epsilon: smoothness builds its own set from
-    # the top-level one, and pareto takes corner or explicit predictions
-    with pytest.raises(ConfigError, match=r"unknown prediction keys: \['epsilon'\]"):
-        ExperimentConfig.from_dict({"prediction": {"mode": "corner", "epsilon": 0.1}})
-    with pytest.raises(ConfigError, match="'epsilon' is not a valid PredictionMode"):
-        ExperimentConfig.from_dict({"prediction": {"mode": "epsilon"}})
+    # the top-level one, and pareto takes the listed models or the corner ones
+    with pytest.raises(ConfigError, match="no other key"):
+        ExperimentConfig.from_dict({"predictions": [{"weights": [1.0], "epsilon": 0.1}]})
+    # a number is never a boolean, in a listed model too, and it must be a finite float
+    for model in ({"weights": [True, False]}, {"weights": [1.0, 0.0], "intercept": True},
+                  {"weights": [10**400, 1.0]}, {"weights": [1.0], "intercept": float("inf")}):
+        with pytest.raises(ConfigError, match="predictions: each model"):
+            ExperimentConfig.from_dict({"predictions": [model]})
     # each fit's seed derives from the config seed, so a surrogate seed would do nothing
     with pytest.raises(ConfigError, match="surrogate.seed is not read"):
         ExperimentConfig.from_dict({"surrogate": {"seed": 3}})
@@ -120,7 +122,7 @@ _JSON_VALUES = {"bool": True, "int": 5, "float": 2.5, "str": "x", "list": [0.5],
 _ADMITS = {
     "str": {"str"}, "str | None": {"str", "null"}, "int": {"int"}, "float": {"int", "float"},
     "float | None": {"int", "float", "null"}, "tuple": {"list"},
-    "PredictionSetSpec": {"object"}, "SurrogateConfig": {"object"}, "RoarConfig": {"object"},
+    "SurrogateConfig": {"object"}, "RoarConfig": {"object"},
 }
 
 
@@ -131,6 +133,17 @@ def test_config_refuses_wrong_json_types(field):
         if kind not in admitted:
             with pytest.raises(ConfigError, match=field.name):
                 ExperimentConfig.from_dict({field.name: value})
+    # each nested object's fields follow the same rule; surrogate.seed is
+    # refused as unread whatever its value
+    if field.type in ("SurrogateConfig", "RoarConfig"):
+        for inner in dataclasses.fields(SurrogateConfig if field.name == "surrogate"
+                                        else RoarConfig):
+            if (field.name, inner.name) == ("surrogate", "seed"):
+                continue
+            for kind, value in _JSON_VALUES.items():
+                if kind not in _ADMITS[inner.type]:
+                    with pytest.raises(ConfigError, match=f"{field.name}: {inner.name} must be"):
+                        ExperimentConfig.from_dict({field.name: {inner.name: value}})
 
 
 def test_config_from_json_file_errors(tmp_path):
@@ -151,7 +164,7 @@ def test_config_from_json_file_errors(tmp_path):
 
 def test_corner_predictions():
     base = ModelParams(weights=np.array([1.0, -0.5]), intercept=0.2)
-    preds = generate_predictions(PredictionSetSpec(), base, 0.3)
+    preds = generate_predictions((), base, 0.3)
     names = [name for name, _ in preds]
     assert names == ["base", "corner0", "corner1", "corner2", "corner3"]
     np.testing.assert_array_equal(preds[0][1].weights, base.weights)
@@ -165,7 +178,7 @@ def test_corner_predictions():
 
 def test_corner_predictions_higher_dim():
     base = ModelParams(weights=np.zeros(3), intercept=0.0)
-    preds = generate_predictions(PredictionSetSpec(), base, 0.2)
+    preds = generate_predictions((), base, 0.2)
     assert len(preds) == 5
     np.testing.assert_allclose(preds[3][1].weights, [0.2, -0.2, 0.2])
 
@@ -192,22 +205,16 @@ def test_epsilon_predictions():
 
 def test_explicit_predictions():
     base = ModelParams(weights=np.array([1.0]), intercept=0.0)
-    spec = PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(((1.2,), 0.1),))
-    preds = generate_predictions(spec, base, 0.3)
-    assert preds[0][0] == "pred0"
+    preds = generate_predictions((((1.2,), 0.1),), base, 0.3)
+    assert [name for name, _ in preds] == ["pred0"]
+    np.testing.assert_array_equal(preds[0][1].weights, [1.2])
+    assert preds[0][1].intercept == 0.1
     for outside in (((2.0,), 0.0), ((1.2,), 0.31)):
-        with pytest.raises(ConfigError, match="outside the model ball"):
-            generate_predictions(
-                PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(outside,)), base, 0.3
-            )
+        with pytest.raises(ConfigError, match="prediction 0 lies outside the model ball"):
+            generate_predictions((outside,), base, 0.3)
     # A wrong length is named as such, not as a model outside the ball.
     with pytest.raises(ConfigError, match="prediction 0 has 2 weights, the data have 1 features"):
-        generate_predictions(
-            PredictionSetSpec(mode=PredictionMode.EXPLICIT, explicit=(((1.0, 1.0), 0.0),)),
-            base, 0.3,
-        )
-    with pytest.raises(ConfigError, match="at least one model"):
-        generate_predictions(PredictionSetSpec(mode=PredictionMode.EXPLICIT), base, 0.3)
+        generate_predictions((((1.0, 1.0), 0.0),), base, 0.3)
 
 
 # ---------------------------------------------------------------- studies
@@ -482,7 +489,7 @@ def _check_tradeoff_rows_against_per_beta_reference(cfg):
             nbhd = Neighborhood(task.base, cfg.alpha)
             robust = optimal_robust_recourse(q, nbhd)
             x_roar = roar_recourse(q, nbhd, cfg.roar).x_prime
-            for name, pred in generate_predictions(cfg.prediction, task.base, cfg.alpha):
+            for name, pred in generate_predictions(cfg.predictions, task.base, cfg.alpha):
                 consistent = consistent_recourse(q, pred)
                 for beta in cfg.beta_grid:
                     bp = blended_recourse(TradeoffQuery(q, nbhd, pred, beta))
@@ -688,7 +695,7 @@ def test_study_solves_each_optimum_once(tmp_path, monkeypatch, study):
         for t in tasks:
             instances.append((t.x0.tobytes(), lam))
             if study == "pareto":
-                preds = [p for _, p in generate_predictions(cfg.prediction, t.base, cfg.alpha)]
+                preds = [p for _, p in generate_predictions(cfg.predictions, t.base, cfg.alpha)]
             else:  # the five epsilon predictions, then the correct model
                 nbhd = Neighborhood(t.base, cfg.smoothness_alpha)
                 correct = nbhd.clamp(correct_raw)
@@ -898,19 +905,21 @@ _BAD_MLP_FILES = {
         (["pareto"], {"n_points": True}),
         (["pareto"], {"roar": 5}),
         (["pareto"], {"surrogate": [64]}),
-        (["pareto"], {"prediction": "corner"}),
-        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"intercept": 0}]}}),
-        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [[1.0, 2.0]]}}),
-        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"weights": ["a", "b"]}]}}),
-        (["pareto"], {"prediction": {"mode": "explicit", "explicit": [{"weights": "12"}]}}),
-        (
-            ["pareto"],
-            {"n_points": 40, "k_folds": 2,
-             "prediction": {"mode": "explicit", "explicit": [{"weights": [1.0]}]}},
-        ),
-        (["smoothness"], {"prediction": {"epsilon": 0.01}}),
-        (["smoothness"], {"prediction": {"mode": "epsilon"}}),
-        (["pareto"], {"prediction": {"mode": "epsilon"}}),
+        (["pareto"], {"predictions": "corner"}),
+        (["pareto"], {"predictions": [{"intercept": 0}]}),
+        (["pareto"], {"predictions": [[1.0, 2.0]]}),
+        (["pareto"], {"predictions": [{"weights": ["a", "b"]}]}),
+        (["pareto"], {"predictions": [{"weights": "12"}]}),
+        (["pareto"], {"n_points": 40, "k_folds": 2, "predictions": [{"weights": [1.0]}]}),
+        (["smoothness"], {"predictions": [{"weights": [1.0, 1.0], "epsilon": 0.01}]}),
+        (["smoothness"], {"predictions": {"mode": "epsilon"}}),
+        (["pareto"], {"predictions": [{"mode": "epsilon"}]}),
+        (["pareto"], {"predictions": [{"weights": [True, False]}]}),
+        (["pareto"], {"predictions": [{"weights": [1.0, 1.0], "intercept": True}]}),
+        (["pareto"], {"predictions": [{"weights": []}]}),
+        (["pareto"], {"predictions": [{"weights": [float("nan"), 1.0]}]}),
+        (["pareto"], {"n_points": 40, "k_folds": 2, "predictions": [{"weights": [9, 9]}]}),
+        (["pareto"], {"prediction": {"mode": "corner", "explicit": [{"weights": [9, 9]}]}}),
         (["smoothness"], {"epsilon": "abc"}),
         (["smoothness"], {"epsilon": float("nan")}),
         (["smoothness"], {"epsilon": 1e308}),
@@ -935,6 +944,11 @@ _BAD_MLP_FILES = {
         (["pareto"], {"surrogate": {"stddev": "x"}}),
         (["pareto"], {"surrogate": {"ridge": float("nan")}}),
         (["pareto"], {"surrogate": {"width": float("nan")}}),
+        (["pareto"], {"surrogate": {"ridge": True}}),
+        (["pareto"], {"surrogate": {"width": True}}),
+        (["pareto"], {"roar": {"learning_rate": True}}),
+        (["pareto"], {"roar": {"tolerance": False}}),
+        (["pareto"], {"roar": {"tolerance": "1"}}),
         (
             ["pareto"],
             {"model_kind": "mlp", "mlp_weights": "net.json", "surrogate": {"n_samples": 2},
@@ -983,7 +997,9 @@ _BAD_MLP_FILES = {
         "surrogate-not-object", "prediction-not-object", "explicit-without-weights",
         "explicit-not-object", "explicit-text-weights", "explicit-string-weights",
         "explicit-wrong-dimension",
-        "prediction-epsilon", "smoothness-epsilon-mode", "pareto-epsilon-mode", "epsilon-text",
+        "prediction-epsilon", "smoothness-epsilon-mode", "pareto-epsilon-mode",
+        "predictions-bool-weights", "predictions-bool-intercept", "predictions-no-weights",
+        "predictions-nan-weight", "predictions-outside-ball", "old-prediction-key", "epsilon-text",
         "epsilon-nan", "epsilon-overflow", "epsilon-negative", "shift-text", "shift-nan",
         "beta-grid-number", "lambda-grid-null", "beta-grid-bools", "dataset-number",
         "mlp-weights-number", "shifted-dataset-number", "csv-without-shifted-dataset",
@@ -991,6 +1007,8 @@ _BAD_MLP_FILES = {
         "smoothness-alpha-bool", "surrogate-seed", "surrogate-text-samples",
         "surrogate-fractional-samples", "surrogate-zero-samples", "surrogate-nan-stddev",
         "surrogate-text-stddev", "surrogate-nan-ridge", "surrogate-nan-width",
+        "surrogate-bool-ridge", "surrogate-bool-width", "roar-bool-rate", "roar-bool-tolerance",
+        "roar-text-tolerance",
         "pareto-mlp-samples-below-features", "smoothness-mlp-samples-below-features",
         "mlp-weights-width", "mlp-weights-shifted-width", "shift-overflows-training",
         "mlp-weights-not-json", "mlp-weights-bad-shapes", "mlp-weights-no-layers",
@@ -1028,6 +1046,9 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
     assert captured.err.startswith("config error: ")
+    # every case but the old prediction key is refused for a value, not a key
+    if config is not None and "prediction" not in config:
+        assert "unknown config keys" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -1079,23 +1100,25 @@ def test_cli_oracle_check_small(capsys):
     assert abs(optimal_robust_recourse(q, nbhd).worst_case_total - val) <= 1e-6
 
 
-def test_cli_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["no-such-command"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["recourse", "--theta", "a,b", "--x0", "0.0"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["recourse", "--theta", "1,1", "--x0", "0,0", "--immutable", "1,x"])
-    assert exc.value.code == 2
+def test_cli_usage_errors(capsys):
+    # argparse's own errors, like every other bad input, are one stderr line
+    for argv in (["no-such-command"], [], ["recourse", "--theta", "a,b", "--x0", "0.0"],
+                 ["recourse", "--theta", "1,1", "--x0", "0,0", "--immutable", "1,x"],
+                 ["pareto", "--seed", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1, argv
+        assert captured.err.startswith("usage error: ")
     # the module's own entry point, with no subcommand
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [os.path.dirname(os.path.dirname(experiments.__file__)), os.environ.get("PYTHONPATH", "")]))
     run = subprocess.run([sys.executable, "-m", "robust_recourse.cli"], capture_output=True,
                          text=True, env=env, timeout=60)
     assert run.returncode == 2
-    assert "required: command" in run.stderr
+    assert run.stderr == "usage error: the following arguments are required: command\n"
 
 
 def test_cli_study_without_undesirable_instances_exits_2(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,18 @@
 import ast
 import contextlib
 import io
+import json
 import re
 import tokenize
 from pathlib import Path
 
+from robust_recourse.experiments import ExperimentConfig
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _python_blocks():
-    return re.findall(r"^```python\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
+def _blocks(lang):
+    return re.findall(rf"^```{lang}\n(.*?)^```$", README.read_text(encoding="utf-8"), re.M | re.S)
 
 
 def _comments(source):
@@ -22,7 +25,7 @@ def test_readme_python_runs_and_prints_what_its_comments_say():
     # The blocks run in order in one namespace, as a reader pastes them. A
     # print whose comment is a Python literal must print exactly that text.
     namespace, checked = {}, []
-    for block in _python_blocks():
+    for block in _blocks("python"):
         comments = _comments(block)
         for stmt in ast.parse(block).body:
             out = io.StringIO()
@@ -39,3 +42,11 @@ def test_readme_python_runs_and_prints_what_its_comments_say():
                 assert out.getvalue().strip() == expected
                 checked.append(expected)
     assert checked == ["[2.77258872]", "0.5004024235381879"]
+
+
+def test_readme_json_configs_load():
+    # every config README shows is one the harness accepts
+    configs = [json.loads(block) for block in _blocks("json")]
+    assert configs
+    for raw in configs:
+        ExperimentConfig.from_dict(raw)

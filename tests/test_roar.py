@@ -98,6 +98,9 @@ def test_config_validation():
         dict(tolerance=-1e-7),
         dict(tolerance=np.nan),
         dict(tolerance=np.inf),
+        dict(learning_rate=True),
+        dict(tolerance=False),
+        dict(tolerance="1"),
     ]
     for kw in bad:
         with pytest.raises(ValueError):

@@ -708,6 +708,13 @@ def test_config_validation():
         GridSpec(step=0.0)
     with pytest.raises(ValueError):
         GridSpec(refine_levels=-1)
+    # the settings type rule: a number is never a boolean or a string
+    for kw, message in ((dict(refine_levels=True), "refine_levels must be an integer"),
+                        (dict(refine_levels=2.0), "refine_levels must be an integer"),
+                        (dict(step="0.1"), "step must be a number or null"),
+                        (dict(half_range=False), "half_range must be a number")):
+        with pytest.raises(ValueError, match=message):
+            GridSpec(**kw)
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError):
             GridSpec(half_range=bad)

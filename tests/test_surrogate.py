@@ -50,6 +50,10 @@ def test_config_validation():
         SurrogateConfig(width=0.0)
     with pytest.raises(ValueError):
         SurrogateConfig(ridge=-1.0)
+    # a number is never a boolean or a string
+    for kw in (dict(ridge=True), dict(width=True), dict(stddev="1"), dict(n_samples=10.0)):
+        with pytest.raises(ValueError, match=f"{next(iter(kw))} must be"):
+            SurrogateConfig(**kw)
 
 
 def _mean_abs_prob_error(scorer, params, x0, rng):
