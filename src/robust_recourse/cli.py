@@ -193,11 +193,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DataError, TrainingDataError) as exc:
+    except (DataError, TrainingDataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

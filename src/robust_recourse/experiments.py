@@ -80,11 +80,10 @@ class ConfigError(ValueError):
     """Bad experiment configuration (unknown keys, invalid values, missing files)."""
 
 
-def _explicit_model(item: dict) -> tuple:
-    """(weights, intercept) of one listed prediction, from its config object."""
-    values = [*item["weights"], item.get("intercept", 0.0)]
-    if set(item) - {"weights", "intercept"} or any(
-            isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
+def _explicit_model(weights, intercept=0.0) -> tuple:
+    """(weights, intercept) of one listed prediction, as floats; raises if it is not a model."""
+    values = [*weights, intercept]
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in values):
         raise ValueError("not a model")
     model = ModelParams(np.array(values[:-1], dtype=float), values[-1])
     return tuple(model.weights.tolist()), model.intercept
@@ -96,6 +95,9 @@ DEFAULT_VALIDITY_ALPHAS = tuple(round(0.02 * i, 2) for i in range(1, 11))
 DEFAULT_VALIDITY_LAMBDAS = (0.05, 0.1, 0.2)
 _GRIDS = ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas")
 _MAX_EPSILON = np.finfo(float).max / 2.0
+_SECTIONS = (("surrogate", SurrogateConfig), ("roar", RoarConfig))
+_MODEL_RULE = ("predictions: each model must have a non-empty 'weights' list of finite numbers, "
+               "an optional finite 'intercept' and no other key")
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,14 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _check_json_types(self, ConfigError)
+        for name, typ in _SECTIONS:
+            if not isinstance(getattr(self, name), typ):
+                raise ConfigError(f"{name} must be a {typ.__name__}, got {getattr(self, name)!r}")
+        try:
+            models = tuple(_explicit_model(*model) for model in self.predictions)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(_MODEL_RULE) from None
+        object.__setattr__(self, "predictions", models)
         if self.model_kind not in ("glm", "mlp"):
             raise ConfigError(f"model_kind must be 'glm' or 'mlp', got {self.model_kind!r}")
         if not (0.0 <= self.alpha < np.inf and 0.0 <= self.smoothness_alpha < np.inf):
@@ -168,13 +178,10 @@ class ExperimentConfig:
         kwargs = dict(raw)
         if isinstance(kwargs.get("predictions"), list):  # else the type check refuses it
             try:
-                kwargs["predictions"] = tuple(_explicit_model(m) for m in kwargs["predictions"])
-            except (KeyError, TypeError, ValueError, OverflowError):
-                raise ConfigError(
-                    "predictions: each model must be an object with a non-empty 'weights' list "
-                    "of finite numbers, an optional finite 'intercept' and no other key"
-                ) from None
-        for key, typ in (("surrogate", SurrogateConfig), ("roar", RoarConfig)):
+                kwargs["predictions"] = tuple(_explicit_model(**m) for m in kwargs["predictions"])
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(_MODEL_RULE) from None
+        for key, typ in _SECTIONS:
             given = kwargs.get(key, {})
             if not isinstance(given, dict):
                 raise ConfigError(f"{key} must be an object, got {given!r}")

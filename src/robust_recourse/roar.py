@@ -34,6 +34,14 @@ against a loop that does all of it every iteration:
   the best so far, so it ends on the first minimum of all iterates. The block
   takes its own first minimum and keeps it only if strictly lower than the
   best of the earlier blocks.
+
+The bookkeeping's cost sums and step maxima reduce each iterate over its d
+features. Numpy reduces a short last axis one row at a time, so below 8
+features ``_reduce_columns`` adds (or takes maxima of) the columns in order,
+which is what numpy's reduce does there; from 8 up numpy sums pairwise, and
+the helper calls it. The adds start from +0.0, as numpy's do, so a row of
+only -0.0 sums to +0.0. The per-iteration score sum in ``scored`` stays on
+numpy's reduce: a one-row call would pay for d column operations per step.
 """
 
 from __future__ import annotations
@@ -60,6 +68,17 @@ __all__ = ["RoarConfig", "roar_recourse", "roar_recourse_batch"]
 # a block runs at most this many iterations and buffers about this many x entries
 _BLOCK_ITERS = 64
 _BLOCK_ELEMENTS = 16384
+
+
+def _reduce_columns(ufunc, a: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(a, axis=-1)`` bit for bit, as column operations below 8 columns."""
+    if a.shape[-1] >= 8:
+        return ufunc.reduce(a, axis=-1)
+    # numpy's short sum starts from +0.0, so a row of only -0.0 sums to +0.0
+    out = a[..., 0] + 0.0 if ufunc is np.add else a[..., 0].copy()
+    for j in range(1, a.shape[-1]):
+        ufunc(out, a[..., j], out=out)
+    return out
 
 
 @dataclass(frozen=True)
@@ -125,7 +144,7 @@ def roar_recourse_batch(
         return weights, (pts * weights).sum(axis=1) + b_eff
 
     def totals(s: np.ndarray, diff: np.ndarray) -> np.ndarray:
-        return eval_loss(loss, s) + lam * (np.abs(diff) * cost_w).sum(axis=-1)
+        return eval_loss(loss, s) + lam * _reduce_columns(np.add, np.abs(diff) * cost_w)
 
     # an iterate's weights, score and offset from x0 serve the next step; its
     # x, score and step wait in the block buffers for the bookkeeping
@@ -152,7 +171,7 @@ def roar_recourse_batch(
         # iterate i counts if its row was alive entering the block and every
         # earlier step of the block cleared the tolerance; a NaN total never
         # counts, as it is never strictly lower than the best
-        stepped = np.abs(steps[:n]).max(axis=2) > cfg.tolerance
+        stepped = _reduce_columns(np.maximum, np.abs(steps[:n])) > cfg.tolerance
         counted = np.logical_and.accumulate(np.vstack([alive, stepped[:-1]]), axis=0)
         vals = totals(ss[:n], xs[:n] - x0s)
         vals = np.where(counted & ~np.isnan(vals), vals, np.inf)

@@ -115,6 +115,23 @@ def test_config_from_dict_nested():
         ExperimentConfig.from_dict({"surrogate": {"seed": 3}})
 
 
+def test_config_built_in_python_checks_its_sections():
+    for name, value in (("surrogate", 5), ("roar", "x"), ("surrogate", RoarConfig()),
+                        ("roar", {"max_iters": 10})):
+        with pytest.raises(ConfigError, match=f"{name} must be a "):
+            ExperimentConfig(**{name: value})
+
+
+def test_config_built_in_python_checks_each_prediction():
+    # the rule from_dict applies to a listed model holds for a (weights, intercept) pair
+    for model in (((True, False), 0.0), ((1.0, 0.0), True), ((1.0, float("nan")), 0.0),
+                  ((), 0.0), ((1.0,), 0.0, 2.0), (1.0, 2.0), {"weights": [1.0]}):
+        with pytest.raises(ConfigError, match="predictions: each model"):
+            ExperimentConfig(predictions=(model,))
+    cfg = ExperimentConfig(predictions=[([1, 2], 0.5), ((0.5, 1.0), 0)])
+    assert cfg.predictions == (((1.0, 2.0), 0.5), ((0.5, 1.0), 0.0))
+
+
 # What each config field's annotation admits, as JSON values. A field with a
 # new annotation fails here until it is listed, and checked by the config.
 _JSON_VALUES = {"bool": True, "int": 5, "float": 2.5, "str": "x", "list": [0.5], "object": {},
@@ -1071,7 +1088,7 @@ def test_cli_bad_data_exits_3_with_one_line(tmp_path, capsys, data):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
-    assert captured.err.startswith("error: " if data is None else "data error: ")
+    assert captured.err.startswith("data error: ")
 
 
 def test_cli_gen_data_train_round_trip(tmp_path, capsys):

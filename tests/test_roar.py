@@ -16,6 +16,7 @@ from robust_recourse.roar import (
     _BLOCK_ELEMENTS,
     _BLOCK_ITERS,
     RoarConfig,
+    _reduce_columns,
     roar_recourse,
     roar_recourse_batch,
 )
@@ -175,6 +176,24 @@ def test_batch_inputs_must_match_the_stack_shape():
         assert (got[:, 0] == 0.0).all() and (got[:, 1] != 0.0).all()
 
 
+def test_column_reductions_equal_numpy_bytewise():
+    # below 8 columns the helper adds or takes maxima column by column; from 8
+    # up it is numpy's reduce. Zeros of both signs, infinities and NaN included
+    rng = np.random.default_rng(36)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    for width in range(1, 12):
+        for shape in ((50, width), (3, 40, width)):
+            a = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape)
+            pick = rng.random(shape) < 0.3
+            a[pick] = rng.choice(specials, int(pick.sum()))
+            a[..., 0, :] = -0.0  # numpy sums a row of only -0.0 to +0.0
+            with np.errstate(invalid="ignore"):  # inf - inf
+                pairs = [(_reduce_columns(np.add, a), a.sum(axis=-1)),
+                         (_reduce_columns(np.maximum, a), a.max(axis=-1))]
+            for got, want in pairs:
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def _reference_roar(x0s, lam, balls, cfg, loss, cost, mask):
     """The per-iteration loop: totals, best iterate and freeze after every step.
 
@@ -245,10 +264,16 @@ def test_blocks_match_the_per_iteration_loop_bitwise(offset):
     # 3e-2 freeze rows at the first iteration, mid-block and never
     rng = np.random.default_rng([34, offset + _BLOCK_ITERS])
     froze_at, mid_block = [], []
-    for trial in range(12):
+    for trial in range(14):
         loss = (LossKind.BCE, LossKind.SQUARED)[trial % 2]
-        # small stacks take the full block; the last trials cap it by size
-        m, d = (int(rng.integers(1, 9)), int(rng.integers(1, 5))) if trial < 9 else (30, 20)
+        # small stacks take the full block; trials 9-11 cap it by size; the
+        # last two run 7 and 8 features, either side of the column switch
+        if trial < 9:
+            m, d = int(rng.integers(1, 9)), int(rng.integers(1, 5))
+        elif trial < 12:
+            m, d = 30, 20
+        else:
+            m, d = int(rng.integers(1, 9)), trial - 5
         block = min(_BLOCK_ITERS, _BLOCK_ELEMENTS // (m * d))
         cfg = RoarConfig(
             learning_rate=float(rng.choice([0.01, 0.1])),
