@@ -118,7 +118,7 @@ class Dataset:
             raise DataError("dataset JSON needs 'features' and 'labels'")
         return cls(
             features=np.asarray(d["features"], dtype=float),
-            labels=np.asarray(d["labels"], dtype=int),
+            labels=d["labels"],
             feature_names=tuple(d.get("feature_names", ())),
         )
 

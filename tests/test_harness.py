@@ -626,7 +626,7 @@ def test_tradeoff_study_makes_one_roar_call(tmp_path, monkeypatch, case):
     # the ROAR baseline runs once per study, over every fold's rows in fold
     # order, each row with its fold's lambda and a ball around its own base
     if case == "synthetic":
-        cfg = ExperimentConfig(n_points=60, k_folds=3, seed=1, lambda_grid=(0.05, 0.6, 0.8),
+        cfg = ExperimentConfig(n_points=60, k_folds=3, seed=1, lambda_grid=(0.05, 1.3, 1.4),
                                beta_grid=(0.0, 1.0), roar=RoarConfig(max_iters=50),
                                out_dir=str(tmp_path / "out"))
     else:
@@ -1076,9 +1076,13 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
         json.dumps({"features": [[0.0, 1.0], [1.0, 0.0]], "labels": [1, 1]}),
         json.dumps({"features": [[], [], [], []], "labels": [0, 1, 0, 1]}),
         None,
+        json.dumps({"features": [[0.0], [1.0]], "labels": [0.7, 1]}),
+        json.dumps({"features": [[0.0], [1.0]], "labels": [0, 1.5]}),
+        json.dumps({"features": [[0.0], [1.0]], "labels": ["1", 0]}),
     ],
     ids=["train-not-json", "train-not-a-dataset", "train-single-class", "train-no-columns",
-         "train-missing-file"],
+         "train-missing-file", "train-fractional-label", "train-label-above-1",
+         "train-string-label"],
 )
 def test_cli_bad_data_exits_3_with_one_line(tmp_path, capsys, data):
     path = tmp_path / "data.json"

@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from robust_recourse.data import SyntheticSpec, generate_synthetic
+from robust_recourse import experiments
+from robust_recourse.data import SyntheticSpec, generate_synthetic, kfold
+from robust_recourse.experiments import (
+    ExperimentConfig,
+    _correct_prediction_models,
+    _load_base_dataset,
+    _prepare_fold,
+)
 from robust_recourse.glm import ModelParams, score, sigmoid
 from robust_recourse import models
 from robust_recourse.models import (
@@ -64,22 +71,88 @@ def test_fit_logistic_overflow_is_training_data_error():
         fit_logistic(feats, np.array([1, 1, 0, 0]))
 
 
+def _penalised_gradient(features, labels, params):
+    xb = np.hstack([features, np.ones((len(labels), 1))])
+    theta = np.append(params.weights, params.intercept)
+    grad = xb.T @ (sigmoid(xb @ theta) - labels) / len(labels)
+    grad[:-1] += models.L2_PENALTY * params.weights
+    return grad
+
+
 def test_fit_logistic_loss_monotone():
     ds = generate_synthetic(SyntheticSpec(n_points=200, seed=6))
-    _, losses = fit_logistic(ds.features, ds.labels)
-    assert losses.size == models.MAX_EPOCHS + 1
+    params, losses = fit_logistic(ds.features, ds.labels)
+    assert np.abs(_penalised_gradient(ds.features, ds.labels, params)).max() <= models.TOLERANCE
     assert (np.diff(losses) <= 1e-12).all()
 
 
 def test_fit_logistic_halves_a_step_that_raises_the_loss(monkeypatch):
-    # at this scale a full first step overshoots on overlapping classes
-    feats, labs = np.array([[1.0], [2.0], [3.0], [4.0]]) * 100.0, np.array([0, 1, 0, 1])
+    # on these separable points the eighth full Newton step overshoots
+    feats = np.array([[1.0, -1.0], [1.0, 2.0], [2.0, -3.0], [-2.0, 0.0], [0.0, 3.0]])
+    labs = np.array([1, 1, 1, 0, 0])
     evaluated = []
     loss = models._mean_bce_loss
     monkeypatch.setattr(models, "_mean_bce_loss", lambda *a: evaluated.append(1) or loss(*a))
     _, losses = fit_logistic(feats, labs)
     assert len(evaluated) > losses.size  # a rejected candidate costs one more evaluation
     assert (np.diff(losses) <= 1e-12).all()
+
+
+def test_fit_logistic_converges_on_every_acceptance_fixture_fold(monkeypatch):
+    # pareto and validity fit the same base models at n=400; smoothness fits
+    # its base models and its shifted correct-prediction models at n=200
+    grads = []
+
+    def spy(features, labels):
+        params, _ = fit_logistic(features, labels)
+        grads.append(np.abs(_penalised_gradient(features, labels, params)).max())
+        return params
+
+    monkeypatch.setattr(experiments, "train_logistic", spy)
+    for n_points in (400, 200):
+        cfg = ExperimentConfig(n_points=n_points, k_folds=5)
+        ds = _load_base_dataset(cfg)
+        plan = kfold(ds.n, cfg.k_folds, cfg.seed)
+        for fold in range(plan.k):
+            _prepare_fold(cfg, ds, plan, fold)
+            if n_points == 200:
+                _correct_prediction_models(cfg, ds, plan, fold)
+    assert len(grads) == 15
+    assert max(grads) <= models.TOLERANCE
+
+
+def test_fit_logistic_fuzz_raises_only_training_data_errors(monkeypatch):
+    # on huge features every p(1 - p) can round to 0, which leaves the Hessian
+    # singular; the first case does that, and the step falls back to the gradient
+    solve, singular = np.linalg.solve, []
+
+    def spy(a, b):
+        try:
+            return solve(a, b)
+        except np.linalg.LinAlgError:
+            singular.append(a)
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", spy)
+    rng = np.random.default_rng(23)
+    cases = [(np.array([[-2.0, -1.0], [-1.0, -2.0]]) * 1e6, np.array([0, 1]))]
+    for _ in range(400):
+        n, d = rng.integers(2, 12), rng.integers(1, 4)
+        feats = rng.integers(-3, 4, (n, d)) * 10.0 ** rng.uniform(-3, 6)
+        cases.append((feats, rng.integers(0, 2, n)))
+    for feats, labs in cases:
+        try:
+            _, losses = fit_logistic(feats, labs)
+        except TrainingDataError:
+            continue
+        assert (np.diff(losses) <= 1e-12).all()
+    assert singular
+
+
+@pytest.mark.parametrize("labels", [[-1, 1, -1, 1], [0, 2, 0, 2], [0, 0.7, 0, 1]])
+def test_fit_logistic_refuses_labels_other_than_0_and_1(labels):
+    with pytest.raises(TrainingDataError, match="labels must be 0 or 1"):
+        fit_logistic(np.array([[1.0], [2.0], [3.0], [4.0]]), np.array(labels))
 
 
 def test_fit_logistic_stops_once_the_gradient_is_within_tolerance():
