@@ -75,8 +75,10 @@ class Dataset:
     feature_names: tuple = ()
 
     def __post_init__(self) -> None:
-        feats = np.asarray(self.features, dtype=float)
-        labs = np.asarray(self.labels)
+        try:
+            feats, labs = np.asarray(self.features, dtype=float), np.asarray(self.labels)
+        except (TypeError, ValueError) as exc:  # ragged or non-numeric
+            raise DataError(f"features and labels must be numeric arrays: {exc}") from None
         if feats.ndim != 2 or feats.shape[1] == 0:
             raise DataError("features must be a 2-D matrix with at least one column")
         if labs.shape != (feats.shape[0],):
@@ -116,11 +118,7 @@ class Dataset:
             raise DataError(f"dataset is not valid JSON: {exc}") from None
         if not isinstance(d, dict) or not {"features", "labels"} <= d.keys():
             raise DataError("dataset JSON needs 'features' and 'labels'")
-        return cls(
-            features=np.asarray(d["features"], dtype=float),
-            labels=d["labels"],
-            feature_names=tuple(d.get("feature_names", ())),
-        )
+        return cls(d["features"], d["labels"], tuple(d.get("feature_names", ())))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ network training is out of scope.
 from __future__ import annotations
 
 import json
+import logging
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -127,6 +128,7 @@ def predict_label(scorer: BlackBoxScorer, x) -> int:
 # The logistic fit's L2 penalty on the weights, the gradient tolerance (largest
 # absolute component) at which it stops, and a guard on its Newton step count.
 L2_PENALTY, TOLERANCE, MAX_STEPS = 1e-4, 1e-6, 100
+_log = logging.getLogger("robust_recourse")
 
 
 def _mean_bce_loss(theta: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> float:
@@ -145,8 +147,9 @@ def fit_logistic(features, labels):
     the recorded losses are non-increasing, and one that cannot lower it
     ends the fit. The fit stops once no gradient component exceeds
     ``TOLERANCE``, 10-11 steps on the synthetic data; ``MAX_STEPS`` only
-    guards the loop. Returns the parameters and that loss history. Labels
-    other than 0 and 1 and features that overflow raise TrainingDataError.
+    guards the loop. An unconverged fit is logged as a warning. Returns the
+    parameters and that loss history. Labels other than 0 and 1 and
+    features that overflow raise TrainingDataError.
     """
     x = np.asarray(features, dtype=float)
     y = np.asarray(labels).ravel()
@@ -169,10 +172,11 @@ def fit_logistic(features, labels):
     try:
         with np.errstate(over="raise", invalid="raise"):
             losses = [_mean_bce_loss(theta, xb, y, L2_PENALTY)]
-            for _ in range(MAX_STEPS):
+            for steps in range(MAX_STEPS + 1):
                 p = sigmoid(xb @ theta)
                 grad = xb.T @ (p - y) / n + penalty * theta
-                if float(np.max(np.abs(grad))) <= TOLERANCE:
+                grad_max = float(np.max(np.abs(grad)))
+                if grad_max <= TOLERANCE or steps == MAX_STEPS:
                     break
                 hessian = (xb.T * (p * (1.0 - p))) @ xb / n + np.diag(penalty)
                 try:
@@ -190,7 +194,9 @@ def fit_logistic(features, labels):
                 losses.append(cand_loss)
     except FloatingPointError as exc:
         raise TrainingDataError(f"logistic fit overflowed: {exc}") from None
-
+    if grad_max > TOLERANCE:
+        _log.warning("logistic fit stopped unconverged after %d steps: max |gradient| %.3g",
+                     steps, grad_max)
     return ModelParams(theta[:-1], theta[-1]), np.asarray(losses)
 
 

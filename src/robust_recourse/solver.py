@@ -5,12 +5,16 @@ an L-infinity ball of models for many rows at once, each with its own
 start, lam, ball and immutable mask, in one lockstep loop of greedy
 coordinate moves (``_greedy_rows``). Each row keeps its worst-case model in
 closed form, moves the coordinate with the largest cost-adjusted weight
-magnitude, and solves that one-dimensional subproblem exactly
-(``solve_coordinate_step``: a closed-form logit for BCE, a comparison of the
-piece candidates for the squared loss). A move through zero stops there and
-hands off to the far orthant's worst-case weight, or retires the coordinate
-when that weight cannot keep helping. ``optimal_robust_recourse`` is the
-one-row case; its plan's trace records every applied move.
+magnitude, and solves that one-dimensional subproblem in closed form
+(``solve_coordinate_step``). A move through zero stops there and hands off
+to the far orthant's worst-case weight, or retires the coordinate when that
+weight cannot keep helping. ``optimal_robust_recourse`` is the one-row case;
+its plan's trace records every applied move.
+
+The loop is exact for a loss convex in the score. The clamped squared loss
+``min((1 - s)_+^2, 1)`` is flat at 1 for scores <= 0, so the loop solves its
+convex part ``(1 - s)_+^2`` and a row whose start scores <= 0 (total 1)
+keeps x0 unless that plan totals less.
 
 Each pass picks every live row's coordinate and score in numpy, then takes
 each row's step in Python. The step stays scalar so that its BCE logit is
@@ -152,23 +156,21 @@ def solve_coordinate_step(
 ) -> tuple[float, bool]:
     """Best nonnegative move along one coordinate, in unit-cost steps.
 
-    Minimizes eval_loss(loss, s0 + slope * t) + lam * t over t >= 0, where
-    ``slope`` is the coordinate's weight magnitude divided by its cost
-    weight, so one unit of t costs exactly lam. Returns (t, saturated);
-    saturated means the loss had no finite minimizer (lam too small for BCE)
-    and t was chosen to push the score to SCORE_CAP. For BCE the interior
-    optimum is closed form: the stationarity condition
-    slope * sigmoid(-(s0 + slope * t)) = lam solves to a logit.
+    Minimizes L(s0 + slope * t) + lam * t over t >= 0, where L is BCE or the
+    squared loss's convex part (1 - s)_+^2 and ``slope`` is the coordinate's
+    weight magnitude divided by its cost weight, so one unit of t costs
+    exactly lam. Returns (t, saturated); saturated means the loss had no
+    finite minimizer (lam too small for BCE) and t was chosen to push the
+    score to SCORE_CAP. Each interior optimum is closed form: the stationary
+    score is a logit for BCE and 1 - lam / (2 slope) for (1 - s)_+^2.
     """
     if slope <= 0.0:
         return 0.0, False
 
     if loss is LossKind.BCE:
-        if s0 >= SCORE_CAP:
-            return 0.0, False
         # Marginal loss reduction at t=0 is slope * sigmoid(-s0); below lam
         # the cost term wins immediately.
-        if lam >= slope * sigmoid(-s0):
+        if s0 >= SCORE_CAP or lam >= slope * sigmoid(-s0):
             return 0.0, False
         if lam <= 0.0 or lam / slope < sigmoid(-SCORE_CAP):
             return (SCORE_CAP - s0) / slope, True
@@ -176,26 +178,7 @@ def solve_coordinate_step(
         return max(0.0, (target - s0) / slope), False
 
     if loss is LossKind.SQUARED:
-        # Piecewise: flat loss 1 below score 0, parabola on (0, 1), flat 0
-        # beyond. Not convex through the lower kink, so compare candidates.
-        if s0 >= 1.0:
-            return 0.0, False
-        candidates = [0.0]
-        t_full = (1.0 - s0) / slope  # reach score 1, loss 0
-        candidates.append(t_full)
-        s_station = 1.0 - lam / (2.0 * slope)
-        if max(s0, 0.0) < s_station < 1.0:
-            candidates.append((s_station - s0) / slope)
-        best_t = 0.0
-        best_val = eval_loss(loss, s0)
-        for t in candidates:
-            if t <= 0.0:
-                continue
-            val = eval_loss(loss, s0 + slope * t) + lam * t
-            if val < best_val - 1e-15:
-                best_val = val
-                best_t = t
-        return best_t, False
+        return max(0.0, (1.0 - lam / (2.0 * slope) - s0) / slope), False
 
     raise ValueError(f"unknown loss {loss!r}")
 
@@ -334,7 +317,8 @@ def _greedy_rows(rows: _Rows, loss: LossKind) -> tuple:
     traces = [[] for _ in range(m)]
     saturated = [False] * m
     live = list(range(m))
-    for _ in range(2 * d + 2):
+    low = []  # squared-loss rows that start at a score <= 0, where the loss is 1
+    for k in range(2 * d + 2):
         if not live:
             break
         if len(live) == m:
@@ -350,6 +334,12 @@ def _greedy_rows(rows: _Rows, loss: LossKind) -> tuple:
             if slope <= 0.0:
                 continue  # no active coordinate, or none that can help
             t, sat = solve_coordinate_step(lams[r], s_cur, slope, loss)
+            if k == 0 and s_cur <= 0.0 and loss is LossKind.SQUARED:
+                # No plan raises the concave worst-case score faster than this
+                # slope per unit cost, so if this move totals 1 or more, so do all.
+                if max(1.0 - (s_cur + slope * t), 0.0) ** 2 + lams[r] * t >= 1.0:
+                    continue
+                low.append(r)
             if t <= STEP_TOLERANCE:
                 # All other active slopes are no larger, so their steps from
                 # this score are zero too; sub-tolerance steps are rounding noise.
@@ -373,6 +363,11 @@ def _greedy_rows(rows: _Rows, loss: LossKind) -> tuple:
                 saturated[r] = saturated[r] or sat
                 traces[r].append(TraceStep(j, direction * move, False))
             live.append(r)
+    if low:
+        # The clamped optimum is the convex plan or x0, whichever totals less.
+        for r, total in zip(low, _worst(rows.take(low), loss, x[low])[1].tolist()):
+            if total >= 1.0:
+                x[r], traces[r] = rows.x0[r], []
     return x, [tuple(t) for t in traces], saturated
 
 

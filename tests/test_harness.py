@@ -858,6 +858,17 @@ def test_cli_recourse_worked_instance(capsys):
     assert payload["worst_case_total"] == pytest.approx(0.5004024235381879, abs=1e-9)
 
 
+def test_cli_recourse_squared_loss_stays_at_a_start_that_no_move_beats(capsys):
+    # x0 scores below 0 in the worst case, so it totals the clamped loss's 1;
+    # the best plan of the convex part crosses to 0 and totals 1.55 there
+    argv = ["recourse", "--theta=-0.395", "--intercept", "0.107", "--x0", "1.834",
+            "--alpha", "0.5", "--lam", "0.3", "--loss", "squared"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload == {"x_prime": [1.834], "l1_cost": 0.0, "worst_case_total": 1.0,
+                       "saturated": False, "trace": []}
+
+
 def test_cli_recourse_immutable_and_out(tmp_path, capsys):
     out = tmp_path / "plan.json"
     code = main(
@@ -1079,10 +1090,15 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
         json.dumps({"features": [[0.0], [1.0]], "labels": [0.7, 1]}),
         json.dumps({"features": [[0.0], [1.0]], "labels": [0, 1.5]}),
         json.dumps({"features": [[0.0], [1.0]], "labels": ["1", 0]}),
+        json.dumps({"features": [[0.0, 1.0], [1.0]], "labels": [0, 1]}),
+        json.dumps({"features": "ab", "labels": [0, 1]}),
+        json.dumps({"features": [[0.0], [1.0]], "labels": [0, [1]]}),
+        json.dumps({"features": {"x0": [0.0, 1.0]}, "labels": [0, 1]}),
     ],
     ids=["train-not-json", "train-not-a-dataset", "train-single-class", "train-no-columns",
          "train-missing-file", "train-fractional-label", "train-label-above-1",
-         "train-string-label"],
+         "train-string-label", "train-ragged-features", "train-string-features",
+         "train-ragged-labels", "train-object-features"],
 )
 def test_cli_bad_data_exits_3_with_one_line(tmp_path, capsys, data):
     path = tmp_path / "data.json"

@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -98,9 +99,10 @@ def test_fit_logistic_halves_a_step_that_raises_the_loss(monkeypatch):
     assert (np.diff(losses) <= 1e-12).all()
 
 
-def test_fit_logistic_converges_on_every_acceptance_fixture_fold(monkeypatch):
+def test_fit_logistic_converges_on_every_acceptance_fixture_fold(monkeypatch, caplog):
     # pareto and validity fit the same base models at n=400; smoothness fits
     # its base models and its shifted correct-prediction models at n=200
+    caplog.set_level(logging.WARNING, logger="robust_recourse")
     grads = []
 
     def spy(features, labels):
@@ -119,6 +121,20 @@ def test_fit_logistic_converges_on_every_acceptance_fixture_fold(monkeypatch):
                 _correct_prediction_models(cfg, ds, plan, fold)
     assert len(grads) == 15
     assert max(grads) <= models.TOLERANCE
+    assert caplog.records == []
+
+
+def test_fit_logistic_warns_when_it_stops_above_tolerance(caplog):
+    # every Hessian of this case is singular, and the gradient fallback creeps
+    # for all MAX_STEPS steps; the fit is returned as it is, with a warning
+    feats, labs = np.array([[-2.0, -1.0], [-1.0, -2.0]]) * 1e6, np.array([0, 1])
+    with caplog.at_level(logging.WARNING, logger="robust_recourse"):
+        params, losses = fit_logistic(feats, labs)
+    grad = np.abs(_penalised_gradient(feats, labs, params)).max()
+    assert grad > 1e3 * models.TOLERANCE and len(losses) == models.MAX_STEPS + 1
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("robust_recourse", "WARNING", f"logistic fit stopped unconverged after "
+         f"{models.MAX_STEPS} steps: max |gradient| {grad:.3g}")]
 
 
 def test_fit_logistic_fuzz_raises_only_training_data_errors(monkeypatch):

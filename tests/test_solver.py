@@ -93,18 +93,24 @@ def test_step_saturates_at_zero_lam():
     assert t == pytest.approx(SCORE_CAP / 0.5)
 
 
+def _convex_squared(s):
+    """The squared loss's convex part (1 - s)_+^2, which the solver minimizes."""
+    return np.square(np.maximum(1.0 - np.asarray(s, dtype=float), 0.0))
+
+
 def test_step_squared_matches_dense_grid():
+    # the step minimizes the convex part, not the clamped loss: below score 0
+    # the two differ, and only the convex part has one stationary score
     rng = np.random.default_rng(1)
     for _ in range(60):
         lam = float(rng.uniform(0.0, 1.5))
         s0 = float(rng.uniform(-2.0, 2.0))
         slope = float(rng.uniform(0.05, 2.0))
         t, sat = solve_coordinate_step(lam, s0, slope, loss=LossKind.SQUARED)
-        assert not sat
+        assert not sat and t >= 0.0
         ts = np.linspace(0.0, (2.5 - min(s0, 0.0)) / slope, 400_001)
-        vals = eval_loss(LossKind.SQUARED, s0 + slope * ts) + lam * ts
-        best = float(vals.min())
-        got = eval_loss(LossKind.SQUARED, s0 + slope * t) + lam * t
+        best = float((_convex_squared(s0 + slope * ts) + lam * ts).min())
+        got = float(_convex_squared(s0 + slope * t)) + lam * t
         assert got <= best + 1e-9
 
 
@@ -291,11 +297,17 @@ def _reference_step(lam, s0, slope, loss):
             return (SCORE_CAP - s0) / slope, True
         p = 1.0 - lam / slope
         return max(0.0, (math.log(p / (1.0 - p)) - s0) / slope), False
-    return solve_coordinate_step(lam, s0, slope, loss)  # the squared loss has no log
+    # the squared loss's convex part (1 - s)_+^2 is stationary at 1 - lam / (2 slope)
+    return max(0.0, (1.0 - lam / (2.0 * slope) - s0) / slope), False
 
 
 def _reference_robust(q, n):
     """One query solved by a scalar greedy loop with per-row ``x @ adv`` scores.
+
+    The squared loss is solved as its convex part (1 - s)_+^2. A start scoring
+    at most 0 totals exactly 1, and its row stays at x0 when (a) the first
+    move's convex total is at least 1, or (b) the finished plan's clamped
+    worst-case total is at least 1.
 
     Returns (x', trace, saturated, l1 cost, worst-case total), the costs from
     ``weighted_l1`` and ``eval_total_cost`` against ``best_response``.
@@ -310,14 +322,19 @@ def _reference_robust(q, n):
                 adv[i] = base[i] - alpha * sign(base[i])
             else:
                 active[i] = False
-    trace, saturated = [], False
-    for _ in range(2 * d + 2):
+    trace, saturated, low = [], False, False
+    for k in range(2 * d + 2):
         slopes = np.where(active, np.abs(adv) / cost_w, -np.inf)
         j = int(np.argmax(slopes))
         slope = float(slopes[j])
         if slope <= 0.0:
             break
-        t, sat = _reference_step(q.lam, float(x @ adv + n.worst_intercept), slope, q.loss)
+        s_cur = float(x @ adv + n.worst_intercept)
+        t, sat = _reference_step(q.lam, s_cur, slope, q.loss)
+        if k == 0 and s_cur <= 0.0 and q.loss is LossKind.SQUARED:
+            low = True
+            if float(_convex_squared(s_cur + slope * t)) + q.lam * t >= 1.0:  # test (a)
+                break
         if t <= solver.STEP_TOLERANCE:
             break
         direction, move = sign(adv[j]), t / cost_w[j]
@@ -333,6 +350,8 @@ def _reference_robust(q, n):
             x[j] += direction * move
             saturated = saturated or sat
             trace.append((j, float(direction * move), False))
+    if low and eval_total_cost(q, x, best_response(n, x)) >= 1.0:  # test (b)
+        x, trace = q.x0.copy(), []
     total = eval_total_cost(q, x, best_response(n, x))
     return x, tuple(trace), saturated, weighted_l1(q, x), total
 
@@ -355,9 +374,9 @@ def _random_stack(rng, loss):
 
 
 def test_stacked_rows_equal_one_row_calls_and_reference_bitwise():
-    # both losses; squared-loss rows keep the clamped loss's plans, stalls included
+    # both losses; squared-loss rows solve the convex part, or stay at x0
     rng = np.random.default_rng(15)
-    seen = {"crossing": 0, "saturated": 0, "moves": 0}
+    seen = {"crossing": 0, "saturated": 0, "moves": 0, "stayed": 0}
     for k in range(300):
         loss = (LossKind.BCE, LossKind.SQUARED)[k % 2]
         x0s, lam, balls, masks, cost = _random_stack(rng, loss)
@@ -376,15 +395,17 @@ def test_stacked_rows_equal_one_row_calls_and_reference_bitwise():
             seen["crossing"] += any(up for _, _, up in trace)
             seen["saturated"] += saturated
             seen["moves"] += len(trace)
+            seen["stayed"] += loss is LossKind.SQUARED and not trace and total == 1.0
     assert min(seen.values()) > 0
-    # the squared-loss worked case stays at x0 = 0 with total 1.537, as one row of a stack
+    # the squared-loss worked case: its first move crosses zero, and the plan
+    # there totals 1.537 against x0's 1, so test (b) keeps x0, in a stack and alone
     worked = _query([1.834], 0.3, loss=LossKind.SQUARED, cost=CostSpec([0.976]))
     ball = _nbhd([-0.395], 0.5, intercept=0.107)
     stack = optimal_robust_recourse_batch(np.array([[1.834], [-1.0]]), 0.3, ball,
                                           LossKind.SQUARED, CostSpec([0.976]))
     plan = optimal_robust_recourse(worked, ball)
-    assert stack[0, 0] == plan.x_prime[0] == 0.0
-    assert plan.worst_case_total == pytest.approx(1.537, abs=1e-3)
+    assert stack[0, 0] == plan.x_prime[0] == 1.834
+    assert (plan.l1_cost, plan.worst_case_total, plan.trace, plan.saturated) == (0.0, 1.0, (), False)
 
 
 def test_stacked_bce_steps_keep_the_scalar_logit():
@@ -652,13 +673,9 @@ def test_oracle_never_enumerates_corners(monkeypatch):
     assert abs(val - plan.worst_case_total) <= 1e-6
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the clamped squared loss is flat at 1 for scores <= 0, so the "
-    "objective is not convex and the coordinate steps stall; the fix solves the convex "
-    "(1 - s)_+^2 part and compares it with staying at x0",
-)
 def test_squared_loss_solver_matches_dense_grid():
+    # every combination the CLI takes: cost weights, immutable masks, zeros in
+    # x0 and both intercept modes
     rng = np.random.default_rng(5)
     gaps = []
     for _ in range(150):
@@ -668,9 +685,11 @@ def test_squared_loss_solver_matches_dense_grid():
         weights = rng.uniform(-3.0, 3.0, d)
         intercept = float(rng.uniform(-1.0, 1.0))
         x0 = rng.uniform(-3.0, 3.0, d)
+        x0[rng.random(d) < 0.2] = 0.0
+        mask = rng.random(d) < 0.2
         cost = CostSpec(rng.uniform(0.5, 2.0, d))
         n = _nbhd(weights, alpha, intercept=intercept, perturb_intercept=bool(rng.integers(2)))
-        q = _query(x0, lam, loss=LossKind.SQUARED, cost=cost)
+        q = _query(x0, lam, loss=LossKind.SQUARED, cost=cost, immutable_mask=mask)
         plan = optimal_robust_recourse(q, n)
         # The loss is at most 1, so no optimum lies beyond 1 / (lam * c_i) of x0.
         # The grid value bounds the minimum from above: a narrower window or a
