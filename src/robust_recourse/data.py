@@ -87,12 +87,13 @@ class Dataset:
             raise DataError("features contain non-finite entries")
         if not np.isin(labs, (0, 1)).all():
             raise DataError("labels must be 0 or 1")
+        names, d = self.feature_names, feats.shape[1]
+        if not (isinstance(names, (tuple, list)) and len(names) in (0, d)
+                and all(isinstance(name, str) for name in names)):
+            raise DataError(f"feature_names must be a list of {d} strings, got {names!r}")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labs.astype(int))
-        if not self.feature_names:
-            object.__setattr__(
-                self, "feature_names", tuple(f"x{i}" for i in range(feats.shape[1]))
-            )
+        object.__setattr__(self, "feature_names", tuple(names) or tuple(f"x{i}" for i in range(d)))
 
     @property
     def n(self) -> int:
@@ -118,7 +119,7 @@ class Dataset:
             raise DataError(f"dataset is not valid JSON: {exc}") from None
         if not isinstance(d, dict) or not {"features", "labels"} <= d.keys():
             raise DataError("dataset JSON needs 'features' and 'labels'")
-        return cls(d["features"], d["labels"], tuple(d.get("feature_names", ())))
+        return cls(d["features"], d["labels"], d.get("feature_names", ()))
 
 
 @dataclass(frozen=True)

@@ -347,7 +347,7 @@ def _prepare_fold(cfg: ExperimentConfig, ds: Dataset, plan, fold: int):
             raise ConfigError(f"surrogate.n_samples must be at least {ds.dim + 1} for {ds.dim} "
                               f"features, got {cfg.surrogate.n_samples}")
         source = scorer = MlpScorer(_load_mlp(cfg.mlp_weights, ds.dim))
-    keep = [i for i, x in enumerate(x_test) if predict_label(scorer, x) == 0]
+    keep = np.flatnonzero(predict_label(scorer, x_test) == 0).tolist()
     return scorer, x_test[keep], [_local_model(cfg, source, x_test[i], fold, i) for i in keep]
 
 

@@ -190,14 +190,19 @@ class RecourseQuery:
         return int(self.x0.size)
 
 
-def score(params: ModelParams, x) -> float:
-    """Linear score weights . x + intercept."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if x.size != params.dim:
+def score(params: ModelParams, x):
+    """Linear score weights . x + intercept per row of an (n, d) stack, a float for a point.
+
+    The row dots are a stacked ``matmul`` on a C-contiguous copy, bitwise ``weights @ row``.
+    """
+    x = np.asarray(x, dtype=float)
+    rows = np.ascontiguousarray(np.atleast_2d(x))
+    if rows.shape[1] != params.dim:
         raise DimensionMismatchError(
-            f"model has {params.dim} weights, input has {x.size} features"
+            f"model has {params.dim} weights, input has {rows.shape[1]} features"
         )
-    return float(params.weights @ x + params.intercept)
+    scores = np.matmul(rows[:, None, :], params.weights[:, None])[:, 0, 0] + params.intercept
+    return float(scores[0]) if x.ndim < 2 else scores
 
 
 def eval_loss(loss: LossKind, s):

@@ -37,18 +37,18 @@ class TrainingDataError(ValueError):
 
 @runtime_checkable
 class BlackBoxScorer(Protocol):
-    """Anything that maps a feature vector to a probability of the desirable label."""
+    """Maps an (n, d) stack to its n probabilities of the desirable label, a point to a float."""
 
-    def probability(self, x) -> float: ...
+    def probability(self, x): ...
 
 
 @dataclass(frozen=True)
 class GlmScorer:
-    """Probability as the logistic sigmoid of the linear score."""
+    """Probability as the logistic sigmoid of the linear score, per row of a stack."""
 
     params: ModelParams
 
-    def probability(self, x) -> float:
+    def probability(self, x):
         return sigmoid(score(self.params, x))
 
 
@@ -93,36 +93,42 @@ class MlpWeights:
         return cls(tuple((layer["w"], layer["b"]) for layer in spec["layers"]))
 
 
-def mlp_forward(weights: MlpWeights, x) -> float:
-    """Rectifier hidden layers, sigmoid output; returns a probability."""
-    h = np.atleast_1d(np.asarray(x, dtype=float))
+def mlp_forward(weights: MlpWeights, x):
+    """Rectifier hidden layers, sigmoid output: each row's probability, a float for a point.
+
+    Each layer is one stacked mat-vec on a C-contiguous copy, bitwise each row's own forward.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.ascontiguousarray(np.atleast_2d(x))
     n_layers = len(weights.layers)
     for idx, (w, b) in enumerate(weights.layers):
-        if h.size != w.shape[1]:
+        if h.shape[1] != w.shape[1]:
             raise ValueError(
-                f"layer {idx} expects {w.shape[1]} inputs, got {h.size}"
+                f"layer {idx} expects {w.shape[1]} inputs, got {h.shape[1]}"
             )
-        h = w @ h + b
+        h = np.matmul(w, h[:, :, None])[:, :, 0] + b
         if idx < n_layers - 1:
             h = np.maximum(h, 0.0)
-    return sigmoid(float(h[0]))
+    probs = sigmoid(h[:, 0])
+    return float(probs[0]) if x.ndim < 2 else probs
 
 
 @dataclass(frozen=True)
 class MlpScorer:
     weights: MlpWeights
 
-    def probability(self, x) -> float:
+    def probability(self, x):
         return mlp_forward(self.weights, x)
 
 
-def predict_label(scorer: BlackBoxScorer, x) -> int:
-    """1 iff the probability of the desirable label is at least 0.5.
+def predict_label(scorer: BlackBoxScorer, x):
+    """1 iff the probability of the desirable label is at least 0.5: per row, an int for a point.
 
     The boundary itself counts as desirable: recourse targets score
     crossings and the sigmoid maps score 0 to probability exactly 0.5.
     """
-    return 1 if scorer.probability(x) >= 0.5 else 0
+    labels = (np.asarray(scorer.probability(x)) >= 0.5).astype(int)
+    return int(labels) if labels.ndim == 0 else labels
 
 
 # The logistic fit's L2 penalty on the weights, the gradient tolerance (largest

@@ -49,9 +49,10 @@ def fit_local_linear(
 ) -> ModelParams:
     """Weighted ridge fit of clamped logits on perturbations of ``x0``.
 
-    Deterministic given the config seed. Raises TrainingDataError when the
-    sampled design is degenerate (all samples identical) or the weighted
-    normal equations are singular.
+    The scorer scores all samples in one call. Deterministic given the config
+    seed. Raises TrainingDataError when the sampled design is degenerate (all
+    samples identical), the scorer does not give one probability per sample,
+    or the weighted normal equations are singular.
     """
     cfg = cfg or SurrogateConfig()
     x0 = np.asarray(x0, dtype=float)
@@ -65,7 +66,9 @@ def fit_local_linear(
     if np.ptp(samples, axis=0).max() == 0.0:
         raise TrainingDataError("degenerate design: all surrogate samples identical")
 
-    probs = np.array([scorer.probability(z) for z in samples])
+    probs = np.asarray(scorer.probability(samples), dtype=float)
+    if probs.shape != (cfg.n_samples,):
+        raise TrainingDataError(f"scorer gave shape {probs.shape} for {cfg.n_samples} samples")
     # a vanishing width gives weight 0, its limit
     with np.errstate(divide="ignore", over="ignore"):
         omega = np.exp(-((samples - x0) ** 2).sum(axis=1) / width**2)

@@ -412,12 +412,12 @@ def smoothness(
 
 
 def validity(model: BlackBoxScorer | ModelParams, recourses: list) -> float:
-    """Fraction of recourse points receiving the desirable label."""
+    """Fraction of recourse points receiving the desirable label, all labeled in one call."""
     if len(recourses) == 0:
         raise ValueError("validity needs at least one recourse point")
     scorer = GlmScorer(model) if isinstance(model, ModelParams) else model
-    hits = sum(predict_label(scorer, np.asarray(x, dtype=float)) for x in recourses)
-    return hits / len(recourses)
+    points = np.asarray(recourses, dtype=float).reshape(len(recourses), -1)
+    return int(predict_label(scorer, points).sum()) / len(recourses)
 
 
 def pareto_frontier(

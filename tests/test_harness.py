@@ -1094,11 +1094,15 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
         json.dumps({"features": "ab", "labels": [0, 1]}),
         json.dumps({"features": [[0.0], [1.0]], "labels": [0, [1]]}),
         json.dumps({"features": {"x0": [0.0, 1.0]}, "labels": [0, 1]}),
+        json.dumps({"features": [[0.0, 1.0], [1.0, 0.0]], "labels": [0, 1], "feature_names": 5}),
+        json.dumps({"features": [[0.0, 1.0], [1.0, 0.0]], "labels": [0, 1],
+                    "feature_names": ["a", "b", "c"]}),
     ],
     ids=["train-not-json", "train-not-a-dataset", "train-single-class", "train-no-columns",
          "train-missing-file", "train-fractional-label", "train-label-above-1",
          "train-string-label", "train-ragged-features", "train-string-features",
-         "train-ragged-labels", "train-object-features"],
+         "train-ragged-labels", "train-object-features", "train-feature-names-not-a-list",
+         "train-feature-names-too-many"],
 )
 def test_cli_bad_data_exits_3_with_one_line(tmp_path, capsys, data):
     path = tmp_path / "data.json"
@@ -1160,7 +1164,7 @@ def test_cli_usage_errors(capsys):
 
 def test_cli_study_without_undesirable_instances_exits_2(tmp_path, capsys, monkeypatch):
     # every test row labeled desirable: no fold has an instance to average
-    monkeypatch.setattr(experiments, "predict_label", lambda scorer, x: 1)
+    monkeypatch.setattr(experiments, "predict_label", lambda scorer, x: np.ones(len(x), dtype=int))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"n_points": 40, "k_folds": 2}), encoding="utf-8")
     assert main(["pareto", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2

@@ -12,7 +12,7 @@ from robust_recourse.experiments import (
     _load_base_dataset,
     _prepare_fold,
 )
-from robust_recourse.glm import ModelParams, score, sigmoid
+from robust_recourse.glm import DimensionMismatchError, ModelParams, score, sigmoid
 from robust_recourse import models
 from robust_recourse.models import (
     GlmScorer,
@@ -203,6 +203,51 @@ def test_mlp_forward_shape_error_names_layer():
     w = MlpWeights(layers=((np.array([[1.0, 2.0]]), np.array([0.0])),))
     with pytest.raises(ValueError, match="layer 0"):
         mlp_forward(w, np.array([1.0]))
+    with pytest.raises(ValueError, match="layer 0 expects 2 inputs, got 3"):
+        mlp_forward(w, np.zeros((4, 3)))
+    with pytest.raises(DimensionMismatchError, match="2 weights, input has 3"):
+        GlmScorer(ModelParams(np.ones(2))).probability(np.zeros((4, 3)))
+
+
+def _point_forward(weights, x):
+    """One network forward of one point, a mat-vec per layer: the bits a stack must keep."""
+    h = np.asarray(x, dtype=float)
+    for idx, (w, b) in enumerate(weights.layers):
+        h = w @ h + b
+        if idx < len(weights.layers) - 1:
+            h = np.maximum(h, 0.0)
+    return sigmoid(float(h[0]))
+
+
+def _stack_layouts(rng, n, d):
+    """The same (n, d) values as a C-order, a Fortran-order and a strided stack."""
+    values = rng.standard_normal((n, d)) * rng.choice([0.1, 1.0, 30.0], (n, 1))
+    strided = np.zeros((2 * n, 3 * d))
+    strided[::2, ::3] = values
+    return values, [values, np.asfortranarray(values), strided[::2, ::3]]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 20, 57, 200])
+def test_stacked_scorers_equal_point_calls_bitwise(d):
+    rng = np.random.default_rng(d)
+    params = ModelParams(rng.standard_normal(d), float(rng.standard_normal()))
+    widths = [d] + [int(k) for k in rng.integers(1, 17, int(rng.integers(0, 3)))] + [1]
+    net = MlpWeights(tuple((rng.standard_normal((k, m)), rng.standard_normal(k))
+                           for m, k in zip(widths, widths[1:])))
+    values, stacks = _stack_layouts(rng, 64, d)
+    glm_ref = np.array([sigmoid(float(params.weights @ x + params.intercept)) for x in values])
+    mlp_ref = np.array([_point_forward(net, x) for x in values])
+    for scorer, ref in ((GlmScorer(params), glm_ref), (MlpScorer(net), mlp_ref)):
+        for stack in stacks:
+            got = scorer.probability(stack)
+            assert got.shape == (64,) and got.tobytes() == ref.tobytes()
+            assert predict_label(scorer, stack).tolist() == (ref >= 0.5).astype(int).tolist()
+            point = scorer.probability(stack[5])  # a strided row for two of the layouts
+            assert type(point) is float and point == ref[5]
+            label = predict_label(scorer, stack[5])
+            assert type(label) is int and label == int(ref[5] >= 0.5)
+            assert scorer.probability(stack[5:6]).tolist() == [point]
+    assert mlp_forward(net, values).tobytes() == mlp_ref.tobytes()
 
 
 def test_mlp_single_layer_matches_glm():

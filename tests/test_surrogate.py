@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from robust_recourse.glm import ModelParams, score
-from robust_recourse.models import GlmScorer, MlpScorer, MlpWeights, TrainingDataError
+from robust_recourse.models import GlmScorer, MlpScorer, MlpWeights, TrainingDataError, mlp_forward
 from robust_recourse.surrogate import SurrogateConfig, fit_local_linear
 
 
 class _ConstantHalf:
     def probability(self, x):
-        return 0.5
+        return np.full(len(x), 0.5)
 
 
 def test_recovers_linear_model():
@@ -33,6 +33,64 @@ def test_seed_determinism():
     c = fit_local_linear(GlmScorer(true), np.array([0.2]), SurrogateConfig(seed=8))
     assert c.weights[0] != a.weights[0]
     assert c.weights[0] == pytest.approx(a.weights[0], abs=0.2)
+
+
+class _Counting:
+    """Wraps a scorer and records the shape of every stack it is asked to score."""
+
+    def __init__(self, inner):
+        self.inner, self.shapes = inner, []
+
+    def probability(self, x):
+        self.shapes.append(np.shape(x))
+        return self.inner.probability(x)
+
+
+def _net(rng, d):
+    return MlpWeights(layers=((rng.standard_normal((6, d)), rng.standard_normal(6)),
+                              (rng.standard_normal((4, 6)), rng.standard_normal(4)),
+                              (rng.standard_normal((1, 4)), rng.standard_normal(1))))
+
+
+def test_fit_scores_its_samples_in_one_call():
+    rng = np.random.default_rng(0)
+    for inner in (GlmScorer(ModelParams(np.array([0.8, -0.4, 0.1]), 0.3)), MlpScorer(_net(rng, 3))):
+        counting = _Counting(inner)
+        fit_local_linear(counting, np.zeros(3), SurrogateConfig(n_samples=150))
+        assert counting.shapes == [(150, 3)]
+
+
+def test_scorer_of_the_wrong_shape_errors():
+    class _Column:
+        def probability(self, x):
+            return np.full((len(x), 1), 0.5)
+
+    class _Scalar:
+        def probability(self, x):
+            return 0.5
+
+    with pytest.raises(TrainingDataError, match=r"shape \(80, 1\) for 80 samples"):
+        fit_local_linear(_Column(), np.zeros(2), SurrogateConfig(n_samples=80))
+    with pytest.raises(TrainingDataError, match=r"shape \(\) for 80 samples"):
+        fit_local_linear(_Scalar(), np.zeros(2), SurrogateConfig(n_samples=80))
+
+
+def test_fit_equals_per_sample_reference_bitwise():
+    rng = np.random.default_rng(25)
+    net = _net(rng, 3)
+    x0, cfg = np.array([0.3, -1.2, 0.8]), SurrogateConfig(n_samples=200, seed=3)
+
+    class _PerSample:
+        def probability(self, x):
+            return np.array([mlp_forward(net, z) for z in x])
+
+    got = fit_local_linear(MlpScorer(net), x0, cfg)
+    ref = fit_local_linear(_PerSample(), x0, cfg)
+    assert got.weights.tobytes() == ref.weights.tobytes() and got.intercept == ref.intercept
+    # the fit of the per-sample forward that preceded stacked scoring, pinned
+    assert [w.hex() for w in got.weights] == [
+        "-0x1.e53a55b0f102dp-1", "0x1.5b55e8e25e266p-1", "-0x1.cef84000f6f05p+0"]
+    assert got.intercept.hex() == "0x1.ed15c27a6857ep+1"
 
 
 def test_degenerate_design_errors():
