@@ -147,7 +147,8 @@ def ingest_csv(path: str, label_column: str, positive_label: str) -> Dataset:
     """Read a headered CSV into a Dataset, mapping one label value to 1.
 
     Rows with unparsable feature cells are reported by 1-based data row
-    number; any such row fails the ingest.
+    number; any such row fails the ingest. So do feature values too large
+    for the z-score's squared deviations to sum without overflow.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -186,7 +187,13 @@ def ingest_csv(path: str, label_column: str, positive_label: str) -> Dataset:
     if positive_label not in raw_labels:
         raise DataError(f"{path}: positive label {positive_label!r} never occurs")
     labels = np.array([1 if lab == positive_label else 0 for lab in raw_labels])
-    return Dataset(features=np.array(features), labels=labels, feature_names=feature_names)
+    features = np.array(features)
+    # a z-score sums up to n squared deviations, each at most twice the largest magnitude
+    bound = np.sqrt(np.finfo(float).max / len(features)) / 2.0
+    if np.any(np.abs(features) > bound):
+        raise DataError(f"{path}: feature values must be at most {bound:.3g} in magnitude "
+                        f"for {len(features)} rows, or normalising them overflows")
+    return Dataset(features=features, labels=labels, feature_names=feature_names)
 
 
 def compute_norm_stats(features: np.ndarray) -> NormStats:

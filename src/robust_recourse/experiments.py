@@ -44,7 +44,7 @@ from .data import (
     ingest_csv,
     kfold,
 )
-from .glm import ModelParams, RecourseQuery, _check_json_types
+from .glm import ModelParams, RecourseQuery, _check_json_types, _l1
 from .models import (
     BlackBoxScorer,
     GlmScorer,
@@ -95,6 +95,7 @@ DEFAULT_VALIDITY_ALPHAS = tuple(round(0.02 * i, 2) for i in range(1, 11))
 DEFAULT_VALIDITY_LAMBDAS = (0.05, 0.1, 0.2)
 _GRIDS = ("lambda_grid", "beta_grid", "validity_alphas", "validity_lambdas")
 _MAX_EPSILON = np.finfo(float).max / 2.0
+_MAX_ALPHA = 1e150  # ROAR's worst-case scores grow as alpha squared; 1e155 overflows them
 _SECTIONS = (("surrogate", SurrogateConfig), ("roar", RoarConfig))
 _MODEL_RULE = ("predictions: each model must have a non-empty 'weights' list of finite numbers, "
                "an optional finite 'intercept' and no other key")
@@ -145,8 +146,10 @@ class ExperimentConfig:
         object.__setattr__(self, "predictions", models)
         if self.model_kind not in ("glm", "mlp"):
             raise ConfigError(f"model_kind must be 'glm' or 'mlp', got {self.model_kind!r}")
-        if not (0.0 <= self.alpha < np.inf and 0.0 <= self.smoothness_alpha < np.inf):
-            raise ConfigError("alpha must be finite and nonnegative")
+        for name in ("alpha", "smoothness_alpha"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= _MAX_ALPHA:
+                raise ConfigError(f"{name} must lie in [0, {_MAX_ALPHA:g}], got {value}")
         # the +/-2 epsilon predictions shift the correct model by twice epsilon
         if self.epsilon is not None and not 0.0 <= self.epsilon <= _MAX_EPSILON:
             raise ConfigError(f"epsilon must lie in [0, {_MAX_EPSILON:.3g}], got {self.epsilon}")
@@ -626,7 +629,7 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
         for cell, nbhd, alg, roar in zip(cells, balls, recs_alg, recs_roar):
             for method, pts in (("alg", alg), ("roar", roar)):
                 _add(sums, (method, *cell), validity(worst_case_shared_model(nbhd, pts), pts),
-                     float(np.mean(np.abs(pts - x0s).sum(axis=1))))
+                     float(np.mean(_l1(x0s, np.ones_like(x0s), pts))))
 
     rows = []
     for method in ("alg", "roar"):

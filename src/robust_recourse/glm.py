@@ -7,6 +7,9 @@ term measuring how far the score is from the desirable side of the decision
 boundary, plus ``lam`` times a weighted L1 modification cost. Every solver,
 baseline, and metric in this package is written against these helpers.
 
+The costs are written once, for (R, d) row stacks, in ``_l1`` and ``_totals``;
+``weighted_l1`` and ``eval_total_cost`` are their one-row calls.
+
 Sign convention: ``sign`` is two-valued with sign(0) = +1. The worst-case
 model computations depend on this convention, so it is defined once here and
 used everywhere.
@@ -17,7 +20,8 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, fields
+import sys
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -60,6 +64,11 @@ def _check_json_types(settings, error=ValueError) -> None:
             if isinstance(value, bool) or not isinstance(value, typ):
                 raise error(f"{f.name} must be {what}{' or null' if optional else ''}"
                             f", got {value!r}")
+            if kind == "float" and not isinstance(value, float):
+                # stored as a float, which must hold it exactly: 10**30 rounds, 10**400 overflows
+                if not (abs(value) <= sys.float_info.max and float(value) == value):
+                    raise error(f"{f.name} must be a number a float holds exactly, got {value!r}")
+                object.__setattr__(settings, f.name, float(value))
 
 
 class LossKind(Enum):
@@ -233,18 +242,39 @@ def loss_derivative(loss: LossKind, s):
     return out
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each row's ``a @ b``: bitwise its 1-D dot when both (R, d) stacks are C-contiguous."""
+    return np.matmul(a[:, None], b[..., None]).ravel()
+
+
+def _l1(x0: np.ndarray, cost: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Each row's weighted L1 cost of the (R, d) points ``x`` from the starts ``x0``."""
+    return _row_dots(cost, np.abs(x - x0))
+
+
+def _totals(loss: LossKind, x0, cost, lam, x, weights, intercept) -> tuple:
+    """(L1 cost, total) per row of ``x`` under (weights, intercept); lam, intercept: (R,) or ()."""
+    l1 = _l1(x0, cost, x)
+    return l1, eval_loss(loss, _row_dots(weights, x) + intercept) + lam * l1
+
+
+def _row(query: RecourseQuery, x_prime, width: int | None = None) -> np.ndarray:
+    """x' as a C-contiguous (1, d) row, checked against a model's ``width`` and the query."""
+    x = np.ascontiguousarray(x_prime, dtype=float).reshape(1, -1)
+    if width is not None and x.shape[1] != width:
+        raise DimensionMismatchError(f"model has {width} weights, input has {x.shape[1]} features")
+    if x.shape[1] != query.dim:
+        raise DimensionMismatchError(f"query has {query.dim} features, x' has {x.shape[1]}")
+    return x
+
+
 def weighted_l1(query: RecourseQuery, x_prime) -> float:
-    """Weighted L1 modification cost of x' relative to the query's x0."""
-    x_prime = np.atleast_1d(np.asarray(x_prime, dtype=float))
-    if x_prime.size != query.dim:
-        raise DimensionMismatchError(
-            f"query has {query.dim} features, x' has {x_prime.size}"
-        )
-    return float(query.cost.weights @ np.abs(x_prime - query.x0))
+    """Weighted L1 modification cost of x' relative to the query's x0: one row of ``_l1``."""
+    return float(_l1(query.x0[None], query.cost.weights[None], _row(query, x_prime))[0])
 
 
 def eval_total_cost(query: RecourseQuery, x_prime, params: ModelParams) -> float:
-    """Loss at the score of x' plus lam times the weighted L1 cost."""
-    return eval_loss(query.loss, score(params, x_prime)) + query.lam * weighted_l1(
-        query, x_prime
-    )
+    """Loss at the score of x' plus lam times the weighted L1 cost: one row of ``_totals``."""
+    x = _row(query, x_prime, params.dim)
+    return float(_totals(query.loss, query.x0[None], query.cost.weights[None], query.lam, x,
+                         params.weights[None], params.intercept)[1][0])

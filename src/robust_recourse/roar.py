@@ -50,18 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import Neighborhood, best_response
-from .glm import (
-    CostSpec,
-    LossKind,
-    RecourseQuery,
-    _check_json_types,
-    eval_loss,
-    eval_total_cost,
-    loss_derivative,
-    weighted_l1,
-)
-from .solver import RecoursePlan, _row_stack
+from .adversary import Neighborhood
+from .glm import CostSpec, LossKind, RecourseQuery, _check_json_types, eval_loss, loss_derivative
+from .solver import RecoursePlan, _plans, _query_row, _row_stack, _worst
 
 __all__ = ["RoarConfig", "roar_recourse", "roar_recourse_batch"]
 
@@ -102,17 +93,11 @@ def roar_recourse(
     neighborhood: Neighborhood,
     cfg: RoarConfig | None = None,
 ) -> RecoursePlan:
-    """Alternating maximization / subgradient descent on the worst-case cost."""
-    x = roar_recourse_batch(
-        query.x0[None, :], query.lam, neighborhood, cfg, query.loss, query.cost,
-        query.immutable_mask,
-    )[0]
-    return RecoursePlan(
-        x_prime=x,
-        l1_cost=weighted_l1(query, x),
-        worst_case_total=eval_total_cost(query, x, best_response(neighborhood, x)),
-        trace=(),
-    )
+    """Alternating maximization and subgradient descent on the worst-case cost; one batch row."""
+    rows = _query_row(query, neighborhood)
+    x = roar_recourse_batch(rows.x0, query.lam, neighborhood, cfg, query.loss, query.cost,
+                            query.immutable_mask)
+    return _plans(x, *_worst(rows, query.loss, x))[0]
 
 
 def roar_recourse_batch(

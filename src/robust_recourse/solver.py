@@ -8,8 +8,8 @@ closed form, moves the coordinate with the largest cost-adjusted weight
 magnitude, and solves that one-dimensional subproblem in closed form
 (``solve_coordinate_step``). A move through zero stops there and hands off
 to the far orthant's worst-case weight, or retires the coordinate when that
-weight cannot keep helping. ``optimal_robust_recourse`` is the one-row case;
-its plan's trace records every applied move.
+weight cannot keep helping. ``optimal_robust_recourse`` is the one-row case
+(``_query_row``); its plan's trace records every applied move.
 
 The loop is exact for a loss convex in the score. The clamped squared loss
 ``min((1 - s)_+^2, 1)`` is flat at 1 for scores <= 0, so the loop solves its
@@ -28,8 +28,9 @@ minimizes the total cost under a single predicted model exactly.
 
 ``_Rows`` is the package's one row layout. The exact loop and ROAR's batch
 loop read it from ``_row_stack``; the blend in ``tradeoff`` builds its own
-and hands it to the loop. ``_worst`` and ``_totals`` total every row in
-``np.matmul`` row dots, bitwise the one-row dots on C-contiguous rows.
+and hands it to the loop. ``_worst`` totals every row under its ball's
+worst-case model with ``glm._totals``, the package's one cost formula; the
+plans of the one-row solvers, exact and ROAR, take their totals from it too.
 
 ``minimax_oracle`` certifies the solver on small instances by exhaustive
 grid search over inputs, with the inner maximum taken over the corners of
@@ -61,6 +62,8 @@ from .glm import (
     ModelParams,
     RecourseQuery,
     _check_json_types,
+    _row_dots,
+    _totals,
     eval_loss,
     logit,
     sigmoid,
@@ -210,28 +213,26 @@ class _Rows(NamedTuple):
         return _Rows(*(field[:, :, None] for field in self))
 
 
+def _query_row(query: RecourseQuery, ball: Neighborhood) -> _Rows:
+    """The one-row stack of a query and its ball: the prediction is its centre, beta is 1."""
+    base, x0 = ball.base.weights, query.x0
+    if base.size != x0.size:
+        raise DimensionMismatchError(f"model has {base.size} weights, query has {x0.size} features")
+    lam, a, wb, pb, beta = np.array([query.lam, ball.alpha, ball.worst_intercept,
+                                     ball.base.intercept, 1.0]).reshape(5, 1, 1)  # (1, 1) each
+    return _Rows(x0[None], query.cost.weights[None], lam, query.immutable_mask[None], base[None],
+                 a, wb, base[None], pb, beta)
+
+
 def optimal_robust_recourse(
     query: RecourseQuery,
     neighborhood: Neighborhood,
 ) -> RecoursePlan:
-    """Recourse minimizing the worst-case total cost over the model ball; one row of the loop.
-
-    Its costs are ``_worst`` of one row, written out on purpose: this is the
-    library's one-query path, and the stacked totals made a solve about 10% slower.
-    """
-    base, x0 = neighborhood.base.weights, query.x0
-    if base.size != x0.size:
-        raise DimensionMismatchError(f"model has {base.size} weights, query has {x0.size} features")
-    alpha, b, cost_w = neighborhood.alpha, neighborhood.worst_intercept, query.cost.weights
-    lam, a, wb, pb, beta = np.array([query.lam, alpha, b, neighborhood.base.intercept, 1.0]
-                                    ).reshape(5, 1, 1)  # the (1, 1) row scalars from one array
-    rows = _Rows(x0[None], cost_w[None], lam, query.immutable_mask[None], base[None], a, wb,
-                 base[None], pb, beta)
+    """Recourse minimizing the worst-case total cost over the model ball; one row of the loop."""
+    rows = _query_row(query, neighborhood)
     xs, traces, saturated = _greedy_rows(rows, query.loss)
-    x = xs[0]
-    l1 = float(cost_w @ np.abs(x - x0))
-    total = eval_loss(query.loss, float((base - alpha * sign(x)) @ x + b)) + query.lam * l1
-    return RecoursePlan(x, l1, total, traces[0], saturated[0])
+    (l1,), (total,) = (a.tolist() for a in _worst(rows, query.loss, xs))
+    return RecoursePlan(xs[0], l1, total, traces[0], saturated[0])
 
 
 def optimal_robust_recourse_batch(
@@ -313,7 +314,7 @@ def _greedy_rows(rows: _Rows, loss: LossKind) -> tuple:
         active &= ~zero | movable
 
     b_eff = rows.worst_b.ravel()
-    lams, alphas, costs = rows.lam.ravel().tolist(), alpha.ravel().tolist(), rows.cost.tolist()
+    lams, alphas = rows.lam.ravel().tolist(), alpha.ravel().tolist()
     traces = [[] for _ in range(m)]
     saturated = [False] * m
     live = list(range(m))
@@ -345,7 +346,7 @@ def _greedy_rows(rows: _Rows, loss: LossKind) -> tuple:
                 # this score are zero too; sub-tolerance steps are rounding noise.
                 continue
             direction = 1.0 if adv[r, j] >= 0.0 else -1.0
-            move = t / costs[r][j]
+            move = t / rows.cost.item(r, j)
             xj = float(x[r, j])
             if xj * direction < 0.0 and move > abs(xj):
                 # Crossing: stop at zero and hand off to the far orthant.
@@ -365,29 +366,17 @@ def _greedy_rows(rows: _Rows, loss: LossKind) -> tuple:
             live.append(r)
     if low:
         # The clamped optimum is the convex plan or x0, whichever totals less.
-        for r, total in zip(low, _worst(rows.take(low), loss, x[low])[1].tolist()):
+        stack = rows if len(low) == m else rows.take(low)  # every row: take would only copy
+        for r, total in zip(low, _worst(stack, loss, x[low])[1].tolist()):
             if total >= 1.0:
                 x[r], traces[r] = rows.x0[r], []
     return x, [tuple(t) for t in traces], saturated
 
 
-def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each row's ``a @ b``: bitwise the one-row dot when both stacks are C-contiguous."""
-    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
-
-
-def _totals(rows: _Rows, loss: LossKind, x, weights, intercept) -> tuple:
-    """Each row's weighted L1 cost and total cost at ``x`` under the model (weights, intercept).
-
-    These are ``weighted_l1`` and ``eval_total_cost`` of every row, bit for bit.
-    """
-    l1 = _row_dots(rows.cost, np.abs(x - rows.x0))
-    return l1, eval_loss(loss, _row_dots(weights, x) + intercept) + rows.lam[:, 0] * l1
-
-
 def _worst(rows: _Rows, loss: LossKind, x) -> tuple:
     """Each row's L1 cost and total cost at ``x`` under ``best_response`` of its ball."""
-    return _totals(rows, loss, x, rows.base - rows.alpha * sign(x), rows.worst_b[:, 0])
+    return _totals(loss, rows.x0, rows.cost, rows.lam[:, 0], x, rows.base - rows.alpha * sign(x),
+                   rows.worst_b[:, 0])
 
 
 def _plans(x, l1, totals) -> list:

@@ -12,11 +12,11 @@ one row per (instance, prediction, beta). ``_coordinate_terms`` gives what
 coordinates add to the blend's three sums (worst-case score, predicted
 score, weighted cost) and ``_mix`` turns the sums into the objective.
 ``_search`` blends every interior row in one search, ``_descend``, then
-restarts the rows an endpoint beats, each from its own endpoint. The
-solver's ``_totals`` give every row's L1 cost and total cost under a
-model. No sum runs across rows, so every plan is bitwise the one a
-one-row stack gives, on C-contiguous rows: ``_stack`` builds every field
-by indexing.
+restarts the rows an endpoint beats, each from its own endpoint.
+``glm._totals`` gives every row's L1 cost and total cost under a model,
+and the solver's ``_worst`` under the ball's worst case. No sum runs
+across rows, so every plan is bitwise the one a one-row stack gives, on
+C-contiguous rows: ``_stack`` builds every field by indexing.
 
 ``blended_recourse`` is one row, blended from endpoints that the one-row
 exact solvers solve (``_blend``). ``pareto_frontier`` and ``smoothness``
@@ -39,6 +39,8 @@ Metrics:
 
 ``_metrics`` gives the first two and the L1 cost for a whole stack; the
 pareto study scores its blended plans and its ROAR points with it.
+``robustness`` is one row of ``_worst`` and ``consistency`` one
+``eval_total_cost``, so each is bitwise its row of ``_metrics``.
 """
 
 from __future__ import annotations
@@ -49,11 +51,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversary import Neighborhood, best_response
-from .glm import (DimensionMismatchError, LossKind, ModelParams, RecourseQuery, eval_loss,
-                  eval_total_cost)
+from .adversary import Neighborhood
+from .glm import (DimensionMismatchError, LossKind, ModelParams, RecourseQuery, _row, _totals,
+                  eval_loss, eval_total_cost)
 from .models import BlackBoxScorer, GlmScorer, predict_label
-from .solver import (RecoursePlan, _greedy_rows, _plans, _Rows, _totals, _worst,
+from .solver import (RecoursePlan, _greedy_rows, _plans, _query_row, _Rows, _worst,
                      consistent_recourse, optimal_robust_recourse)
 
 __all__ = [
@@ -177,13 +179,6 @@ def _value(rows: _Rows, loss: LossKind, x) -> np.ndarray:
     return _mix(rows, loss, *_coordinate_terms(rows, x).sum(axis=-1, keepdims=True))[..., 0]
 
 
-def _blended_value(tq: TradeoffQuery, x):
-    """The blended objective at one point, or at every row of a stack of points."""
-    x = np.asarray(x, dtype=float)
-    rows = _stack([tq.query], [tq.neighborhood], [[tq.prediction]], [tq.beta])[0]
-    return _value(rows, tq.query.loss, x).reshape(x.shape[:-1])
-
-
 def _descend(rows: _Rows, loss: LossKind, start: np.ndarray):
     """Coordinate search of every row of ``rows`` at once, each from its row of ``start``.
 
@@ -264,7 +259,8 @@ def _search(rows: _Rows, loss: LossKind, robust_x: np.ndarray, consistent_x: np.
 def _metrics(rows: _Rows, loss: LossKind, x, robust_total, consistent_total) -> tuple:
     """Each row's robustness, consistency and L1 cost at ``x``, against its optima's totals."""
     l1, worst = _worst(rows, loss, x)
-    predicted = _totals(rows, loss, x, rows.pred_w, rows.pred_b[:, 0])[1]
+    predicted = _totals(loss, rows.x0, rows.cost, rows.lam[:, 0], x, rows.pred_w,
+                        rows.pred_b[:, 0])[1]
     return worst - robust_total, predicted - consistent_total, l1
 
 
@@ -329,10 +325,9 @@ def _fold(queries, neighborhoods, prediction_sets, betas, extra_sets=None) -> tu
     # a row per (instance, model): every pair, then every extra model
     models = [*prediction_sets, *(extra_sets or [[]] * len(queries))]
     ends = _stack([*queries] * 2, [*neighborhoods] * 2, models, [1.0])[0]
-    consistent_x = _greedy_rows(ends._replace(base=ends.pred_w, alpha=np.zeros_like(ends.alpha),
-                                              worst_b=ends.pred_b), loss)[0]
-    consistent = _plans(consistent_x, *_totals(ends, loss, consistent_x, ends.pred_w,
-                                                ends.pred_b[:, 0]))
+    ends = ends._replace(base=ends.pred_w, alpha=np.zeros_like(ends.alpha), worst_b=ends.pred_b)
+    consistent_x = _greedy_rows(ends, loss)[0]
+    consistent = _plans(consistent_x, *_worst(ends, loss, consistent_x))
 
     rows, inst, pair = _stack(queries, neighborhoods, prediction_sets, betas)
     return robust, consistent, rows, inst, pair, _search(rows, loss, robust_x[inst],
@@ -373,7 +368,8 @@ def _regrets(queries, neighborhoods, prediction_sets, corrects, betas) -> list:
     _, consistent, rows, inst, _, x = _fold(queries, neighborhoods, prediction_sets, betas,
                                             [[c] for c in corrects])
     best_totals = np.array([plan.worst_case_total for plan in consistent[-len(queries):]])
-    under = _totals(rows, queries[0].loss, x, np.array([c.weights for c in corrects])[inst],
+    under = _totals(queries[0].loss, rows.x0, rows.cost, rows.lam[:, 0], x,
+                    np.array([c.weights for c in corrects])[inst],
                     np.array([c.intercept for c in corrects])[inst])[1]
     regrets = iter((under - best_totals[inst]).tolist())
     return [[[next(regrets) for _ in betas] for _ in preds] for preds in prediction_sets]
@@ -383,15 +379,15 @@ def robustness(
     query: RecourseQuery, neighborhood: Neighborhood, x_prime: np.ndarray, optimum: RecoursePlan
 ) -> float:
     """Worst-case total cost of x_prime minus that of ``optimum``, the optimal robust plan."""
-    worst = eval_total_cost(query, np.asarray(x_prime, dtype=float), best_response(neighborhood, x_prime))
-    return worst - optimum.worst_case_total
+    worst = _worst(_query_row(query, neighborhood), query.loss, _row(query, x_prime))[1]
+    return float(worst[0]) - optimum.worst_case_total
 
 
 def consistency(
     query: RecourseQuery, prediction: ModelParams, x_prime: np.ndarray, optimum: RecoursePlan
 ) -> float:
     """Total cost of x_prime under the prediction minus that of ``optimum``, its consistent plan."""
-    return eval_total_cost(query, np.asarray(x_prime, dtype=float), prediction) - optimum.worst_case_total
+    return eval_total_cost(query, x_prime, prediction) - optimum.worst_case_total
 
 
 def smoothness(

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from robust_recourse.adversary import Neighborhood, best_response
 from robust_recourse.glm import (
     CostSpec,
     DimensionMismatchError,
     LossKind,
     ModelParams,
     RecourseQuery,
+    _totals,
     eval_loss,
     eval_total_cost,
     logit,
@@ -18,6 +20,9 @@ from robust_recourse.glm import (
     sign,
     weighted_l1,
 )
+from robust_recourse.roar import RoarConfig, roar_recourse
+from robust_recourse.solver import _worst, consistent_recourse, optimal_robust_recourse
+from robust_recourse.tradeoff import _stack, consistency, robustness
 
 
 def test_score_hand_values():
@@ -159,3 +164,65 @@ def test_weighted_l1():
     assert weighted_l1(q, np.array([2.0, 1.0])) == pytest.approx(2.0 * 1 + 3.0 * 2)
     with pytest.raises(DimensionMismatchError, match="query has 2 features, x' has 3"):
         weighted_l1(q, np.zeros(3))
+    with pytest.raises(DimensionMismatchError, match="model has 2 weights, input has 3"):
+        eval_total_cost(q, np.zeros(3), ModelParams(np.ones(2)))
+
+
+def _random_rows(rng, d, loss, m=6):
+    """m rows of (query, ball, prediction inside it, point), each with its own of every field.
+
+    Rows alternate the intercept mode and unit or drawn cost weights; masks
+    and zero coordinates are drawn.
+    """
+    rows = []
+    for r in range(m):
+        x0 = rng.uniform(-2.0, 2.0, d)
+        x0[rng.random(d) < 0.2] = 0.0
+        cost = CostSpec(rng.uniform(0.5, 2.0, d)) if r % 2 else None
+        q = RecourseQuery(x0, float(rng.choice([0.0, 0.05, 0.3, 1.0])), loss, cost,
+                          rng.random(d) < 0.2)
+        base = ModelParams(rng.uniform(-2.0, 2.0, d), float(rng.uniform(-1.0, 1.0)))
+        ball = Neighborhood(base, float(rng.choice([0.0, 0.3, 1.0])), perturb_intercept=r % 2 == 0)
+        pred = ball.clamp(ModelParams(base.weights + rng.normal(0.0, 0.5, d), base.intercept + 0.2))
+        x = x0 + rng.normal(0.0, 1.0, d)
+        x[rng.random(d) < 0.2] = 0.0
+        rows.append((q, ball, pred, x))
+    return rows
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 20, 200])
+def test_one_point_costs_are_rows_of_one_stacked_call_bitwise(d):
+    # every one-point cost is its row of one stacked call, and each still
+    # equals the scalar formula (a 1-D dot, a float score) it used to be
+    rng = np.random.default_rng(26 + d)
+    for loss in LossKind:
+        rows = _random_rows(rng, d, loss)
+        queries, balls, preds, points = zip(*rows)
+        stack = _stack(queries, balls, [[p] for p in preds], [1.0])[0]
+        robust = [optimal_robust_recourse(q, n) for q, n in zip(queries, balls)]
+        consistent = [consistent_recourse(q, p) for q, p in zip(queries, preds)]
+        roar = [roar_recourse(q, n, RoarConfig(max_iters=30)) for q, n in zip(queries, balls)]
+
+        def stacked(x, weights=None, intercept=None):  # (l1, total) per row, as floats
+            if weights is None:
+                return zip(*(a.tolist() for a in _worst(stack, loss, x)))
+            return zip(*(a.tolist() for a in _totals(loss, stack.x0, stack.cost, stack.lam[:, 0],
+                                                      x, weights, intercept)))
+
+        x = np.array(points)
+        pred_w, pred_b = stack.pred_w, stack.pred_b[:, 0]
+        for (q, n, p, xr), (l1, worst), (_, predicted), rp, cp in zip(
+                rows, stacked(x), stacked(x, pred_w, pred_b), robust, consistent):
+            assert weighted_l1(q, xr) == l1 == float(q.cost.weights @ np.abs(xr - q.x0))
+            adv = n.base.weights - n.alpha * sign(xr)
+            scalar = eval_loss(loss, float(adv @ xr + n.worst_intercept)) + q.lam * l1
+            assert eval_total_cost(q, xr, best_response(n, xr)) == worst == scalar
+            assert eval_total_cost(q, xr, p) == predicted
+            assert robustness(q, n, xr, rp) == worst - rp.worst_case_total
+            assert consistency(q, p, xr, cp) == predicted - cp.worst_case_total
+
+        for plans, totals in ((robust, stacked(np.array([r.x_prime for r in robust]))),
+                              (roar, stacked(np.array([r.x_prime for r in roar]))),
+                              (consistent, stacked(np.array([c.x_prime for c in consistent]),
+                                                   pred_w, pred_b))):
+            assert [(r.l1_cost, r.worst_case_total) for r in plans] == list(totals)

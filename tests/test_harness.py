@@ -1016,6 +1016,9 @@ _BAD_MLP_FILES = {
         (["oracle-check", "--n", "-1"], None),
         (["oracle-check", "--n", "0"], None),
         (["oracle-check", "--seed", "-1"], None),
+        (["pareto"], {"alpha": 1e308, "n_points": 40, "k_folds": 2}),
+        (["smoothness"], {"smoothness_alpha": 10**30, "n_points": 40, "k_folds": 2}),
+        (["smoothness"], {"smoothness_alpha": 10**400, "n_points": 40, "k_folds": 2}),
     ],
     ids=[
         "theta-x0-lengths", "negative-lam", "nan-theta", "nan-lam", "inf-alpha", "one-point",
@@ -1047,6 +1050,8 @@ _BAD_MLP_FILES = {
         "gen-data-inf-shift",
         "gen-data-negative-seed",
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
+        "alpha-overflows-worst-case-scores", "smoothness-alpha-inexact-integer",
+        "smoothness-alpha-integer-overflows-float",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
@@ -1077,6 +1082,26 @@ def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
     # every case but the old prediction key is refused for a value, not a key
     if config is not None and "prediction" not in config:
         assert "unknown config keys" not in captured.err
+    for key in ("alpha", "smoothness_alpha"):  # a bad radius is named in the error
+        if key in (config or {}):
+            assert captured.err.startswith(f"config error: {key} must ")
+
+
+@pytest.mark.parametrize("value", [1e308, -1e308], ids=["feature-1e308", "feature-minus-1e308"])
+def test_cli_csv_features_too_large_to_normalise_exit_3(tmp_path, capsys, value):
+    ds = generate_synthetic(SyntheticSpec(n_points=40, seed=0))
+    rows = [f"{a},{b},{y}" for (a, b), y in zip(ds.features, ds.labels)]
+    rows[3] = f"{value!r},{rows[3].split(',', 1)[1]}"
+    data = tmp_path / "data.csv"
+    data.write_text("\n".join(["a,b,label", *rows]) + "\n", encoding="utf-8")
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dataset": str(data), "n_points": 40, "k_folds": 2}),
+                   encoding="utf-8")
+    assert main(["pareto", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert captured.err.startswith(f"data error: {data}: feature values must be at most ")
 
 
 @pytest.mark.parametrize(

@@ -31,6 +31,13 @@ from robust_recourse.tradeoff import (
 )
 
 
+def _blended_value(tq, x):
+    """The blended objective at one point, or at every row of a stack of points."""
+    x = np.asarray(x, dtype=float)
+    rows = tradeoff._stack([tq.query], [tq.neighborhood], [[tq.prediction]], [tq.beta])[0]
+    return tradeoff._value(rows, tq.query.loss, x).reshape(x.shape[:-1])
+
+
 def _query(x0, lam, **kw):
     return RecourseQuery(x0=np.asarray(x0, dtype=float), lam=lam, **kw)
 
@@ -116,8 +123,6 @@ def test_blended_endpoints_match_exact_solvers():
 
 
 def _dense_blend_min(tq, lo=-6.0, hi=6.0, n=240_001):
-    from robust_recourse.tradeoff import _blended_value
-
     xs = np.linspace(lo, hi, n)
     return float(_blended_value(tq, xs[:, None]).min())
 
@@ -128,16 +133,12 @@ def test_blended_interior_close_to_dense_grid():
     pred = ModelParams(weights=np.array([1.3]), intercept=0.0)
     tq = TradeoffQuery(q, n, pred, 0.5)
     plan = blended_recourse(tq)
-    from robust_recourse.tradeoff import _blended_value
-
     got = _blended_value(tq, plan.x_prime)
     assert got <= _dense_blend_min(tq) + 1e-3
 
 
 def test_blended_never_worse_than_start_or_endpoints():
     rng = np.random.default_rng(23)
-    from robust_recourse.tradeoff import _blended_value
-
     for _ in range(40):
         tq = _random_tq(rng)
         plan = blended_recourse(tq)
@@ -648,7 +649,5 @@ def test_blended_squared_loss_runs():
     n = _nbhd([1.0], 0.3, perturb_intercept=False)
     pred = ModelParams(weights=np.array([1.2]), intercept=0.0)
     plan = blended_recourse(TradeoffQuery(q, n, pred, 0.5))
-    from robust_recourse.tradeoff import _blended_value
-
     tq = TradeoffQuery(q, n, pred, 0.5)
     assert _blended_value(tq, plan.x_prime) <= _blended_value(tq, q.x0) + 1e-12
