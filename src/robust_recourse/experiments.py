@@ -29,6 +29,9 @@ import json
 import logging
 import numbers
 import os
+import pickle
+import sys
+import threading
 import time
 from dataclasses import dataclass
 
@@ -209,6 +212,8 @@ class ExperimentConfig:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        except ValueError as exc:  # a byte that is not UTF-8, or an integer of over 4300 digits
+            raise ConfigError(f"config {path} cannot be read: {exc}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config {path} must hold a JSON object")
         return cls.from_dict(raw)
@@ -417,6 +422,48 @@ def _add(sums: dict, key, *values) -> None:
     acc[-1] += 1
 
 
+def _fork_map(fn, items: list) -> list:
+    """``[fn(item) for item in items]`` in one run of items per CPU: this process maps the first.
+
+    A forked child maps each other run and pickles back (ok, its results or its
+    exception). One CPU or item, no ``os.fork``, or another running thread (a
+    forked copy of a threaded process can hang) maps every item here.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [fn(item) for item in items]
+    cuts = [len(items) * w // workers for w in range(workers + 1)]
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end of its pipe)
+    try:
+        for start, stop in zip(cuts[1:-1], cuts[2:]):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:  # the child: any failure is re-raised in the parent
+                try:
+                    try:
+                        reply = pickle.dumps((True, [fn(item) for item in items[start:stop]]))
+                    except BaseException as exc:
+                        reply = pickle.dumps((False, exc))
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(reply)
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb")))
+        results = [fn(item) for item in items[:cuts[1]]]
+        for ok, value in (pickle.loads(pipe.read()) for _, pipe in children):
+            if not ok:
+                raise value
+            results += value
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+
+
 def _means(sums: dict, key) -> tuple:
     """``key``'s mean values, followed by its instance count."""
     *totals, n = sums[key]
@@ -607,11 +654,29 @@ def run_smoothness_study(cfg: ExperimentConfig) -> StudyResult:
     return StudyResult(rows=rows, csv_path=csv_path, svg_path=svg_path, extras=extras)
 
 
+def _validity_fold(cfg: ExperimentConfig, cells: list, x0s: np.ndarray, bases: list) -> list:
+    """One fold's ``_add`` arguments, (key, validity, mean cost) per cell and method, in order.
+
+    Every (alpha, lam, instance) row is solved in one exact and one ROAR batch
+    call, then one worst-case model is found per cell and method.
+    """
+    balls = [Neighborhood(bases[0], alpha) for alpha, _ in cells]
+    rows = (np.tile(x0s, (len(cells), 1)), np.repeat([lam for _, lam in cells], len(x0s)),
+            [nbhd for nbhd in balls for _ in x0s])
+    recs_alg = optimal_robust_recourse_batch(*rows).reshape(len(cells), *x0s.shape)
+    recs_roar = roar_recourse_batch(*rows, cfg.roar).reshape(len(cells), *x0s.shape)
+    return [((method, *cell), validity(worst_case_shared_model(nbhd, pts), pts),
+             float(np.mean(_l1(x0s, np.ones_like(x0s), pts))))
+            for cell, nbhd, alg, roar in zip(cells, balls, recs_alg, recs_roar)
+            for method, pts in (("alg", alg), ("roar", roar))]
+
+
 def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
     """Worst-case validity vs mean cost for the exact solver and the ROAR baseline.
 
-    Each fold solves every (alpha, lam, instance) row in one exact and one ROAR
-    batch call, then finds one worst-case model per cell and method.
+    The folds are fitted here in turn, then solved by ``_validity_fold``
+    through ``_fork_map`` (forked children on more than one CPU). Their sums
+    are added in fold order, so every float is the one-process float.
     """
     if cfg.model_kind != "glm":
         raise ConfigError("the validity study supports the glm model path only")
@@ -620,38 +685,11 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
     sums: dict = {}  # (method, alpha, lam) -> [validity, mean cost, count]
     cells = [(float(a), float(lam)) for a in cfg.validity_alphas for lam in cfg.validity_lambdas]
 
-    for _, _, x0s, bases in _study_folds(cfg, ds, plan):
-        balls = [Neighborhood(bases[0], alpha) for alpha, _ in cells]
-        rows = (np.tile(x0s, (len(cells), 1)), np.repeat([lam for _, lam in cells], len(x0s)),
-                [nbhd for nbhd in balls for _ in x0s])
-        recs_alg = optimal_robust_recourse_batch(*rows).reshape(len(cells), *x0s.shape)
-        recs_roar = roar_recourse_batch(*rows, cfg.roar).reshape(len(cells), *x0s.shape)
-        for cell, nbhd, alg, roar in zip(cells, balls, recs_alg, recs_roar):
-            for method, pts in (("alg", alg), ("roar", roar)):
-                _add(sums, (method, *cell), validity(worst_case_shared_model(nbhd, pts), pts),
-                     float(np.mean(_l1(x0s, np.ones_like(x0s), pts))))
+    folds = [(x0s, bases) for _, _, x0s, bases in _study_folds(cfg, ds, plan)]
+    for fold_sums in _fork_map(lambda fold: _validity_fold(cfg, cells, *fold), folds):
+        for key, *values in fold_sums:  # in fold order, so each float sum is the serial one
+            _add(sums, key, *values)
 
-    rows = []
-    for method in ("alg", "roar"):
-        pts = []
-        for alpha, lam in cells:
-            v, c, _ = _means(sums, (method, alpha, lam))
-            pts.append({"method": method, "alpha": alpha, "lam": lam, "validity": v,
-                        "mean_cost": c})
-        for row in pts:
-            row["pareto"] = not any(
-                other["validity"] >= row["validity"]
-                and other["mean_cost"] <= row["mean_cost"]
-                and (
-                    other["validity"] > row["validity"] or other["mean_cost"] < row["mean_cost"]
-                )
-                for other in pts
-            )
-        rows.extend(pts)
-
-    # a stable sort keeps each method's front in (cost, validity) order
-    front = sorted((r for r in rows if r["pareto"]), key=lambda r: (r["mean_cost"], r["validity"]))
-    series = _curves(front, ("alg", "roar"), "method", "mean_cost", "validity")
     columns = [
         ("method", "str", "alg (exact solver) or roar (gradient baseline)"),
         ("alpha", "float", "model-ball radius"),
@@ -660,6 +698,18 @@ def run_validity_study(cfg: ExperimentConfig) -> StudyResult:
         ("mean_cost", "float", "mean L1 modification cost"),
         ("pareto", "bool", "not dominated within its method"),
     ]
+    keys = [(method, *cell) for method in ("alg", "roar") for cell in cells]
+    rows = [dict(zip([c[0] for c in columns], (*key, *_means(sums, key)[:2]))) for key in keys]
+    for row in rows:  # dominated: a point of its method is no worse on both and is not the same
+        row["pareto"] = not any(
+            o["method"] == row["method"] and o["validity"] >= row["validity"]
+            and o["mean_cost"] <= row["mean_cost"]
+            and (o["validity"], o["mean_cost"]) != (row["validity"], row["mean_cost"])
+            for o in rows)
+
+    # a stable sort keeps each method's front in (cost, validity) order
+    front = sorted((r for r in rows if r["pareto"]), key=lambda r: (r["mean_cost"], r["validity"]))
+    series = _curves(front, ("alg", "roar"), "method", "mean_cost", "validity")
     csv_path, svg_path = _write_study(cfg, "validity", columns, rows, series,
                                       title="Worst-case validity vs cost", x_label="mean cost",
                                       y_label="validity")

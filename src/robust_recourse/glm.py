@@ -47,6 +47,8 @@ class DimensionMismatchError(ValueError):
     """A vector's length does not match the model or query dimension."""
 
 
+_MAX_INT = 2**31 - 1  # the largest integer setting; a derived seed keeps 31 bits
+
 # The JSON value a field of a settings class takes, by its annotation (a
 # string, as annotations are postponed); one ending in "| None" also admits
 # null. A number is never a boolean. Every settings class checks this first.
@@ -64,6 +66,8 @@ def _check_json_types(settings, error=ValueError) -> None:
             if isinstance(value, bool) or not isinstance(value, typ):
                 raise error(f"{f.name} must be {what}{' or null' if optional else ''}"
                             f", got {value!r}")
+            if kind == "int" and abs(value) > _MAX_INT:  # no size, count or seed needs more
+                raise error(f"{f.name} must be an integer of magnitude at most {_MAX_INT}")
             if kind == "float" and not isinstance(value, float):
                 # stored as a float, which must hold it exactly: 10**30 rounds, 10**400 overflows
                 if not (abs(value) <= sys.float_info.max and float(value) == value):

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -429,6 +430,8 @@ def test_validity_study_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
                            validity_lambdas=lams, roar=RoarConfig(max_iters=50),
                            out_dir=str(tmp_path / "val"))
     calls = _spy_batch(monkeypatch)
+    # one CPU keeps every fold in this process, where the spy records its call
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
     def refuse(*args):
         raise AssertionError("the validity study solved one row at a time")
@@ -445,6 +448,94 @@ def test_validity_study_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
         assert lam.tolist() == [l for _, l in cells for _ in bases]
         assert [b.alpha for b in balls] == [a for a, _ in cells for _ in bases]
         assert all(_same_model(b.base, bases[0]) for b in balls)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def test_fork_map_equals_the_serial_map_in_order(monkeypatch):
+    # five items on two workers: this process maps items 0-1, one child maps 2-4
+    _cpus(monkeypatch, 2)
+    out = experiments._fork_map(lambda i: (i * i, os.getpid()), list(range(5)))
+    assert [v for v, _ in out] == [i * i for i in range(5)]
+    pids = [pid for _, pid in out]
+    assert pids[:2] == [os.getpid()] * 2
+    assert len(set(pids[2:])) == 1 and pids[2] != os.getpid()
+    _no_child_left()
+
+
+def test_fork_map_raises_a_childs_exception_and_reaps_it(monkeypatch):
+    _cpus(monkeypatch, 2)
+
+    def fail_on_four(i):
+        if i == 4:
+            raise LookupError(f"item {i} failed in process {os.getpid()}")
+        return i
+
+    with pytest.raises(LookupError, match=r"^item 4 failed in process \d+$") as info:
+        experiments._fork_map(fail_on_four, list(range(5)))
+    assert str(info.value).rsplit(" ", 1)[1] != str(os.getpid())  # raised in the child
+    _no_child_left()
+
+
+def test_fork_map_reaps_its_child_when_this_process_fails(monkeypatch):
+    _cpus(monkeypatch, 2)
+    with pytest.raises(ZeroDivisionError):
+        experiments._fork_map(lambda i: 1 / (i - 1), list(range(5)))  # item 1 is this process's
+    _no_child_left()
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "one-item", "no-fork", "another-thread"])
+def test_fork_map_maps_in_this_process(monkeypatch, case):
+    _cpus(monkeypatch, 1 if case == "one-cpu" else 2)
+    items = [0] if case == "one-item" else list(range(5))
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    if case == "another-thread":
+        other.start()
+    try:
+        out = experiments._fork_map(lambda i: (i, os.getpid()), items)
+    finally:
+        release.set()
+        if case == "another-thread":
+            other.join(timeout=10)
+    assert not other.is_alive()
+    assert out == [(i, os.getpid()) for i in items]
+
+
+@pytest.mark.skipif(len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2,
+                    reason="folds are forked only with two CPUs or more")
+def test_validity_study_writes_the_same_bytes_forked_and_in_one_process(tmp_path, monkeypatch):
+    cfg = ExperimentConfig(n_points=60, k_folds=3, seed=2, validity_alphas=(0.05, 0.2),
+                           validity_lambdas=(0.05, 0.3), roar=RoarConfig(max_iters=100),
+                           out_dir=str(tmp_path / "forked"))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    forked = run_validity_study(cfg)
+    n_forks = len(forks)
+    assert n_forks >= 1
+    _no_child_left()
+    _cpus(monkeypatch, 1)
+    serial = run_validity_study(dataclasses.replace(cfg, out_dir=str(tmp_path / "serial")))
+    assert len(forks) == n_forks  # the one-CPU run forked nothing
+    assert forked.rows == serial.rows
+    for ours, theirs in ((forked.csv_path, serial.csv_path), (forked.svg_path, serial.svg_path)):
+        with open(ours, "rb") as a, open(theirs, "rb") as b:
+            assert a.read() == b.read()
 
 
 def test_select_lambda_solves_each_fold_in_one_batch(tmp_path, monkeypatch):
@@ -1019,6 +1110,12 @@ _BAD_MLP_FILES = {
         (["pareto"], {"alpha": 1e308, "n_points": 40, "k_folds": 2}),
         (["smoothness"], {"smoothness_alpha": 10**30, "n_points": 40, "k_folds": 2}),
         (["smoothness"], {"smoothness_alpha": 10**400, "n_points": 40, "k_folds": 2}),
+        (["pareto"], b'{"alpha": 1' + b"0" * 5000 + b"}"),
+        (["pareto"], b'{"dataset": "\xff"}'),
+        (["pareto"], {"n_points": 10**30, "k_folds": 2}),
+        (["validity"], {"seed": 2**31}),
+        (["pareto"], {"roar": {"max_iters": 10**30}}),
+        (["gen-data", "--n", str(10**30)], None),
     ],
     ids=[
         "theta-x0-lengths", "negative-lam", "nan-theta", "nan-lam", "inf-alpha", "one-point",
@@ -1052,9 +1149,16 @@ _BAD_MLP_FILES = {
         "oracle-negative-n", "oracle-zero-n", "oracle-negative-seed",
         "alpha-overflows-worst-case-scores", "smoothness-alpha-inexact-integer",
         "smoothness-alpha-integer-overflows-float",
+        "integer-too-long-to-read", "config-not-utf8", "points-above-integer-bound",
+        "seed-above-integer-bound", "roar-iters-above-integer-bound",
+        "gen-data-points-above-integer-bound",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(tmp_path, capsys, argv, config):
+    if isinstance(config, bytes):  # a file json.dumps cannot write: it is refused as it is read
+        (tmp_path / "cfg.json").write_bytes(config)
+        argv = argv + ["--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+        config = None
     if config is not None:
         for key in ("mlp_weights", "mlp_weights_shifted"):
             name = config.get(key)
